@@ -20,18 +20,13 @@ from .core import (
     FusionSystem,
     InvalidLabelError,
     IrrLabel,
-    add,
-    conj_element,
-    dim_element,
-    element_power,
-    multiplicity,
-    tensor,
 )
 from .families import (
     AoSystem,
     AuSystem,
     AutSystem,
     GroupDualSystem,
+    IntervalSystem,
     ZdDualSystem,
     au_bar,
     au_tensor,

@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
 
 from .core import FusionElement, FusionError, FusionSystem
-from .families import AoSystem, AuSystem, AutSystem, GroupDualSystem, fundamental
+from .families import AuSystem, GroupDualSystem, fundamental
 
 AMENABLE = "amenable-consistent"
 NON_AMENABLE = "non-amenable-numerical"
@@ -117,12 +118,7 @@ def char_moments(sys: FusionSystem, x: FusionElement, N: int) -> list[int]:
 
 
 def _moments_by_powers(sys: FusionSystem, x: FusionElement, N: int) -> list[int]:
-    out = [1]
-    acc = sys.unit_element()
-    for _ in range(N):
-        acc = sys.tensor(acc, x)
-        out.append(acc.mult(sys.unit))
-    return out
+    return [acc.mult(sys.unit) for acc in sys.products(repeat(x, N))]
 
 
 def _free_factor_split(sys: FusionSystem, x: FusionElement):
@@ -154,18 +150,7 @@ def kesten_counts(sys: FusionSystem, u: FusionElement, K: int) -> list[int]:
     if K < 1:
         raise FusionError(f"K must be >= 1, got {K}")
     sys.check_element(u)
-    v = u + sys.conj_element(u)
-    if _free_factor_split(sys, v) is not None:
-        m = char_moments(sys, v, 2 * K)
-        return [m[2 * k] for k in range(1, K + 1)]
-    # generic path: half powers + conjugate pairing,
-    # c_{2k} = sum_a (v^k)_a (v^k)_{conj a}
-    out: list[int] = []
-    acc = sys.unit_element()
-    for _ in range(K):
-        acc = sys.tensor(acc, v)
-        out.append(sum(m * acc.mult(sys.conj_irr(a)) for a, m in acc.items()))
-    return out
+    return _even_power_counts(sys, u + sys.conj_element(u), K)
 
 
 def chi_chi_star_counts(sys: FusionSystem, u: FusionElement, K: int) -> list[int]:
@@ -175,18 +160,20 @@ def chi_chi_star_counts(sys: FusionSystem, u: FusionElement, K: int) -> list[int
     sys.check_element(u)
     if sys.conj_element(u) == u:
         # (u (x) u)^k is the 2k-th power of u
-        split_ok = _free_factor_split(sys, u) is not None
-        if split_ok:
-            m = char_moments(sys, u, 2 * K)
-            return [m[2 * k] for k in range(1, K + 1)]
-        out: list[int] = []
-        acc = sys.unit_element()
-        for _ in range(K):
-            acc = sys.tensor(acc, u)
-            out.append(sum(m * acc.mult(sys.conj_irr(a)) for a, m in acc.items()))
-        return out
+        return _even_power_counts(sys, u, K)
     y = sys.tensor(u, sys.conj_element(u))
     return _moments_by_powers(sys, y, K)[1:]
+
+
+def _even_power_counts(sys: FusionSystem, v: FusionElement, K: int) -> list[int]:
+    """``multiplicity(unit, v^(x)2k)`` for k = 1..K and self-conjugate ``v``."""
+    if _free_factor_split(sys, v) is not None:
+        m = char_moments(sys, v, 2 * K)
+        return [m[2 * k] for k in range(1, K + 1)]
+    # half powers + conjugate pairing: c_{2k} = sum_a (v^k)_a (v^k)_{conj a}
+    half_powers = islice(sys.products(repeat(v, K)), 1, None)
+    return [sum(m * acc.mult(sys.conj_irr(a)) for a, m in acc.items())
+            for acc in half_powers]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +223,8 @@ def root_sequence_is_monotone(counts: list[int]) -> bool:
 
 def default_tolerance(sys: FusionSystem) -> float:
     """0.05 for interval-rule and abelian families, 0.15 for free ones."""
-    if isinstance(sys, (AoSystem, AutSystem)):
-        return 0.05
-    if isinstance(sys, AuSystem):
-        return 0.15
-    if isinstance(sys, GroupDualSystem) and len(sys.factors) >= 2:
+    if isinstance(sys, AuSystem) or (
+            isinstance(sys, GroupDualSystem) and len(sys.factors) >= 2):
         return 0.15
     return 0.05
 

@@ -10,6 +10,7 @@ cross-checks for these counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .core import FusionElement, FusionError, FusionSystem
 
@@ -70,9 +71,8 @@ def moment(sys: FusionSystem, u: FusionElement, w: StarWord | str) -> int:
     w = as_star_word(w)
     sys.check_element(u)
     ubar = sys.conj_element(u)
-    acc = sys.unit_element()
-    for starred in w.stars:
-        acc = sys.tensor(acc, ubar if starred else u)
+    for acc in sys.products(ubar if starred else u for starred in w.stars):
+        pass
     return acc.mult(sys.unit)
 
 
@@ -85,13 +85,8 @@ def moment_sequence(sys: FusionSystem, u: FusionElement, K: int) -> list[int]:
     if K < 1:
         raise FusionError(f"K must be >= 1, got {K}")
     sys.check_element(u)
-    out: list[int] = []
-    acc = u
-    for _ in range(K):
-        out.append(acc.mult(sys.unit))
-        if len(out) < K:
-            acc = sys.tensor(acc, u)
-    return out
+    powers = islice(sys.products(repeat(u, K)), 1, None)
+    return [acc.mult(sys.unit) for acc in powers]
 
 
 def noncrossing_pairing_count(w: StarWord | str, kind: str = "self-adjoint") -> int:

@@ -23,6 +23,7 @@ from . import __version__
 from .core import FusionElement, FusionError, FusionSystem, IrrLabel
 from .families import (
     GroupDualSystem,
+    element_from_json,
     element_to_json,
     format_label,
     parse_element,
@@ -45,8 +46,9 @@ class ConfigError(FusionError):
 class DiskCache:
     """Content-addressed cache of irreducible pair products.
 
-    Keys combine the family fingerprint with the label pair; entries are
-    JSON files written atomically (temp file + rename), so concurrent
+    Keys combine the engine version, the family fingerprint and the label
+    pair, so no engine version reads products another one wrote.  Entries
+    are JSON files written atomically (temp file + rename), so concurrent
     processes can share a cache directory.  Corrupt entries are ignored
     and recomputed; I/O failures degrade to memory-only with a warning.
     """
@@ -61,7 +63,8 @@ class DiskCache:
             self.enabled = False
 
     def _path(self, sys: FusionSystem, a: IrrLabel, b: IrrLabel) -> str:
-        key = json.dumps([sys.fingerprint(), format_label(sys, a), format_label(sys, b)])
+        key = json.dumps([__version__, sys.fingerprint(), format_label(sys, a),
+                          format_label(sys, b)])
         digest = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.directory, digest[:2], digest + ".json")
 
@@ -71,13 +74,9 @@ class DiskCache:
         path = self._path(sys, a, b)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            from .families import element_from_json
-            return element_from_json(sys, data)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, FusionError):
-            return None  # corrupt or stale entry: recompute
+                return element_from_json(sys, json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, FusionError):
+            return None  # missing or corrupt entry: recompute
 
     def store(self, sys: FusionSystem, a: IrrLabel, b: IrrLabel,
               value: FusionElement) -> None:
@@ -95,33 +94,16 @@ class DiskCache:
             self.enabled = False
 
 
-def cache_lookup(cache: DiskCache, sys: FusionSystem, a: IrrLabel,
-                 b: IrrLabel) -> FusionElement | None:
-    return cache.lookup(sys, a, b)
-
-
-def cache_store(cache: DiskCache, sys: FusionSystem, a: IrrLabel, b: IrrLabel,
-                value: FusionElement) -> None:
-    cache.store(sys, a, b, value)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
-class ParamsConfig:
-    generators: list[str]
-    fundamental_list: params.ParamList | None
-    values: dict[str, float]
-
-
-@dataclass(slots=True)
 class FamilyConfig:
     system: FusionSystem
-    params: ParamsConfig | None
+    fundamental_list: params.ParamList | None  # from the optional params block
+    values: dict[str, float]
     cache_dir: str | None
-    raw: dict
 
 
 def load_family_config(path: str) -> FamilyConfig:
@@ -136,7 +118,7 @@ def load_family_config(path: str) -> FamilyConfig:
         system = system_from_config(raw)
     except FusionError as exc:
         raise ConfigError(str(exc)) from exc
-    pcfg = None
+    fund, values = None, {}
     if "params" in raw:
         block = raw["params"]
         if not isinstance(block, dict):
@@ -147,7 +129,6 @@ def load_family_config(path: str) -> FamilyConfig:
         gens = block.get("generators", [])
         if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
             raise ConfigError("'generators' must be a list of names")
-        fund = None
         if "fundamental_list" in block:
             entries = block["fundamental_list"]
             if not isinstance(entries, list):
@@ -156,7 +137,6 @@ def load_family_config(path: str) -> FamilyConfig:
                 fund = params.ParamList.parse(entries)
             except FusionError as exc:
                 raise ConfigError(str(exc)) from exc
-        values = {}
         for name, val in block.get("values", {}).items():
             if isinstance(val, str):
                 from fractions import Fraction
@@ -165,21 +145,17 @@ def load_family_config(path: str) -> FamilyConfig:
                 values[name] = val
             else:
                 raise ConfigError(f"bad numeric value for {name!r}: {val!r}")
-        pcfg = ParamsConfig(generators=gens, fundamental_list=fund, values=values)
     cache_dir = raw.get("cache_dir")
     if cache_dir is not None and not isinstance(cache_dir, str):
         raise ConfigError("'cache_dir' must be a string")
-    return FamilyConfig(system=system, params=pcfg, cache_dir=cache_dir, raw=raw)
+    return FamilyConfig(system=system, fundamental_list=fund, values=values,
+                        cache_dir=cache_dir)
 
 
-def _resolve_cache(args, cfg: FamilyConfig) -> DiskCache | None:
-    directory = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV_VAR) \
-        or cfg.cache_dir
+def _attach_cache(args, cfg: FamilyConfig) -> None:
+    directory = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or cfg.cache_dir
     if directory:
-        cache = DiskCache(directory)
-        cfg.system.attach_disk_cache(cache)
-        return cache
-    return None
+        cfg.system.attach_disk_cache(DiskCache(directory))
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +179,19 @@ def emit(envelope: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, cfg) and returns (outputs, exact)
 # ---------------------------------------------------------------------------
 
-def _cmd_decompose(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_decompose(args, cfg: FamilyConfig):
     sys_ = cfg.system
     x = parse_element(sys_, args.x)
     y = parse_element(sys_, args.y)
     product = sys_.tensor(x, y)
     outputs = {format_label(sys_, lab): str(m) for lab, m in sys_.sorted_items(product)}
-    return make_envelope("decompose", {"family": args.family, "x": args.x, "y": args.y},
-                         outputs)
+    return outputs, True
 
 
-def _cmd_moments(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_moments(args, cfg: FamilyConfig):
     sys_ = cfg.system
     u = parse_element(sys_, args.u)
     reports: list[dict] = []
@@ -240,39 +211,28 @@ def _cmd_moments(args) -> dict:
     if args.jsonl:
         for rep in reports:
             print(json.dumps(rep, sort_keys=True))
-    inputs = {"family": args.family, "u": args.u, "word": args.word,
-              "k": args.k, "even": args.even}
-    return make_envelope("moments", inputs, reports)
+    return reports, True
 
 
-def _cmd_distance(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_distance(args, cfg: FamilyConfig):
     sys_ = cfg.system
     v = parse_element(sys_, args.v)
     a = parse_label(sys_, args.a)
     b = parse_label(sys_, args.b)
     d = geometry.distance(sys_, v, a, b, budget=args.budget)
-    inputs = {"family": args.family, "v": args.v, "a": args.a, "b": args.b,
-              "budget": args.budget}
-    return make_envelope("distance", inputs, {"distance": d})
+    return {"distance": d}, True
 
 
-def _cmd_ball(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_ball(args, cfg: FamilyConfig):
     sys_ = cfg.system
     v = parse_element(sys_, args.v)
     center = parse_label(sys_, args.center)
     labels = geometry.ball(sys_, v, center, args.r)
     out = sorted(format_label(sys_, lab) for lab in labels)
-    inputs = {"family": args.family, "v": args.v, "center": args.center, "r": args.r}
-    return make_envelope("ball", inputs, {"size": len(out), "labels": out})
+    return {"size": len(out), "labels": out}, True
 
 
-def _cmd_growth(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_growth(args, cfg: FamilyConfig):
     sys_ = cfg.system
     v = parse_element(sys_, args.v)
     center = parse_label(sys_, args.center)
@@ -282,44 +242,34 @@ def _cmd_growth(args) -> dict:
             fh.write("radius,ball_size\n")
             for r, size in rows:
                 fh.write(f"{r},{size}\n")
-    inputs = {"family": args.family, "v": args.v, "center": args.center,
-              "rmax": args.rmax, "csv": args.csv}
-    return make_envelope("growth", inputs, [{"radius": r, "ball_size": s} for r, s in rows])
+    return [{"radius": r, "ball_size": s} for r, s in rows], True
 
 
-def _cmd_amenable(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_amenable(args, cfg: FamilyConfig):
     sys_ = cfg.system
     u = parse_element(sys_, args.u) if args.u else None
     report = amenability.amenability_verdict(sys_, u, K=args.depth, tol=args.tol,
                                              method=args.method)
-    inputs = {"family": args.family, "u": args.u, "depth": args.depth,
-              "tol": args.tol, "method": args.method}
-    return make_envelope("amenable", inputs, report.to_json(), exact=False)
+    return report.to_json(), False
 
 
-def _cmd_list_invariant(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_list_invariant(args, cfg: FamilyConfig):
     sys_ = cfg.system
-    if cfg.params is None or cfg.params.fundamental_list is None:
+    if cfg.fundamental_list is None:
         raise ConfigError("list-invariant needs a params block with a fundamental_list")
-    lists = params.derive_irreducible_lists(sys_, cfg.params.fundamental_list, args.depth)
+    lists = params.derive_irreducible_lists(sys_, cfg.fundamental_list, args.depth)
     outputs = {format_label(sys_, lab): [str(p) for p in plist.entries()]
                for lab, plist in sorted(lists.items(), key=lambda it: sys_.sort_key(it[0]))}
-    inputs = {"family": args.family, "depth": args.depth}
-    return make_envelope("list-invariant", inputs, outputs)
+    return outputs, True
 
 
-def _cmd_modular_spectrum(args) -> dict:
-    cfg = load_family_config(args.family)
+def _cmd_modular_spectrum(args, cfg: FamilyConfig):
     if args.list:
         plist = params.ParamList.parse(args.list.split(","))
     else:
-        if cfg.params is None or cfg.params.fundamental_list is None:
+        if cfg.fundamental_list is None:
             raise ConfigError("modular-spectrum needs --list or a config fundamental_list")
-        plist = cfg.params.fundamental_list
+        plist = cfg.fundamental_list
     lattice = params.modular_spectrum(plist)
     outputs = lattice.describe()
     if args.member:
@@ -327,21 +277,18 @@ def _cmd_modular_spectrum(args) -> dict:
             text: params.lattice_membership(lattice, params.Param.parse(text))
             for text in args.member.split(",")
         }
-    inputs = {"family": args.family, "list": args.list, "member": args.member}
-    return make_envelope("modular-spectrum", inputs, outputs)
+    return outputs, True
 
 
-def _cmd_graph(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_graph(args, cfg: FamilyConfig):
     sys_ = cfg.system
     u = parse_element(sys_, args.u)
     diagram = towers.tower(sys_, u, args.depth)
     graph = towers.principal_graph(diagram)
-    if cfg.params is not None and cfg.params.fundamental_list is not None:
-        lists = params.derive_irreducible_lists(sys_, cfg.params.fundamental_list,
+    if cfg.fundamental_list is not None:
+        lists = params.derive_irreducible_lists(sys_, cfg.fundamental_list,
                                                 args.depth + 1, fund=None)
-        towers.attach_qdim_weights(graph, lists, cfg.params.values or None)
+        towers.attach_qdim_weights(graph, lists, cfg.values or None)
     dot = towers.export_dot(graph)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -354,72 +301,78 @@ def _cmd_graph(args) -> dict:
         "end_dims": [str(d) for d in diagram.end_dims()],
         "dot_file": args.dot,
     }
-    inputs = {"family": args.family, "u": args.u, "depth": args.depth}
-    return make_envelope("graph", inputs, outputs)
+    return outputs, True
 
 
-def _parse_irrset(sys_, spec) -> object:
+def _label_list(data, what: str) -> list[str]:
+    if not isinstance(data, list) or not all(isinstance(t, str) for t in data):
+        raise ConfigError(f"witness {what} must be a list of label strings, got {data!r}")
+    return data
+
+
+def _parse_irrset(sys_, spec, what: str) -> object:
     if isinstance(spec, list):
+        labels = [parse_label(sys_, t) for t in _label_list(spec, what)]
         if isinstance(sys_, GroupDualSystem):
-            return powers.WordSet.finite(sys_, [parse_label(sys_, t) for t in spec])
-        return powers.FiniteIrrSet(sys_, frozenset(parse_label(sys_, t) for t in spec))
+            return powers.WordSet.finite(sys_, labels)
+        return powers.FiniteIrrSet(sys_, frozenset(labels))
     if not isinstance(spec, dict):
         raise ConfigError(f"bad set descriptor: {spec!r}")
     kind = spec.get("type")
     if kind == "finite":
-        return _parse_irrset(sys_, spec.get("labels", []))
+        return _parse_irrset(sys_, spec.get("labels", []), f"{what} labels")
     if kind == "cylinder":
         if not isinstance(sys_, GroupDualSystem):
             raise ConfigError("cylinder sets need a group-dual family")
         unknown = set(spec) - {"type", "prefixes", "except", "include"}
         if unknown:
             raise ConfigError(f"unknown set descriptor keys: {sorted(unknown)}")
-        return powers.WordSet.make(
-            sys_,
-            cylinders=[parse_label(sys_, t).payload for t in spec.get("prefixes", [])],
-            includes=[parse_label(sys_, t).payload for t in spec.get("include", [])],
-            excludes=[parse_label(sys_, t).payload for t in spec.get("except", [])])
+        words = {key: [parse_label(sys_, t).payload
+                       for t in _label_list(spec.get(key, []), f"{what} {key}")]
+                 for key in ("prefixes", "include", "except")}
+        return powers.WordSet.make(sys_, cylinders=words["prefixes"],
+                                   includes=words["include"], excludes=words["except"])
     raise ConfigError(f"unknown set type {kind!r}")
 
 
-def _cmd_powers_check(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
-    sys_ = cfg.system
+def _load_witness(sys_, path: str) -> powers.PowersWitness:
+    """Read a witness file; every malformed shape is a ConfigError."""
     try:
-        with open(args.witness, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             wdata = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read witness {args.witness!r}: {exc}") from exc
+        raise ConfigError(f"cannot read witness {path!r}: {exc}") from exc
     needed = {"F", "D", "E", "r"}
     if not isinstance(wdata, dict) or not needed.issubset(wdata):
         raise ConfigError(f"witness file must define keys {sorted(needed)}")
-    r = [parse_label(sys_, t) for t in wdata["r"]]
+    r = [parse_label(sys_, t) for t in _label_list(wdata["r"], "r")]
     if len(r) != 3:
         raise ConfigError("witness needs exactly three r labels")
-    witness = powers.PowersWitness(
-        F=[parse_label(sys_, t) for t in wdata["F"]],
-        D=_parse_irrset(sys_, wdata["D"]),
-        E=_parse_irrset(sys_, wdata["E"]),
+    radius = wdata.get("truncation_radius")
+    if radius is not None and (not isinstance(radius, int) or isinstance(radius, bool)
+                               or radius < 0):
+        raise ConfigError(f"truncation_radius must be an integer >= 0, got {radius!r}")
+    return powers.PowersWitness(
+        F=[parse_label(sys_, t) for t in _label_list(wdata["F"], "F")],
+        D=_parse_irrset(sys_, wdata["D"], "D"),
+        E=_parse_irrset(sys_, wdata["E"], "E"),
         r1=r[0], r2=r[1], r3=r[2],
-        truncation_radius=wdata.get("truncation_radius"))
-    verdict = powers.check_witness(sys_, witness)
-    inputs = {"family": args.family, "witness": args.witness}
+        truncation_radius=radius)
+
+
+def _cmd_powers_check(args, cfg: FamilyConfig):
+    witness = _load_witness(cfg.system, args.witness)
+    verdict = powers.check_witness(cfg.system, witness)
     outputs = {"holds": verdict.holds, "exact": verdict.exact, "detail": verdict.detail}
-    return make_envelope("powers-check", inputs, outputs, exact=verdict.exact)
+    return outputs, verdict.exact
 
 
-def _cmd_powers_search(args) -> dict:
-    cfg = load_family_config(args.family)
-    _resolve_cache(args, cfg)
+def _cmd_powers_search(args, cfg: FamilyConfig):
     sys_ = cfg.system
     F = [parse_label(sys_, t.strip()) for t in args.f.split(",") if t.strip()]
     witness = powers.search_witness(sys_, F, budget=args.budget)
-    inputs = {"family": args.family, "f": args.f, "budget": args.budget}
     if witness is None:
-        return make_envelope("powers-search", inputs,
-                             {"found": False,
-                              "note": "bounded search exhausted; proves nothing"})
+        return {"found": False, "note": "bounded search exhausted; proves nothing"}, True
     def describe(S):
         return {
             "type": "cylinder",
@@ -434,7 +387,7 @@ def _cmd_powers_search(args) -> dict:
         "E": describe(witness.E),
         "r": [format_label(sys_, lab) for lab in witness.r_labels()],
     }
-    return make_envelope("powers-search", inputs, outputs)
+    return outputs, True
 
 
 # ---------------------------------------------------------------------------
@@ -447,67 +400,75 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact fusion-semiring computations for compact quantum groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def family_cmd(name, fn, **kw):
+    def family_cmd(name, fn, echo, **kw):
+        """A subcommand whose envelope echoes ``--family`` and the ``echo`` arguments."""
         p = sub.add_parser(name, **kw)
         p.add_argument("--family", required=True, help="family config JSON path")
         p.add_argument("--cache-dir", default=None,
                        help=f"pair-product cache directory (or ${CACHE_ENV_VAR})")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, echo=("family", *echo))
         return p
 
-    p = family_cmd("decompose", _cmd_decompose, help="tensor product decomposition")
+    p = family_cmd("decompose", _cmd_decompose, ("x", "y"),
+                   help="tensor product decomposition")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = family_cmd("moments", _cmd_moments, help="character star-moments")
+    p = family_cmd("moments", _cmd_moments, ("u", "word", "k", "even"),
+                   help="character star-moments")
     p.add_argument("--u", required=True)
     p.add_argument("--word", default=None, help='star word, e.g. "XX*XX*"')
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--even", action="store_true", help="even word lengths 2..2k")
     p.add_argument("--jsonl", action="store_true", help="also print one JSON line per moment")
 
-    p = family_cmd("distance", _cmd_distance, help="generator metric between irreducibles")
+    p = family_cmd("distance", _cmd_distance, ("v", "a", "b", "budget"),
+                   help="generator metric between irreducibles")
     p.add_argument("--v", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--budget", type=int, default=64)
 
-    p = family_cmd("ball", _cmd_ball, help="metric ball contents")
+    p = family_cmd("ball", _cmd_ball, ("v", "center", "r"), help="metric ball contents")
     p.add_argument("--v", required=True)
     p.add_argument("--center", required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = family_cmd("growth", _cmd_growth, help="ball growth table (CSV)")
+    p = family_cmd("growth", _cmd_growth, ("v", "center", "rmax", "csv"),
+                   help="ball growth table (CSV)")
     p.add_argument("--v", required=True)
     p.add_argument("--center", required=True)
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--csv", default=None)
 
-    p = family_cmd("amenable", _cmd_amenable, help="Kesten-type amenability estimate")
+    p = family_cmd("amenable", _cmd_amenable, ("u", "depth", "tol", "method"),
+                   help="Kesten-type amenability estimate")
     p.add_argument("--u", default=None, help="generator element (default: fundamental)")
     p.add_argument("--depth", type=int, default=30)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--method", default="extrapolated-ratio",
                    choices=["root", "ratio", "extrapolated-ratio"])
 
-    p = family_cmd("list-invariant", _cmd_list_invariant,
+    p = family_cmd("list-invariant", _cmd_list_invariant, ("depth",),
                    help="derive parameter lists of irreducibles")
     p.add_argument("--depth", type=int, default=6)
 
-    p = family_cmd("modular-spectrum", _cmd_modular_spectrum,
+    p = family_cmd("modular-spectrum", _cmd_modular_spectrum, ("list", "member"),
                    help="exponent lattice generated by the squared list products")
     p.add_argument("--list", default=None, help='comma-separated parameters, e.g. "2^1/2,2^-1/2"')
     p.add_argument("--member", default=None, help="comma-separated membership queries")
 
-    p = family_cmd("graph", _cmd_graph, help="tower and principal graph (DOT export)")
+    p = family_cmd("graph", _cmd_graph, ("u", "depth"),
+                   help="tower and principal graph (DOT export)")
     p.add_argument("--u", required=True)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--dot", default=None)
 
-    p = family_cmd("powers-check", _cmd_powers_check, help="check a paradoxicality witness")
+    p = family_cmd("powers-check", _cmd_powers_check, ("witness",),
+                   help="check a paradoxicality witness")
     p.add_argument("--witness", required=True, help="witness JSON path")
 
-    p = family_cmd("powers-search", _cmd_powers_search,
+    p = family_cmd("powers-search", _cmd_powers_search, ("f", "budget"),
                    help="bounded search for a paradoxicality witness")
     p.add_argument("--f", required=True, help="comma-separated F labels")
     p.add_argument("--budget", type=int, default=2)
@@ -522,16 +483,19 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()
+    inputs = {name: getattr(args, name) for name in args.echo}
     try:
-        envelope = args.fn(args)
+        cfg = load_family_config(args.family)
+        _attach_cache(args, cfg)
+        outputs, exact = args.fn(args, cfg)
     except ConfigError as exc:
-        emit(make_envelope(args.command, {}, {"error": str(exc), "kind": "config"}))
+        emit(make_envelope(args.command, inputs, {"error": str(exc), "kind": "config"}))
         return 2
     except FusionError as exc:
-        emit(make_envelope(args.command, {}, {"error": str(exc), "kind": "computation"}))
+        emit(make_envelope(args.command, inputs, {"error": str(exc), "kind": "computation"}))
         return 1
-    envelope["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    emit(envelope)
+    elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+    emit(make_envelope(args.command, inputs, outputs, exact, elapsed_ms))
     return 0
 
 

@@ -8,14 +8,14 @@ exact (arbitrary precision) non-negative integer multiplicities; the empty
 map is the zero element.
 
 All values are immutable.  Tensor products of irreducible pairs are
-memoized per system; the cache tolerates concurrent readers and idempotent
-concurrent inserts, so operations are safe to call from multiple threads.
+memoized per system.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -178,8 +178,8 @@ class FusionSystem(ABC):
 
     Subclasses implement the irreducible-pair tensor rule, conjugation, the
     dimension function and payload canonicalization.  This base class
-    provides the bilinear extension, powers, multiplicities and the pair
-    memo cache (optionally backed by an on-disk cache).
+    provides the bilinear extension, running products and powers, and the
+    pair memo cache (optionally backed by an on-disk cache).
     """
 
     def __init__(self, family_id: str):
@@ -280,18 +280,21 @@ class FusionSystem(ABC):
         self.check_element(x)
         return sum(m * self.dim_irr(a) for a, m in x.items())
 
-    def multiplicity(self, c: IrrLabel, x: FusionElement) -> int:
-        self.check_element(x)
-        return x.mult(c)
+    def products(self, letters: Iterable[FusionElement]) -> Iterator[FusionElement]:
+        """The running products ``unit, unit (x) l1, unit (x) l1 (x) l2, ...``."""
+        acc = self.unit_element()
+        yield acc
+        for x in letters:
+            acc = self.tensor(acc, x)
+            yield acc
 
     def power(self, x: FusionElement, k: int) -> FusionElement:
         """k-fold tensor power; the 0th power is the unit class."""
         if k < 0:
             raise FusionError(f"negative tensor power {k}")
         self.check_element(x)
-        acc = self.unit_element()
-        for _ in range(k):
-            acc = self.tensor(acc, x)
+        for acc in self.products(repeat(x, k)):
+            pass
         return acc
 
     def sorted_items(self, x: FusionElement) -> list[tuple[IrrLabel, int]]:
@@ -303,30 +306,3 @@ class FusionSystem(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family_id}>"
-
-
-# Functional spellings of the element operations.
-
-def tensor(sys: FusionSystem, x: FusionElement, y: FusionElement) -> FusionElement:
-    return sys.tensor(x, y)
-
-
-def add(x: FusionElement, y: FusionElement) -> FusionElement:
-    """Pointwise multiplicity addition (the semiring sum)."""
-    return x + y
-
-
-def conj_element(sys: FusionSystem, x: FusionElement) -> FusionElement:
-    return sys.conj_element(x)
-
-
-def multiplicity(sys: FusionSystem, c: IrrLabel, x: FusionElement) -> int:
-    return sys.multiplicity(c, x)
-
-
-def element_power(sys: FusionSystem, x: FusionElement, k: int) -> FusionElement:
-    return sys.power(x, k)
-
-
-def dim_element(sys: FusionSystem, x: FusionElement) -> int:
-    return sys.dim(x)

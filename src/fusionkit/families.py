@@ -4,10 +4,12 @@ Four families are provided:
 
 * duals of discrete groups (free products of ``Z`` and ``Z/m`` factors, or
   ``Z^d``): fusion is group multiplication on reduced words;
-* ``AoSystem`` (free orthogonal type): integer labels ``r_k`` with the
-  step-2 interval rule of the 2x2 unitary group;
-* ``AutSystem`` (quantum automorphism type): integer labels ``s_k`` with
-  the step-1 interval rule of the rotation group in 3 dimensions;
+* interval-rule families (``IntervalSystem``, parameterised by label
+  prefix, first index, step, dimension recursion and fundamental):
+  ``AoSystem`` (free orthogonal type) has integer labels ``r_k`` with the
+  step-2 interval rule of the 2x2 unitary group, ``AutSystem`` (quantum
+  automorphism type) has labels ``s_k`` with the step-1 interval rule of
+  the rotation group in 3 dimensions;
 * ``AuSystem`` (free unitary type): labels are words over ``{a, b}`` with
   the free cancellation rule, where ``bar`` reverses a word and swaps the
   two letters.
@@ -287,68 +289,94 @@ class ZdDualSystem(FusionSystem):
 # interval-rule families
 # ---------------------------------------------------------------------------
 
-class AoSystem(FusionSystem):
-    """Free orthogonal type fusion on labels ``r_k`` (k >= 1, ``r_1`` the unit).
+class IntervalSystem(FusionSystem):
+    """Interval-rule fusion on integer labels ``<prefix><k>``, ``k >= first``.
 
-    The tensor rule is the step-2 interval
-    ``r_a (x) r_b = r_{|a-b|+1} + r_{|a-b|+3} + ... + r_{a+b-1}``
-    and dimensions follow ``d_1 = 1``, ``d_2 = n``,
-    ``d_{k+1} = n*d_k - d_{k-1}``.
+    ``x_first`` is the unit and the tensor rule is the interval
+    ``x_a (x) x_b = x_{|a-b|+first} + x_{|a-b|+first+step} + ... + x_{a+b-first}``.
+    Every label is self-conjugate; dimensions follow ``d_first = 1``,
+    ``d_{first+1} = d1`` and ``d_{k+1} = coeff*d_k - d_{k-1}``.  The
+    fundamental is the sum of the labels with the given indices.
     """
 
-    def __init__(self, n: int):
-        if not isinstance(n, int) or n < 2:
-            raise FusionError(f"AoSystem needs an integer n >= 2, got {n!r}")
-        super().__init__(f"a_o(n={n})")
+    def __init__(self, family_id: str, n: int, *, prefix: str, first: int, step: int,
+                 d1: int, coeff: int, fundamental: tuple[int, ...]):
+        super().__init__(family_id)
         self.n = n
-        self._dims = [0, 1, n]  # 1-indexed
-        self._unit = IrrLabel(self.family_id, 1)
-
-    def r(self, k: int) -> IrrLabel:
-        return self.label(k)
+        self.prefix = prefix
+        self.first = first
+        self.step = step
+        self.coeff = coeff
+        self.fundamental_indices = fundamental
+        self._dims = [1, d1]  # indexed by k - first
+        self._label_re = re.compile(rf"^{prefix}(\d+)$")
+        self._unit = IrrLabel(self.family_id, first)
 
     def fundamental(self) -> FusionElement:
-        return FusionElement.from_label(self.r(2))
+        return FusionElement((self.label(k), 1) for k in self.fundamental_indices)
 
     def validate_payload(self, payload) -> int:
-        if not isinstance(payload, int) or isinstance(payload, bool) or payload < 1:
-            raise InvalidLabelError(f"label index must be an int >= 1, got {payload!r}")
+        if not isinstance(payload, int) or isinstance(payload, bool) or payload < self.first:
+            raise InvalidLabelError(
+                f"label index must be an int >= {self.first}, got {payload!r}")
         return payload
 
     def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
-        ka, kb = a.payload, b.payload
+        ka, kb, first = a.payload, b.payload, self.first
         return FusionElement(
-            ((self.r(c), 1) for c in range(abs(ka - kb) + 1, ka + kb, 2)))
+            ((self.label(c), 1)
+             for c in range(abs(ka - kb) + first, ka + kb - first + 1, self.step)))
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return a
 
     def dim_irr(self, a: IrrLabel) -> int:
-        k = a.payload
-        while len(self._dims) <= k:
-            self._dims.append(self.n * self._dims[-1] - self._dims[-2])
-        return self._dims[k]
+        i = a.payload - self.first
+        while len(self._dims) <= i:
+            self._dims.append(self.coeff * self._dims[-1] - self._dims[-2])
+        return self._dims[i]
 
     def sort_key(self, label: IrrLabel):
         return label.payload
 
     def format_label(self, a: IrrLabel) -> str:
-        return f"r{a.payload}"
+        return f"{self.prefix}{a.payload}"
 
     def parse_label(self, text: str) -> IrrLabel:
-        m = re.match(r"^r(\d+)$", text.strip())
+        m = self._label_re.match(text.strip())
         if not m:
-            raise InvalidLabelError(f"expected r<k>, got {text!r}")
-        return self.r(int(m.group(1)))
+            raise InvalidLabelError(f"expected {self.prefix}<k>, got {text!r}")
+        return self.label(int(m.group(1)))
 
 
-class AutSystem(FusionSystem):
+class AoSystem(IntervalSystem):
+    """Free orthogonal type fusion on labels ``r_k`` (k >= 1, ``r_1`` the unit).
+
+    The tensor rule is the step-2 interval
+    ``r_a (x) r_b = r_{|a-b|+1} + r_{|a-b|+3} + ... + r_{a+b-1}``
+    and dimensions follow ``d_1 = 1``, ``d_2 = n``,
+    ``d_{k+1} = n*d_k - d_{k-1}``.  The fundamental is ``r_2``.
+    """
+
+    def __init__(self, n: int):
+        if not isinstance(n, int) or n < 2:
+            raise FusionError(f"AoSystem needs an integer n >= 2, got {n!r}")
+        super().__init__(f"a_o(n={n})", n, prefix="r", first=1, step=2,
+                         d1=n, coeff=n, fundamental=(2,))
+
+    def r(self, k: int) -> IrrLabel:
+        return self.label(k)
+
+
+class AutSystem(IntervalSystem):
     """Quantum automorphism type fusion on labels ``s_k`` (k >= 0).
 
     The tensor rule is the step-1 interval
-    ``s_a (x) s_b = s_{|a-b|} + ... + s_{a+b}``; the fundamental coaction
-    element is ``s_0 + s_1`` of dimension ``n``.  Only ``n >= 4`` yields
-    this rule; smaller ``n`` (classical symmetric groups) is rejected.
+    ``s_a (x) s_b = s_{|a-b|} + ... + s_{a+b}``, dimensions follow
+    ``d_0 = 1``, ``d_1 = n-1``, ``d_{k+1} = (n-2)*d_k - d_{k-1}``, and the
+    fundamental coaction element is ``s_0 + s_1`` of dimension ``n``.
+    Only ``n >= 4`` yields this rule; smaller ``n`` (classical symmetric
+    groups) is rejected.
     """
 
     def __init__(self, n: int):
@@ -356,47 +384,11 @@ class AutSystem(FusionSystem):
             raise FusionError(
                 f"AutSystem needs an integer n >= 4 (got {n!r}); "
                 "n <= 3 is classical symmetric-group fusion, out of scope")
-        super().__init__(f"aut(n={n})")
-        self.n = n
-        self._dims = [1, n - 1]
-        self._unit = IrrLabel(self.family_id, 0)
+        super().__init__(f"aut(n={n})", n, prefix="s", first=0, step=1,
+                         d1=n - 1, coeff=n - 2, fundamental=(0, 1))
 
     def s(self, k: int) -> IrrLabel:
         return self.label(k)
-
-    def fundamental(self) -> FusionElement:
-        return FusionElement(((self.s(0), 1), (self.s(1), 1)))
-
-    def validate_payload(self, payload) -> int:
-        if not isinstance(payload, int) or isinstance(payload, bool) or payload < 0:
-            raise InvalidLabelError(f"label index must be an int >= 0, got {payload!r}")
-        return payload
-
-    def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
-        ka, kb = a.payload, b.payload
-        return FusionElement(
-            ((self.s(c), 1) for c in range(abs(ka - kb), ka + kb + 1)))
-
-    def conj_irr(self, a: IrrLabel) -> IrrLabel:
-        return a
-
-    def dim_irr(self, a: IrrLabel) -> int:
-        k = a.payload
-        while len(self._dims) <= k:
-            self._dims.append((self.n - 2) * self._dims[-1] - self._dims[-2])
-        return self._dims[k]
-
-    def sort_key(self, label: IrrLabel):
-        return label.payload
-
-    def format_label(self, a: IrrLabel) -> str:
-        return f"s{a.payload}"
-
-    def parse_label(self, text: str) -> IrrLabel:
-        m = re.match(r"^s(\d+)$", text.strip())
-        if not m:
-            raise InvalidLabelError(f"expected s<k>, got {text!r}")
-        return self.s(int(m.group(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +487,7 @@ def fundamental(sys: FusionSystem, generators: Iterable[IrrLabel] | None = None)
     choice; by default the full symmetric standard set is used and the
     unit is included, i.e. ``1 + sum over g, g^-1``.
     """
-    if isinstance(sys, (AoSystem, AutSystem, AuSystem)):
+    if isinstance(sys, (IntervalSystem, AuSystem)):
         if generators is not None:
             raise FusionError("explicit generators are only meaningful for group duals")
         return sys.fundamental()
@@ -518,20 +510,18 @@ def group_tensor(sys: FusionSystem, g: IrrLabel, h: IrrLabel) -> FusionElement:
     return sys.tensor_pair(g, h)
 
 
-def ao_tensor(sys: AoSystem, a: IrrLabel | int, b: IrrLabel | int) -> FusionElement:
-    a = sys.r(a) if isinstance(a, int) else a
-    b = sys.r(b) if isinstance(b, int) else b
+def ao_tensor(sys: IntervalSystem, a: IrrLabel | int, b: IrrLabel | int) -> FusionElement:
+    """Pair product in an interval family; integer arguments are label indices."""
+    a = sys.label(a) if isinstance(a, int) else a
+    b = sys.label(b) if isinstance(b, int) else b
     return sys.tensor_pair(a, b)
+
+
+aut_tensor = ao_tensor
 
 
 def ao_dim(sys: AoSystem, k: IrrLabel | int) -> int:
     return sys.dim_irr(sys.r(k) if isinstance(k, int) else k)
-
-
-def aut_tensor(sys: AutSystem, a: IrrLabel | int, b: IrrLabel | int) -> FusionElement:
-    a = sys.s(a) if isinstance(a, int) else a
-    b = sys.s(b) if isinstance(b, int) else b
-    return sys.tensor_pair(a, b)
 
 
 def au_tensor(sys: AuSystem, x: IrrLabel | str, y: IrrLabel | str) -> FusionElement:
@@ -551,6 +541,7 @@ _FAMILY_KEYS = {
     "a_u": {"family", "n"},
 }
 _TOP_LEVEL_EXTRA = {"params", "cache_dir"}
+_INDEXED_FAMILIES = {"a_o": AoSystem, "aut": AutSystem, "a_u": AuSystem}
 
 
 def system_from_config(cfg: dict) -> FusionSystem:
@@ -575,12 +566,8 @@ def system_from_config(cfg: dict) -> FusionSystem:
     unknown = set(cfg) - allowed
     if unknown:
         raise FusionError(f"unknown config keys: {sorted(unknown)}")
-    if family == "a_o":
-        return AoSystem(_expect_int(cfg, "n"))
-    if family == "aut":
-        return AutSystem(_expect_int(cfg, "n"))
-    if family == "a_u":
-        return AuSystem(_expect_int(cfg, "n"))
+    if family in _INDEXED_FAMILIES:
+        return _INDEXED_FAMILIES[family](_expect_int(cfg, "n"))
     factors_cfg = cfg.get("factors")
     if not isinstance(factors_cfg, list) or not factors_cfg:
         raise FusionError("group_dual config needs a non-empty 'factors' list")

@@ -19,6 +19,7 @@ queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .core import (
     BudgetExceededError,
@@ -77,23 +78,20 @@ def distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
         if not frontier_a and not frontier_b:
             break
         # expand the smaller live frontier by one layer
-        if frontier_a and (not frontier_b or len(frontier_a) <= len(frontier_b)):
+        from_a = frontier_a and (not frontier_b or len(frontier_a) <= len(frontier_b))
+        if from_a:
             visited, frontier, other = visited_a, frontier_a, visited_b
-            nxt: set[IrrLabel] = set()
-            for c in frontier:
-                for nb in neighbors(c):
-                    if nb not in visited:
-                        visited.add(nb)
-                        nxt.add(nb)
-            frontier_a = nxt
         else:
             visited, frontier, other = visited_b, frontier_b, visited_a
-            nxt = set()
-            for c in frontier:
-                for nb in neighbors(c):
-                    if nb not in visited:
-                        visited.add(nb)
-                        nxt.add(nb)
+        nxt: set[IrrLabel] = set()
+        for c in frontier:
+            for nb in neighbors(c):
+                if nb not in visited:
+                    visited.add(nb)
+                    nxt.add(nb)
+        if from_a:
+            frontier_a = nxt
+        else:
             frontier_b = nxt
         steps += 1
         if not nxt.isdisjoint(other):
@@ -167,11 +165,9 @@ def containment_index(sys: FusionSystem, v: FusionElement, w: FusionElement,
                       budget: int = 64) -> int:
     """Least n with ``w`` contained in ``v^(x)n`` (all multiplicities dominated)."""
     sys.check_element(w)
-    acc = sys.unit_element()
-    for n in range(budget + 1):
+    for n, acc in enumerate(sys.products(repeat(v, budget))):
         if acc.contains(w):
             return n
-        acc = sys.tensor(acc, v)
     raise BudgetExceededError(
         f"not reached within budget {budget}: containment of {w!r}")
 

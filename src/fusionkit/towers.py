@@ -18,6 +18,7 @@ reduction can always be audited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .core import FusionElement, FusionError, FusionSystem, IrrLabel
 
@@ -87,12 +88,10 @@ def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:
         raise FusionError(f"depth must be >= 1, got {depth}")
     sys.check_element(u)
     ubar = sys.conj_element(u)
+    letters = [u if k % 2 else ubar for k in range(1, depth + 1)]
     levels: list[list[tuple[IrrLabel, int]]] = [[(sys.unit, 1)]]
     inclusions: list[list[list[int]]] = []
-    word = sys.unit_element()
-    for k in range(1, depth + 1):
-        letter = u if k % 2 else ubar
-        word = sys.tensor(word, letter)
+    for letter, word in zip(letters, islice(sys.products(letters), 1, None)):
         level = [(lab, word.mult(lab)) for lab in sorted(word.support(), key=sys.sort_key)]
         prev = levels[-1]
         matrix = []

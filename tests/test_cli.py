@@ -4,6 +4,7 @@ import os
 import pytest
 
 import fusionkit as fk
+from fusionkit import cli
 from fusionkit.cli import DiskCache, run
 
 
@@ -199,6 +200,70 @@ def test_disk_cache_api(tmp_path):
     with open(path, "w") as fh:
         fh.write("{corrupt")
     assert cache.lookup(sys_, a, b) is None
+
+
+def test_disk_cache_key_includes_engine_version(tmp_path, monkeypatch):
+    sys_ = fk.AoSystem(3)
+    cache = DiskCache(str(tmp_path / "c"))
+    a, b = sys_.r(2), sys_.r(3)
+    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    cache.store(sys_, a, b, sys_.tensor_pair(a, b))
+    assert cache.lookup(sys_, a, b) == sys_.tensor_pair(a, b)
+    monkeypatch.undo()
+    # an entry written by another engine version is a miss
+    assert cache.lookup(sys_, a, b) is None
+
+
+CORRUPT_ENTRIES = {
+    "int-item": "[1]",
+    "mapping": '{"r3": "1"}',
+    "missing-mult": '[{"label": "r3"}]',
+    "int-label": '[{"label": 3, "mult": "1"}]',
+    "list-mult": '[{"label": "r3", "mult": []}]',
+}
+
+
+@pytest.mark.parametrize("entry", CORRUPT_ENTRIES.values(), ids=CORRUPT_ENTRIES.keys())
+def test_disk_cache_ignores_malformed_entries(tmp_path, entry):
+    sys_ = fk.AoSystem(3)
+    cache = DiskCache(str(tmp_path / "c"))
+    a, b = sys_.r(2), sys_.r(3)
+    cache.store(sys_, a, b, sys_.tensor_pair(a, b))
+    with open(cache._path(sys_, a, b), "w") as fh:
+        fh.write(entry)
+    assert cache.lookup(sys_, a, b) is None
+
+
+WITNESS = {"F": ["s", "s^-1"], "D": {"type": "cylinder", "prefixes": ["t^-1"]},
+           "E": {"type": "cylinder", "prefixes": ["s", "s^-1", "t"], "include": ["e"]},
+           "r": ["t", "s^-1 t", "s t"]}
+
+
+MALFORMED = {
+    "F-int-label": {"F": [1]},
+    "r-int-label": {"r": ["t", 2, "s t"]},
+    "D-int-label": {"D": ["s", 3]},
+    "E-null-label": {"E": [None]},
+    "cylinder-int-prefix": {"D": {"type": "cylinder", "prefixes": [1]}},
+    "cylinder-int-include": {"E": {"type": "cylinder", "prefixes": ["s", "s^-1", "t"],
+                                   "include": [0]}},
+    "finite-list-label": {"D": {"type": "finite", "labels": [[]]}},
+    "r-string": {"r": "ste"},
+    "F-string": {"F": "s t"},
+    "radius-string": {"truncation_radius": "x"},
+    "radius-negative": {"truncation_radius": -1},
+}
+
+
+@pytest.mark.parametrize("patch", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_witness_is_config_error(configs, capsys, tmp_path, patch):
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps({**WITNESS, **patch}))
+    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
+                        "--witness", str(witness_file))
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["inputs"] == {"family": configs["f2"], "witness": str(witness_file)}
 
 
 def test_missing_family_file(capsys):

@@ -55,7 +55,7 @@ def test_aut_rules(aut4):
     assert fk.aut_tensor(aut4, 1, 1) == FusionElement({s(0): 1, s(1): 1, s(2): 1})
     assert fk.aut_tensor(aut4, 0, 3) == FusionElement({s(3): 1})
     assert aut4.dim_irr(s(2)) == 5  # (n-2)*d1 - d0 = 2*3 - 1
-    assert fk.dim_element(aut4, fk.fundamental(aut4)) == 4
+    assert aut4.dim(fk.fundamental(aut4)) == 4
 
 
 def test_aut_rejects_small_n():
@@ -167,7 +167,7 @@ def test_zd_dual(zd2):
 
 def test_fundamental(ao3, aut4, au2, f2):
     assert fk.fundamental(ao3) == FusionElement({ao3.r(2): 1})
-    assert fk.dim_element(ao3, fk.fundamental(ao3)) == 3
+    assert ao3.dim(fk.fundamental(ao3)) == 3
     fund = fk.fundamental(aut4)
     assert fund == FusionElement({aut4.s(0): 1, aut4.s(1): 1})
     assert fk.fundamental(au2) == FusionElement({au2.word("a"): 1})
