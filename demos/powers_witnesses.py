@@ -20,7 +20,7 @@ print("\nsearching a witness for F = {s, s^-1} on the free group dual...")
 witness = fk.search_witness(f2, [s, f2.parse_label("s^-1")], budget=2)
 print("  D =", witness.D)
 print("  E =", witness.E)
-print("  r =", [fk.format_label(f2, r) for r in witness.r_labels()])
+print("  r =", [f2.format_label(r) for r in witness.r_labels()])
 verdict = fk.check_witness(f2, witness)
 print("  holds:", verdict.holds, "| exact:", verdict.exact)
 

@@ -25,22 +25,16 @@ from .families import (
     AoSystem,
     AuSystem,
     AutSystem,
+    GroupDualBase,
     GroupDualSystem,
     IntervalSystem,
     ZdDualSystem,
     au_bar,
-    au_tensor,
-    ao_dim,
-    ao_tensor,
-    aut_tensor,
     element_from_json,
     element_to_json,
     format_element,
-    format_label,
     fundamental,
-    group_tensor,
     parse_element,
-    parse_label,
     system_from_config,
 )
 from .characters import (

@@ -18,6 +18,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import __version__
 from .core import FusionElement, FusionError, FusionSystem, IrrLabel
@@ -25,9 +26,7 @@ from .families import (
     GroupDualSystem,
     element_from_json,
     element_to_json,
-    format_label,
     parse_element,
-    parse_label,
     system_from_config,
 )
 from . import amenability, characters, geometry, params, powers, towers
@@ -63,8 +62,8 @@ class DiskCache:
             self.enabled = False
 
     def _path(self, sys: FusionSystem, a: IrrLabel, b: IrrLabel) -> str:
-        key = json.dumps([__version__, sys.fingerprint(), format_label(sys, a),
-                          format_label(sys, b)])
+        key = json.dumps([__version__, sys.fingerprint(), sys.format_label(a),
+                          sys.format_label(b)])
         digest = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.directory, digest[:2], digest + ".json")
 
@@ -131,20 +130,26 @@ def load_family_config(path: str) -> FamilyConfig:
             raise ConfigError("'generators' must be a list of names")
         if "fundamental_list" in block:
             entries = block["fundamental_list"]
-            if not isinstance(entries, list):
+            if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
                 raise ConfigError("'fundamental_list' must be a list of parameter strings")
             try:
                 fund = params.ParamList.parse(entries)
             except FusionError as exc:
                 raise ConfigError(str(exc)) from exc
-        for name, val in block.get("values", {}).items():
+        given = block.get("values", {})
+        if not isinstance(given, dict):
+            raise ConfigError("'values' must be a mapping from generator names to numbers")
+        for name, val in given.items():
+            bad = ConfigError(f"bad numeric value for {name!r}: {val!r}")
             if isinstance(val, str):
-                from fractions import Fraction
-                values[name] = Fraction(val)
+                try:
+                    values[name] = Fraction(val)
+                except (ValueError, ZeroDivisionError):
+                    raise bad from None
             elif isinstance(val, (int, float)):
                 values[name] = val
             else:
-                raise ConfigError(f"bad numeric value for {name!r}: {val!r}")
+                raise bad
     cache_dir = raw.get("cache_dir")
     if cache_dir is not None and not isinstance(cache_dir, str):
         raise ConfigError("'cache_dir' must be a string")
@@ -182,12 +187,20 @@ def emit(envelope: dict) -> None:
 # subcommands: each takes (args, cfg) and returns (outputs, exact)
 # ---------------------------------------------------------------------------
 
+def _write_output(path: str, text: str, flag: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {flag} file {path!r}: {exc}") from exc
+
+
 def _cmd_decompose(args, cfg: FamilyConfig):
     sys_ = cfg.system
     x = parse_element(sys_, args.x)
     y = parse_element(sys_, args.y)
     product = sys_.tensor(x, y)
-    outputs = {format_label(sys_, lab): str(m) for lab, m in sys_.sorted_items(product)}
+    outputs = {sys_.format_label(lab): str(m) for lab, m in sys_.sorted_items(product)}
     return outputs, True
 
 
@@ -217,8 +230,8 @@ def _cmd_moments(args, cfg: FamilyConfig):
 def _cmd_distance(args, cfg: FamilyConfig):
     sys_ = cfg.system
     v = parse_element(sys_, args.v)
-    a = parse_label(sys_, args.a)
-    b = parse_label(sys_, args.b)
+    a = sys_.parse_label(args.a)
+    b = sys_.parse_label(args.b)
     d = geometry.distance(sys_, v, a, b, budget=args.budget)
     return {"distance": d}, True
 
@@ -226,22 +239,20 @@ def _cmd_distance(args, cfg: FamilyConfig):
 def _cmd_ball(args, cfg: FamilyConfig):
     sys_ = cfg.system
     v = parse_element(sys_, args.v)
-    center = parse_label(sys_, args.center)
+    center = sys_.parse_label(args.center)
     labels = geometry.ball(sys_, v, center, args.r)
-    out = sorted(format_label(sys_, lab) for lab in labels)
+    out = sorted(sys_.format_label(lab) for lab in labels)
     return {"size": len(out), "labels": out}, True
 
 
 def _cmd_growth(args, cfg: FamilyConfig):
     sys_ = cfg.system
     v = parse_element(sys_, args.v)
-    center = parse_label(sys_, args.center)
+    center = sys_.parse_label(args.center)
     rows = geometry.growth_table(sys_, v, center, args.rmax)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("radius,ball_size\n")
-            for r, size in rows:
-                fh.write(f"{r},{size}\n")
+        _write_output(args.csv, "radius,ball_size\n" + "".join(f"{r},{s}\n" for r, s in rows),
+                      "--csv")
     return [{"radius": r, "ball_size": s} for r, s in rows], True
 
 
@@ -258,7 +269,7 @@ def _cmd_list_invariant(args, cfg: FamilyConfig):
     if cfg.fundamental_list is None:
         raise ConfigError("list-invariant needs a params block with a fundamental_list")
     lists = params.derive_irreducible_lists(sys_, cfg.fundamental_list, args.depth)
-    outputs = {format_label(sys_, lab): [str(p) for p in plist.entries()]
+    outputs = {sys_.format_label(lab): [str(p) for p in plist.entries()]
                for lab, plist in sorted(lists.items(), key=lambda it: sys_.sort_key(it[0]))}
     return outputs, True
 
@@ -289,14 +300,12 @@ def _cmd_graph(args, cfg: FamilyConfig):
         lists = params.derive_irreducible_lists(sys_, cfg.fundamental_list,
                                                 args.depth + 1, fund=None)
         towers.attach_qdim_weights(graph, lists, cfg.values or None)
-    dot = towers.export_dot(graph)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write_output(args.dot, towers.export_dot(graph), "--dot")
     outputs = {
-        "vertices": [{"label": format_label(sys_, lab), "level": lev}
+        "vertices": [{"label": sys_.format_label(lab), "level": lev}
                      for lab, lev in graph.vertices],
-        "edges": [{"a": format_label(sys_, a), "b": format_label(sys_, b), "mult": str(m)}
+        "edges": [{"a": sys_.format_label(a), "b": sys_.format_label(b), "mult": str(m)}
                   for a, b, m in graph.edges],
         "end_dims": [str(d) for d in diagram.end_dims()],
         "dot_file": args.dot,
@@ -312,7 +321,7 @@ def _label_list(data, what: str) -> list[str]:
 
 def _parse_irrset(sys_, spec, what: str) -> object:
     if isinstance(spec, list):
-        labels = [parse_label(sys_, t) for t in _label_list(spec, what)]
+        labels = [sys_.parse_label(t) for t in _label_list(spec, what)]
         if isinstance(sys_, GroupDualSystem):
             return powers.WordSet.finite(sys_, labels)
         return powers.FiniteIrrSet(sys_, frozenset(labels))
@@ -327,7 +336,7 @@ def _parse_irrset(sys_, spec, what: str) -> object:
         unknown = set(spec) - {"type", "prefixes", "except", "include"}
         if unknown:
             raise ConfigError(f"unknown set descriptor keys: {sorted(unknown)}")
-        words = {key: [parse_label(sys_, t).payload
+        words = {key: [sys_.parse_label(t).payload
                        for t in _label_list(spec.get(key, []), f"{what} {key}")]
                  for key in ("prefixes", "include", "except")}
         return powers.WordSet.make(sys_, cylinders=words["prefixes"],
@@ -345,7 +354,7 @@ def _load_witness(sys_, path: str) -> powers.PowersWitness:
     needed = {"F", "D", "E", "r"}
     if not isinstance(wdata, dict) or not needed.issubset(wdata):
         raise ConfigError(f"witness file must define keys {sorted(needed)}")
-    r = [parse_label(sys_, t) for t in _label_list(wdata["r"], "r")]
+    r = [sys_.parse_label(t) for t in _label_list(wdata["r"], "r")]
     if len(r) != 3:
         raise ConfigError("witness needs exactly three r labels")
     radius = wdata.get("truncation_radius")
@@ -353,7 +362,7 @@ def _load_witness(sys_, path: str) -> powers.PowersWitness:
                                or radius < 0):
         raise ConfigError(f"truncation_radius must be an integer >= 0, got {radius!r}")
     return powers.PowersWitness(
-        F=[parse_label(sys_, t) for t in _label_list(wdata["F"], "F")],
+        F=[sys_.parse_label(t) for t in _label_list(wdata["F"], "F")],
         D=_parse_irrset(sys_, wdata["D"], "D"),
         E=_parse_irrset(sys_, wdata["E"], "E"),
         r1=r[0], r2=r[1], r3=r[2],
@@ -369,23 +378,23 @@ def _cmd_powers_check(args, cfg: FamilyConfig):
 
 def _cmd_powers_search(args, cfg: FamilyConfig):
     sys_ = cfg.system
-    F = [parse_label(sys_, t.strip()) for t in args.f.split(",") if t.strip()]
+    F = [sys_.parse_label(t.strip()) for t in args.f.split(",") if t.strip()]
     witness = powers.search_witness(sys_, F, budget=args.budget)
     if witness is None:
         return {"found": False, "note": "bounded search exhausted; proves nothing"}, True
     def describe(S):
         return {
             "type": "cylinder",
-            "prefixes": sorted(format_label(sys_, sys_.word(p)) for p in S.cylinders),
-            "include": sorted(format_label(sys_, sys_.word(w)) for w in S.includes),
-            "except": sorted(format_label(sys_, sys_.word(w)) for w in S.excludes),
+            "prefixes": sorted(sys_.format_label(sys_.word(p)) for p in S.cylinders),
+            "include": sorted(sys_.format_label(sys_.word(w)) for w in S.includes),
+            "except": sorted(sys_.format_label(sys_.word(w)) for w in S.excludes),
         }
     outputs = {
         "found": True,
-        "F": [format_label(sys_, lab) for lab in witness.F],
+        "F": [sys_.format_label(lab) for lab in witness.F],
         "D": describe(witness.D),
         "E": describe(witness.E),
-        "r": [format_label(sys_, lab) for lab in witness.r_labels()],
+        "r": [sys_.format_label(lab) for lab in witness.r_labels()],
     }
     return outputs, True
 

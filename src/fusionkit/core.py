@@ -14,10 +14,9 @@ memoized per system.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 
 class FusionError(Exception):
@@ -36,13 +35,14 @@ class BudgetExceededError(FusionError):
     """A bounded search ran out of budget before reaching its target."""
 
 
-@dataclass(frozen=True, slots=True)
-class IrrLabel:
+class IrrLabel(NamedTuple):
     """An irreducible class, identified by a family id and a canonical payload.
 
     Payloads are family specific (an integer index, a letter word or a
     reduced group word) and are normalized by the owning system before a
-    label is created.  Two labels are equal iff both fields are equal.
+    label is created.  A label is a plain tuple ``(family, payload)``, so
+    hashing and equality are the tuple ones: two labels are equal iff both
+    fields are equal.
     """
 
     family: str
@@ -57,7 +57,8 @@ class FusionElement:
 
     Immutable.  Supports ``+`` (pointwise addition) and multiplication by a
     non-negative integer.  The zero element is the empty combination and is
-    compatible with every family.
+    compatible with every family.  The constructor validates every term;
+    results computed inside the package skip that through ``_adopt``.
     """
 
     __slots__ = ("_terms",)
@@ -82,6 +83,17 @@ class FusionElement:
                     f"labels from {family!r} and {label.family!r} in one element")
             acc[label] = acc.get(label, 0) + mult
         object.__setattr__(self, "_terms", acc)
+
+    @classmethod
+    def _adopt(cls, terms: dict[IrrLabel, int]) -> "FusionElement":
+        """Trusted constructor: take ownership of ``terms`` without checks.
+
+        The caller guarantees labels of one family, positive int
+        multiplicities, and that it no longer mutates ``terms``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FusionElement is immutable")
@@ -140,10 +152,13 @@ class FusionElement:
             return self
         if not self._terms:
             return other
+        if self.family != other.family:
+            raise FamilyMismatchError(
+                f"labels from {self.family!r} and {other.family!r} in one element")
         acc = dict(self._terms)
         for label, mult in other._terms.items():
             acc[label] = acc.get(label, 0) + mult
-        return FusionElement(acc)
+        return FusionElement._adopt(acc)
 
     def __radd__(self, other) -> "FusionElement":
         if other == 0:  # allows sum(...) over elements
@@ -152,9 +167,11 @@ class FusionElement:
 
     def __mul__(self, other) -> "FusionElement":
         if isinstance(other, int) and not isinstance(other, bool):
+            if other < 0:
+                raise FusionError(f"negative scalar {other}")
             if other == 0:
                 return FusionElement.zero()
-            return FusionElement({lab: m * other for lab, m in self._terms.items()})
+            return FusionElement._adopt({lab: m * other for lab, m in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -209,6 +226,10 @@ class FusionSystem(ABC):
     def sort_key(self, label: IrrLabel):
         """A total order on labels, used for deterministic serialization."""
 
+    def fundamental(self) -> FusionElement:
+        """The family's distinguished generating element."""
+        raise FusionError(f"no fundamental rule for {self!r}")
+
     # -- labels ------------------------------------------------------------
 
     def label(self, payload) -> IrrLabel:
@@ -219,7 +240,7 @@ class FusionSystem(ABC):
         return self._unit
 
     def unit_element(self) -> FusionElement:
-        return FusionElement.from_label(self._unit)
+        return FusionElement._adopt({self._unit: 1})
 
     def check_label(self, a: IrrLabel) -> None:
         if not isinstance(a, IrrLabel) or a.family != self.family_id:
@@ -270,11 +291,11 @@ class FusionSystem(ABC):
                 m = ma * mb
                 for c, mc in self.tensor_pair(a, b).items():
                     acc[c] = acc.get(c, 0) + m * mc
-        return FusionElement(acc)
+        return FusionElement._adopt(acc)
 
     def conj_element(self, x: FusionElement) -> FusionElement:
         self.check_element(x)
-        return FusionElement({self.conj_irr(a): m for a, m in x.items()})
+        return FusionElement._adopt({self.conj_irr(a): m for a, m in x.items()})
 
     def dim(self, x: FusionElement) -> int:
         self.check_element(x)

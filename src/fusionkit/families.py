@@ -22,6 +22,8 @@ words.
 from __future__ import annotations
 
 import re
+from abc import abstractmethod
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import (
@@ -44,7 +46,69 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _SYLLABLE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-class GroupDualSystem(FusionSystem):
+class GroupDualBase(FusionSystem):
+    """What the group duals share: named generators, dimension 1, the
+    ``g1 g2^-1`` syllable wire format and the symmetric fundamental.
+
+    Subclasses fix the payload and how it reads as syllables.
+    """
+
+    def __init__(self, desc: str, count: int, names: Sequence[str] | None):
+        if names is None:
+            names = tuple(f"g{i + 1}" for i in range(count))
+        else:
+            names = tuple(names)
+            if len(names) != count:
+                raise FusionError(f"{count} generator names required, got {len(names)}")
+            for nm in names:
+                if not isinstance(nm, str) or not _NAME_RE.match(nm) or nm == "e":
+                    raise FusionError(f"bad generator name {nm!r}")
+            if len(set(names)) != len(names):
+                raise FusionError("generator names must be distinct")
+        super().__init__(f"group_dual({desc};{','.join(names)})")
+        self.names = names
+        self._index = {nm: i for i, nm in enumerate(names)}
+
+    @abstractmethod
+    def _syllables(self, payload) -> Iterable[Letter]:
+        """The payload as ``(generator index, nonzero exponent)`` pairs."""
+
+    @abstractmethod
+    def _from_syllables(self, letters: Iterable[Letter]) -> IrrLabel:
+        """The label of the product of ``(generator index, exponent)`` pairs."""
+
+    def generators(self) -> list[IrrLabel]:
+        return [self._from_syllables([(i, 1)]) for i in range(len(self.names))]
+
+    def fundamental(self, generators: Iterable[IrrLabel] | None = None) -> FusionElement:
+        """``1 + sum over g, g^-1`` for the standard or the given generators."""
+        gens = list(generators) if generators is not None else self.generators()
+        seen: dict[IrrLabel, int] = {self.unit: 1}
+        for g in gens:
+            self.check_label(g)
+            for lab in (g, self.conj_irr(g)):
+                seen.setdefault(lab, 1)
+        return FusionElement._adopt(seen)
+
+    def dim_irr(self, a: IrrLabel) -> int:
+        return 1
+
+    def format_label(self, a: IrrLabel) -> str:
+        return " ".join(self.names[i] if e == 1 else f"{self.names[i]}^{e}"
+                        for i, e in self._syllables(a.payload)) or "e"
+
+    def parse_label(self, text: str) -> IrrLabel:
+        text = text.strip()
+        letters: list[Letter] = []
+        for tok in ([] if text == "e" else text.split()):
+            m = _SYLLABLE_RE.match(tok)
+            if not m or m.group(1) not in self._index:
+                raise InvalidLabelError(f"bad group word syllable {tok!r}")
+            letters.append((self._index[m.group(1)], int(m.group(2) or 1)))
+        return self._from_syllables(letters)
+
+
+class GroupDualSystem(GroupDualBase):
     """Dual of a free product of cyclic groups.
 
     ``factors`` is a sequence with one entry per free factor: ``None`` for
@@ -62,22 +126,9 @@ class GroupDualSystem(FusionSystem):
         for m in factors:
             if m is not None and (not isinstance(m, int) or m < 2):
                 raise FusionError(f"cyclic factor order must be None or an int >= 2, got {m!r}")
-        if names is None:
-            names = tuple(f"g{i + 1}" for i in range(len(factors)))
-        else:
-            names = tuple(names)
-            if len(names) != len(factors):
-                raise FusionError("one generator name per factor required")
-            for nm in names:
-                if not _NAME_RE.match(nm) or nm == "e":
-                    raise FusionError(f"bad generator name {nm!r}")
-            if len(set(names)) != len(names):
-                raise FusionError("generator names must be distinct")
         desc = ",".join("Z" if m is None else f"Z/{m}" for m in factors)
-        super().__init__(f"group_dual({desc};{','.join(names)})")
+        super().__init__(desc, len(factors), names)
         self.factors = factors
-        self.names = names
-        self._index = {nm: i for i, nm in enumerate(names)}
         self._unit = IrrLabel(self.family_id, ())
 
     # word algebra ----------------------------------------------------------
@@ -106,8 +157,10 @@ class GroupDualSystem(FusionSystem):
     def word(self, letters: Iterable[Letter]) -> IrrLabel:
         return IrrLabel(self.family_id, self.reduce_word(letters))
 
-    def generators(self) -> list[IrrLabel]:
-        return [self.word([(i, 1)]) for i in range(len(self.factors))]
+    _from_syllables = word
+
+    def _syllables(self, w: Word) -> Word:
+        return w
 
     def letter_length(self, w: Word) -> int:
         """Syllable-tree depth: |exponent| for Z syllables, 1 for Z/m ones."""
@@ -182,66 +235,37 @@ class GroupDualSystem(FusionSystem):
         return payload
 
     def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
-        return FusionElement.from_label(self.word(a.payload + b.payload))
+        return FusionElement._adopt({self.word(a.payload + b.payload): 1})
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, self.inverse_word(a.payload))
-
-    def dim_irr(self, a: IrrLabel) -> int:
-        return 1
 
     def sort_key(self, label: IrrLabel):
         w = label.payload
         return (self.letter_length(w), len(w), w)
 
-    # serialization -------------------------------------------------------------
 
-    def format_label(self, a: IrrLabel) -> str:
-        if not a.payload:
-            return "e"
-        bits = []
-        for f, e in a.payload:
-            bits.append(self.names[f] if e == 1 else f"{self.names[f]}^{e}")
-        return " ".join(bits)
-
-    def parse_label(self, text: str) -> IrrLabel:
-        text = text.strip()
-        if text == "e":
-            return self._unit
-        letters: list[Letter] = []
-        for tok in text.split():
-            m = _SYLLABLE_RE.match(tok)
-            if not m or m.group(1) not in self._index:
-                raise InvalidLabelError(f"bad group word syllable {tok!r}")
-            exp = int(m.group(2)) if m.group(2) is not None else 1
-            letters.append((self._index[m.group(1)], exp))
-        return self.word(letters)
-
-
-class ZdDualSystem(FusionSystem):
+class ZdDualSystem(GroupDualBase):
     """Dual of ``Z^d``: labels are integer vectors, fusion is addition."""
 
     def __init__(self, d: int, names: Sequence[str] | None = None):
         if not isinstance(d, int) or d < 1:
             raise FusionError(f"rank must be a positive integer, got {d!r}")
-        if names is None:
-            names = tuple(f"g{i + 1}" for i in range(d))
-        else:
-            names = tuple(names)
-            if len(names) != d:
-                raise FusionError("one generator name per coordinate required")
-        super().__init__(f"group_dual(Z^{d};{','.join(names)})")
+        super().__init__(f"Z^{d}", d, names)
         self.d = d
-        self.names = names
-        self._index = {nm: i for i, nm in enumerate(names)}
         self._unit = IrrLabel(self.family_id, (0,) * d)
 
     def vector(self, v: Sequence[int]) -> IrrLabel:
         return self.label(tuple(v))
 
-    def generators(self) -> list[IrrLabel]:
-        return [self.vector(tuple(1 if j == i else 0 for j in range(self.d)))
-                for i in range(self.d)]
+    def _syllables(self, v: tuple[int, ...]) -> Iterable[Letter]:
+        return ((i, c) for i, c in enumerate(v) if c)
+
+    def _from_syllables(self, letters: Iterable[Letter]) -> IrrLabel:
+        v = [0] * self.d
+        for i, e in letters:
+            v[i] += e
+        return IrrLabel(self.family_id, tuple(v))
 
     def validate_payload(self, payload) -> tuple[int, ...]:
         if (not isinstance(payload, tuple) or len(payload) != self.d
@@ -250,39 +274,15 @@ class ZdDualSystem(FusionSystem):
         return payload
 
     def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
-        return FusionElement.from_label(
-            self.vector(tuple(x + y for x, y in zip(a.payload, b.payload))))
+        return FusionElement._adopt(
+            {IrrLabel(self.family_id, tuple(map(add, a.payload, b.payload))): 1})
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
-        return self.vector(tuple(-x for x in a.payload))
-
-    def dim_irr(self, a: IrrLabel) -> int:
-        return 1
+        return IrrLabel(self.family_id, tuple(-x for x in a.payload))
 
     def sort_key(self, label: IrrLabel):
         v = label.payload
         return (sum(abs(c) for c in v), v)
-
-    def format_label(self, a: IrrLabel) -> str:
-        bits = []
-        for i, c in enumerate(a.payload):
-            if c == 1:
-                bits.append(self.names[i])
-            elif c != 0:
-                bits.append(f"{self.names[i]}^{c}")
-        return " ".join(bits) if bits else "e"
-
-    def parse_label(self, text: str) -> IrrLabel:
-        text = text.strip()
-        v = [0] * self.d
-        if text != "e":
-            for tok in text.split():
-                m = _SYLLABLE_RE.match(tok)
-                if not m or m.group(1) not in self._index:
-                    raise InvalidLabelError(f"bad syllable {tok!r}")
-                exp = int(m.group(2)) if m.group(2) is not None else 1
-                v[self._index[m.group(1)]] += exp
-        return self.vector(tuple(v))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +322,10 @@ class IntervalSystem(FusionSystem):
         return payload
 
     def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
-        ka, kb, first = a.payload, b.payload, self.first
-        return FusionElement(
-            ((self.label(c), 1)
-             for c in range(abs(ka - kb) + first, ka + kb - first + 1, self.step)))
+        ka, kb, first, fid = a.payload, b.payload, self.first, self.family_id
+        return FusionElement._adopt(
+            {IrrLabel(fid, c): 1
+             for c in range(abs(ka - kb) + first, ka + kb - first + 1, self.step)})
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return a
@@ -443,12 +443,12 @@ class AuSystem(FusionSystem):
         acc: dict[IrrLabel, int] = {}
         for k in range(min(len(wx), len(wy)) + 1):
             if k == 0 or au_bar(wx[len(wx) - k:]) == wy[:k]:
-                lab = self.word(wx[: len(wx) - k] + wy[k:])
+                lab = IrrLabel(self.family_id, wx[: len(wx) - k] + wy[k:])
                 acc[lab] = acc.get(lab, 0) + 1
-        return FusionElement(acc)
+        return FusionElement._adopt(acc)
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
-        return self.word(au_bar(a.payload))
+        return IrrLabel(self.family_id, au_bar(a.payload))
 
     def dim_irr(self, a: IrrLabel) -> int:
         return self._dim_word(a.payload)
@@ -487,47 +487,11 @@ def fundamental(sys: FusionSystem, generators: Iterable[IrrLabel] | None = None)
     choice; by default the full symmetric standard set is used and the
     unit is included, i.e. ``1 + sum over g, g^-1``.
     """
-    if isinstance(sys, (IntervalSystem, AuSystem)):
-        if generators is not None:
-            raise FusionError("explicit generators are only meaningful for group duals")
+    if generators is None:
         return sys.fundamental()
-    if isinstance(sys, (GroupDualSystem, ZdDualSystem)):
-        gens = list(generators) if generators is not None else sys.generators()
-        seen: dict[IrrLabel, int] = {sys.unit: 1}
-        for g in gens:
-            sys.check_label(g)
-            for lab in (g, sys.conj_irr(g)):
-                seen.setdefault(lab, 1)
-        return FusionElement(seen)
-    raise FusionError(f"no fundamental rule for {sys!r}")
-
-
-def group_tensor(sys: FusionSystem, g: IrrLabel, h: IrrLabel) -> FusionElement:
-    if not isinstance(sys, (GroupDualSystem, ZdDualSystem)):
-        raise FusionError("group_tensor needs a group dual")
-    sys.check_label(g)
-    sys.check_label(h)
-    return sys.tensor_pair(g, h)
-
-
-def ao_tensor(sys: IntervalSystem, a: IrrLabel | int, b: IrrLabel | int) -> FusionElement:
-    """Pair product in an interval family; integer arguments are label indices."""
-    a = sys.label(a) if isinstance(a, int) else a
-    b = sys.label(b) if isinstance(b, int) else b
-    return sys.tensor_pair(a, b)
-
-
-aut_tensor = ao_tensor
-
-
-def ao_dim(sys: AoSystem, k: IrrLabel | int) -> int:
-    return sys.dim_irr(sys.r(k) if isinstance(k, int) else k)
-
-
-def au_tensor(sys: AuSystem, x: IrrLabel | str, y: IrrLabel | str) -> FusionElement:
-    x = sys.word(x) if isinstance(x, str) else x
-    y = sys.word(y) if isinstance(y, str) else y
-    return sys.tensor_pair(x, y)
+    if not isinstance(sys, GroupDualBase):
+        raise FusionError("explicit generators are only meaningful for group duals")
+    return sys.fundamental(generators)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +543,10 @@ def system_from_config(cfg: dict) -> FusionSystem:
         unknown = set(f) - {"type", "d", "names"}
         if unknown:
             raise FusionError(f"unknown factor keys: {sorted(unknown)}")
-        return ZdDualSystem(_expect_int(f, "d"), f.get("names"))
+        names = f.get("names")
+        if names is not None and not isinstance(names, list):
+            raise FusionError(f"'names' must be a list of generator names, got {names!r}")
+        return ZdDualSystem(_expect_int(f, "d"), names)
     factors: list[int | None] = []
     names: list[str] = []
     for i, f in enumerate(factors_cfg):
@@ -604,15 +571,6 @@ def _expect_int(cfg: dict, key: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise FusionError(f"config key {key!r} must be an integer, got {v!r}")
     return v
-
-
-def format_label(sys: FusionSystem, a: IrrLabel) -> str:
-    sys.check_label(a)
-    return sys.format_label(a)
-
-
-def parse_label(sys: FusionSystem, text: str) -> IrrLabel:
-    return sys.parse_label(text)
 
 
 def parse_element(sys: FusionSystem, text: str) -> FusionElement:

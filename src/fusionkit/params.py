@@ -100,11 +100,14 @@ class Param:
             m = re.match(r"^([A-Za-z][A-Za-z0-9_]*|\d+(?:/\d+)?)(?:\^(-?\d+(?:/\d+)?))?$", chunk)
             if not m:
                 raise FusionError(f"bad parameter syntax {chunk!r}")
-            base, exp = m.group(1), Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            if base[0].isdigit():
-                acc = acc * cls.from_rational(Fraction(base), exp)
-            else:
-                acc = acc * cls.generator(base, exp)
+            try:
+                base, exp = m.group(1), Fraction(m.group(2)) if m.group(2) else Fraction(1)
+                if base[0].isdigit():
+                    acc = acc * cls.from_rational(Fraction(base), exp)
+                else:
+                    acc = acc * cls.generator(base, exp)
+            except ZeroDivisionError:
+                raise FusionError(f"zero denominator in parameter {chunk!r}") from None
         return acc
 
     def exponent_map(self) -> dict[int | str, Fraction]:

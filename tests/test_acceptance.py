@@ -70,8 +70,9 @@ def test_criterion_2_ao_dimension_formula():
         for n in (2, 3, 4, 5):
             sys = fk.AoSystem(n)
             for k in range(1, 16):
-                assert fk.ao_dim(sys, k) == _closed_form_dim(n, k), (n, k)
-        assert [fk.ao_dim(fk.AoSystem(3), k) for k in range(1, 6)] == [1, 3, 8, 21, 55]
+                assert sys.dim_irr(sys.r(k)) == _closed_form_dim(n, k), (n, k)
+        ao3 = fk.AoSystem(3)
+        assert [ao3.dim_irr(ao3.r(k)) for k in range(1, 6)] == [1, 3, 8, 21, 55]
 
 
 def test_criterion_3_amenability_verdicts():
@@ -252,6 +253,6 @@ def test_criterion_9_au_free_fusion_spot_checks():
              FusionElement({w("abab"): 1}) + FusionElement({w("ab"): 1}) + unit),
         ]
         for x, y, expected in cases:
-            got = fk.au_tensor(au, x, y)
+            got = au.tensor_pair(au.word(x), au.word(y))
             assert got == expected, (x, y)
             assert got == _au_split_oracle(au, x, y), (x, y)

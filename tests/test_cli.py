@@ -270,3 +270,46 @@ def test_missing_family_file(capsys):
     code, env = run_cli(capsys, "decompose", "--family", "/nonexistent.json",
                         "--x", "r1", "--y", "r1")
     assert code == 2
+
+
+AO3 = {"family": "a_o", "n": 3}
+ZD2 = {"type": "Zd", "d": 2}
+MALFORMED_CONFIGS = {
+    "values-list": {**AO3, "params": {"values": [1]}},
+    "values-bad-fraction": {**AO3, "params": {"values": {"q": "one half"}}},
+    "fundamental-list-int": {**AO3, "params": {"fundamental_list": [1]}},
+    "fundamental-list-zero-denominator": {**AO3, "params": {"fundamental_list": ["q^1/0"]}},
+    "factor-int-name": {"family": "group_dual", "factors": [{"type": "Z", "name": 1}]},
+    "zd-int-names": {"family": "group_dual", "factors": [{**ZD2, "names": [1, 2]}]},
+    "zd-string-names": {"family": "group_dual", "factors": [{**ZD2, "names": "st"}]},
+    "zd-names-e": {"family": "group_dual", "factors": [{**ZD2, "names": ["e", "e"]}]},
+}
+
+
+@pytest.mark.parametrize("spec", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_family_config_is_config_error(capsys, tmp_path, spec):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(spec))
+    code, env = run_cli(capsys, "decompose", "--family", str(config), "--x", "e", "--y", "e")
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["inputs"] == {"family": str(config), "x": "e", "y": "e"}
+
+
+def test_unwritable_csv_is_config_error(configs, capsys, tmp_path):
+    csv = str(tmp_path / "missing" / "growth.csv")
+    code, env = run_cli(capsys, "growth", "--family", configs["f2"], "--v", "e + s + s^-1",
+                        "--center", "e", "--rmax", "2", "--csv", csv)
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["inputs"] == {"family": configs["f2"], "v": "e + s + s^-1", "center": "e",
+                             "rmax": 2, "csv": csv}
+
+
+def test_unwritable_dot_is_config_error(configs, capsys, tmp_path):
+    dot = str(tmp_path / "missing" / "g.dot")
+    code, env = run_cli(capsys, "graph", "--family", configs["ao2"], "--u", "r2",
+                        "--depth", "3", "--dot", dot)
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["inputs"] == {"family": configs["ao2"], "u": "r2", "depth": 3}

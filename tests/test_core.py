@@ -32,6 +32,24 @@ def test_mixed_families_rejected(ao2, ao3):
         ao3.tensor(x, x)
 
 
+def test_computed_elements_keep_checks(ao2, ao3):
+    x = ao2.fundamental()
+    with pytest.raises(fk.FusionError):
+        x * -1
+    with pytest.raises(fk.FamilyMismatchError):
+        x + ao3.fundamental()
+
+
+def test_label_identity_and_repr(ao2, ao3, f2):
+    assert repr(ao2.r(3)) == "IrrLabel('a_o(n=2)', 3)"
+    assert repr(f2.parse_label("s t^-1")) == (
+        "IrrLabel('group_dual(Z,Z;s,t)', ((0, 1), (1, -1)))")
+    a, b = ao2.r(3), ao3.r(3)
+    assert a.payload == b.payload
+    assert a != b and hash(a) != hash(b) and len({a, b}) == 2
+    assert a == ("a_o(n=2)", 3) and tuple(a) == (a.family, a.payload)
+
+
 def test_sum_is_pointwise(ao2):
     r1, r2, r3 = ao2.r(1), ao2.r(2), ao2.r(3)
     assert FusionElement({r1: 1}) + FusionElement({r1: 1}) == FusionElement({r1: 2})

@@ -33,27 +33,27 @@ def closed_form_dim(n, k):
 def test_ao_dims_match_closed_form(n):
     sys = fk.AoSystem(n)
     for k in range(1, 16):
-        assert fk.ao_dim(sys, k) == closed_form_dim(n, k)
+        assert sys.dim_irr(sys.r(k)) == closed_form_dim(n, k)
 
 
 def test_ao_dim_examples(ao3, ao2):
-    assert fk.ao_dim(ao3, 3) == 8
-    assert fk.ao_dim(ao3, 4) == 21  # recursion 3*8 - 3
-    assert [fk.ao_dim(ao3, k) for k in range(1, 6)] == [1, 3, 8, 21, 55]
-    assert [fk.ao_dim(ao2, k) for k in range(1, 8)] == list(range(1, 8))
+    assert ao3.dim_irr(ao3.r(3)) == 8
+    assert ao3.dim_irr(ao3.r(4)) == 21  # recursion 3*8 - 3
+    assert [ao3.dim_irr(ao3.r(k)) for k in range(1, 6)] == [1, 3, 8, 21, 55]
+    assert [ao2.dim_irr(ao2.r(k)) for k in range(1, 8)] == list(range(1, 8))
 
 
 def test_ao_tensor_interval(ao2, ao3):
-    assert fk.ao_tensor(ao2, 2, 2) == FusionElement({ao2.r(1): 1, ao2.r(3): 1})
-    assert fk.ao_tensor(ao3, 2, 3) == FusionElement({ao3.r(2): 1, ao3.r(4): 1})
+    assert ao2.tensor_pair(ao2.r(2), ao2.r(2)) == FusionElement({ao2.r(1): 1, ao2.r(3): 1})
+    assert ao3.tensor_pair(ao3.r(2), ao3.r(3)) == FusionElement({ao3.r(2): 1, ao3.r(4): 1})
     for k in range(1, 6):
-        assert fk.ao_tensor(ao3, 1, k) == FusionElement({ao3.r(k): 1})
+        assert ao3.tensor_pair(ao3.r(1), ao3.r(k)) == FusionElement({ao3.r(k): 1})
 
 
 def test_aut_rules(aut4):
     s = aut4.s
-    assert fk.aut_tensor(aut4, 1, 1) == FusionElement({s(0): 1, s(1): 1, s(2): 1})
-    assert fk.aut_tensor(aut4, 0, 3) == FusionElement({s(3): 1})
+    assert aut4.tensor_pair(s(1), s(1)) == FusionElement({s(0): 1, s(1): 1, s(2): 1})
+    assert aut4.tensor_pair(s(0), s(3)) == FusionElement({s(3): 1})
     assert aut4.dim_irr(s(2)) == 5  # (n-2)*d1 - d0 = 2*3 - 1
     assert aut4.dim(fk.fundamental(aut4)) == 4
 
@@ -89,9 +89,9 @@ def au_tensor_oracle(sys, x, y):
 def test_au_tensor_examples(au2):
     w = au2.word
     unit = au2.unit_element()
-    assert fk.au_tensor(au2, "a", "b") == FusionElement({w("ab"): 1}) + unit
-    assert fk.au_tensor(au2, "a", "a") == FusionElement({w("aa"): 1})
-    assert fk.au_tensor(au2, "ab", "ab") == (
+    assert au2.tensor_pair(au2.word("a"), au2.word("b")) == FusionElement({w("ab"): 1}) + unit
+    assert au2.tensor_pair(au2.word("a"), au2.word("a")) == FusionElement({w("aa"): 1})
+    assert au2.tensor_pair(au2.word("ab"), au2.word("ab")) == (
         FusionElement({w("abab"): 1}) + FusionElement({w("ab"): 1}) + unit)
 
 
@@ -102,7 +102,7 @@ def test_au_tensor_against_split_oracle(au2, rng):
     words = sorted(set(words))
     for _ in range(200):
         x, y = rng.choice(words), rng.choice(words)
-        assert fk.au_tensor(au2, x, y) == au_tensor_oracle(au2, x, y)
+        assert au2.tensor_pair(au2.word(x), au2.word(y)) == au_tensor_oracle(au2, x, y)
 
 
 def test_au_unit_multiplicity_all_words_up_to_6(au2):
@@ -111,7 +111,7 @@ def test_au_unit_multiplicity_all_words_up_to_6(au2):
         words = words + [w + c for w in words if len(w) == max(map(len, words)) for c in "ab"]
     words = sorted({w for w in words if len(w) <= 6})
     for x in words:
-        prod = fk.au_tensor(au2, x, fk.au_bar(x))
+        prod = au2.tensor_pair(au2.word(x), au2.word(fk.au_bar(x)))
         assert prod.mult(au2.unit) == 1
 
 
@@ -121,22 +121,22 @@ def test_au_dims(au2):
     assert au2.dim_irr(au2.word("aa")) == 4
     # dimension homomorphism against the fusion rule
     for x, y in [("a", "b"), ("ab", "ab"), ("aab", "ba")]:
-        prod = fk.au_tensor(au2, x, y)
+        prod = au2.tensor_pair(au2.word(x), au2.word(y))
         assert au2.dim(prod) == au2.dim_irr(au2.word(x)) * au2.dim_irr(au2.word(y))
 
 
 def test_group_dual_reduction(f2, zmod3, zdual):
-    assert fk.group_tensor(zdual, zdual.parse_label("g1^2"),
-                           zdual.parse_label("g1^-2")) == zdual.unit_element()
-    st = fk.group_tensor(f2, f2.parse_label("s"), f2.parse_label("t"))
+    assert zdual.tensor_pair(zdual.parse_label("g1^2"),
+                             zdual.parse_label("g1^-2")) == zdual.unit_element()
+    st = f2.tensor_pair(f2.parse_label("s"), f2.parse_label("t"))
     assert st == FusionElement({f2.parse_label("s t"): 1})
     # mod-3 reduction: h^2 * h^2 = h^4 = h
     h2 = zmod3.parse_label("h^2")
-    assert fk.group_tensor(zmod3, h2, h2) == FusionElement({zmod3.parse_label("h"): 1})
+    assert zmod3.tensor_pair(h2, h2) == FusionElement({zmod3.parse_label("h"): 1})
     # cascading cancellation across factors
     w1 = f2.parse_label("s t")
     w2 = f2.parse_label("t^-1 s^-1")
-    assert fk.group_tensor(f2, w1, w2) == f2.unit_element()
+    assert f2.tensor_pair(w1, w2) == f2.unit_element()
 
 
 def test_group_dual_all_dims_one_and_single_support(f2, rng):
@@ -151,14 +151,14 @@ def test_group_dual_all_dims_one_and_single_support(f2, rng):
 def test_pure_zmod3_dual():
     z3 = fk.GroupDualSystem([3])
     g2 = z3.parse_label("g1^2")
-    assert fk.group_tensor(z3, g2, g2) == FusionElement({z3.parse_label("g1"): 1})
+    assert z3.tensor_pair(g2, g2) == FusionElement({z3.parse_label("g1"): 1})
     assert z3.conj_irr(z3.parse_label("g1")) == g2
-    assert fk.group_tensor(z3, g2, z3.parse_label("g1")) == z3.unit_element()
+    assert z3.tensor_pair(g2, z3.parse_label("g1")) == z3.unit_element()
 
 
 def test_zd_dual(zd2):
     g1, g2 = zd2.generators()
-    x = fk.group_tensor(zd2, g1, g2)
+    x = zd2.tensor_pair(g1, g2)
     assert x == FusionElement({zd2.vector((1, 1)): 1})
     assert zd2.conj_irr(zd2.vector((2, -1))) == zd2.vector((-2, 1))
     assert zd2.format_label(zd2.vector((2, -1))) == "g1^2 g2^-1"
