@@ -14,15 +14,20 @@ A cross-check runs the same estimate through the positive element
 ``chi(u) chi(u)*`` (moments ``p_k = multiplicity(unit, (u (x) conj u)^(x)k)``,
 norm ``n^2`` exactly when amenable); the two verdicts must agree.
 
-Counting: interval-rule families have tiny supports, so plain tensor
-powers suffice.  For duals of free products the supports grow
-exponentially, but elements supported on the unit and single-syllable
-words split as a sum of elements from distinct free factors, which are
-free with respect to the unit-multiplicity trace; their mixed moments are
-therefore determined by the factor moments through the free (noncrossing)
-moment-cumulant relations.  Those relations are integer recursions, so
-this path is exact and is cross-checked against direct expansion in the
-tests.
+Counting: every count is a unit multiplicity of a tensor power, and
+Frobenius reciprocity gives ``multiplicity(unit, a (x) b) =
+sum_c a_c b_{conj c}``, so ``x^(x)2k`` and ``x^(x)2k-1`` are read off the
+pair ``x^(x)k, x^(x)k-1`` (``FusionSystem.unit_moments``): powers are
+formed to half the depth only.  For a self-conjugate generator
+``u + conj u = 2u``, so ``c_{2k} = 4^k p_k`` exactly and a verdict counts
+one sequence, shared by the estimate and the cross-check.  For duals of
+free products the supports grow exponentially, but elements supported on
+the unit and single-syllable words split as a sum of elements from
+distinct free factors, which are free with respect to the
+unit-multiplicity trace; their mixed moments are therefore determined by
+the factor moments through the free (noncrossing) moment-cumulant
+relations.  Those relations are integer recursions, so this path is exact
+and is cross-checked against direct expansion in the tests.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from operator import mul
 
 from .core import FusionElement, FusionError, FusionSystem
-from .families import AuSystem, GroupDualSystem, fundamental
+from .families import GroupDualSystem, fundamental
 
 AMENABLE = "amenable-consistent"
 NON_AMENABLE = "non-amenable-numerical"
@@ -88,7 +93,8 @@ def _mc_recursion(moments: list[int], forward: bool, kappa: list[int] | None = N
             if s == 1:
                 P[s][t] = moments[t]
             else:
-                P[s][t] = sum(P[s - 1][t - j] * moments[j] for j in range(t + 1))
+                # sum_j P[s-1][t-j] * moments[j], j = 0..t
+                P[s][t] = sum(map(mul, P[s - 1][t::-1], moments))
         if forward:
             moments[n] = sum(kappa[s] * P[s][n - s] for s in range(1, n + 1))
         else:
@@ -108,17 +114,12 @@ def char_moments(sys: FusionSystem, x: FusionElement, N: int) -> list[int]:
         c0, parts = split
         kappa = [0] * (N + 1)
         for part in parts:
-            m = _moments_by_powers(sys, part, N)
-            k = moments_to_free_cumulants(m)
+            k = moments_to_free_cumulants(sys.unit_moments(part, N))
             for j in range(1, N + 1):
                 kappa[j] += k[j]
         kappa[1] += c0
         return free_cumulants_to_moments(kappa, N)
-    return _moments_by_powers(sys, x, N)
-
-
-def _moments_by_powers(sys: FusionSystem, x: FusionElement, N: int) -> list[int]:
-    return [acc.mult(sys.unit) for acc in sys.products(repeat(x, N))]
+    return sys.unit_moments(x, N)
 
 
 def _free_factor_split(sys: FusionSystem, x: FusionElement):
@@ -150,7 +151,10 @@ def kesten_counts(sys: FusionSystem, u: FusionElement, K: int) -> list[int]:
     if K < 1:
         raise FusionError(f"K must be >= 1, got {K}")
     sys.check_element(u)
-    return _even_power_counts(sys, u + sys.conj_element(u), K)
+    ubar = sys.conj_element(u)
+    if ubar == u:
+        return _four_power_scaled(_even_power_counts(sys, u, K))
+    return _even_power_counts(sys, u + ubar, K)
 
 
 def chi_chi_star_counts(sys: FusionSystem, u: FusionElement, K: int) -> list[int]:
@@ -158,22 +162,21 @@ def chi_chi_star_counts(sys: FusionSystem, u: FusionElement, K: int) -> list[int
     if K < 1:
         raise FusionError(f"K must be >= 1, got {K}")
     sys.check_element(u)
-    if sys.conj_element(u) == u:
+    ubar = sys.conj_element(u)
+    if ubar == u:
         # (u (x) u)^k is the 2k-th power of u
         return _even_power_counts(sys, u, K)
-    y = sys.tensor(u, sys.conj_element(u))
-    return _moments_by_powers(sys, y, K)[1:]
+    return sys.unit_moments(sys.tensor(u, ubar), K)[1:]
 
 
 def _even_power_counts(sys: FusionSystem, v: FusionElement, K: int) -> list[int]:
-    """``multiplicity(unit, v^(x)2k)`` for k = 1..K and self-conjugate ``v``."""
-    if _free_factor_split(sys, v) is not None:
-        m = char_moments(sys, v, 2 * K)
-        return [m[2 * k] for k in range(1, K + 1)]
-    # half powers + conjugate pairing: c_{2k} = sum_a (v^k)_a (v^k)_{conj a}
-    half_powers = islice(sys.products(repeat(v, K)), 1, None)
-    return [sum(m * acc.mult(sys.conj_irr(a)) for a, m in acc.items())
-            for acc in half_powers]
+    """``multiplicity(unit, v^(x)2k)`` for k = 1..K."""
+    return char_moments(sys, v, 2 * K)[2::2]
+
+
+def _four_power_scaled(p: list[int]) -> list[int]:
+    """``c_{2k} = 4^k p_k``: for self-conjugate ``u``, ``(u + conj u)^2k = 4^k u^2k``."""
+    return [4 ** k * pk for k, pk in enumerate(p, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +222,6 @@ def root_sequence_is_monotone(counts: list[int]) -> bool:
         if lhs > rhs:
             return False
     return True
-
-
-def default_tolerance(sys: FusionSystem) -> float:
-    """0.05 for interval-rule and abelian families, 0.15 for free ones."""
-    if isinstance(sys, AuSystem) or (
-            isinstance(sys, GroupDualSystem) and len(sys.factors) >= 2):
-        return 0.15
-    return 0.05
 
 
 @dataclass(slots=True)
@@ -287,15 +282,22 @@ def amenability_verdict(sys: FusionSystem, u: FusionElement | None = None,
     if u is None:
         u = fundamental(sys)
     sys.check_element(u)
+    if K < 3:
+        raise FusionError(f"depth K must be >= 3, got {K}")
     if tol is None:
-        tol = default_tolerance(sys)
+        tol = sys.amenability_tolerance
+    elif not tol >= 0:
+        raise FusionError(f"tolerance must be >= 0, got {tol}")
     n = sys.dim(u)
-    counts = kesten_counts(sys, u, K)
+    cross_counts = chi_chi_star_counts(sys, u, K)
+    if sys.conj_element(u) == u:
+        counts = _four_power_scaled(cross_counts)
+    else:
+        counts = kesten_counts(sys, u, K)
     estimate = spectral_radius_estimate(counts, method)
     monotone = root_sequence_is_monotone(counts)
     verdict = _classify(estimate, n, tol, monotone)
 
-    cross_counts = chi_chi_star_counts(sys, u, K)
     r1 = cross_counts[-1] / cross_counts[-2]
     r0 = cross_counts[-2] / cross_counts[-3]
     Kc = len(cross_counts)

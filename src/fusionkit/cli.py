@@ -228,6 +228,8 @@ def _cmd_moments(args, cfg: FamilyConfig):
 
 
 def _cmd_distance(args, cfg: FamilyConfig):
+    if args.budget < 0:
+        raise ConfigError("--budget must be >= 0")
     sys_ = cfg.system
     v = parse_element(sys_, args.v)
     a = sys_.parse_label(args.a)
@@ -257,6 +259,10 @@ def _cmd_growth(args, cfg: FamilyConfig):
 
 
 def _cmd_amenable(args, cfg: FamilyConfig):
+    if args.depth < 3:
+        raise ConfigError("--depth must be >= 3")
+    if args.tol is not None and not args.tol >= 0:
+        raise ConfigError("--tol must be >= 0")
     sys_ = cfg.system
     u = parse_element(sys_, args.u) if args.u else None
     report = amenability.amenability_verdict(sys_, u, K=args.depth, tol=args.tol,
@@ -274,9 +280,16 @@ def _cmd_list_invariant(args, cfg: FamilyConfig):
     return outputs, True
 
 
+def _parse_params(text: str, flag: str) -> list[params.Param]:
+    try:
+        return [params.Param.parse(t) for t in text.split(",")]
+    except FusionError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _cmd_modular_spectrum(args, cfg: FamilyConfig):
     if args.list:
-        plist = params.ParamList.parse(args.list.split(","))
+        plist = params.ParamList(_parse_params(args.list, "--list"))
     else:
         if cfg.fundamental_list is None:
             raise ConfigError("modular-spectrum needs --list or a config fundamental_list")
@@ -284,9 +297,10 @@ def _cmd_modular_spectrum(args, cfg: FamilyConfig):
     lattice = params.modular_spectrum(plist)
     outputs = lattice.describe()
     if args.member:
+        members = _parse_params(args.member, "--member")
         outputs["membership"] = {
-            text: params.lattice_membership(lattice, params.Param.parse(text))
-            for text in args.member.split(",")
+            text: params.lattice_membership(lattice, p)
+            for text, p in zip(args.member.split(","), members)
         }
     return outputs, True
 

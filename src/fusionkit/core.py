@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import repeat
+from operator import mul
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -195,9 +196,15 @@ class FusionSystem(ABC):
 
     Subclasses implement the irreducible-pair tensor rule, conjugation, the
     dimension function and payload canonicalization.  This base class
-    provides the bilinear extension, running products and powers, and the
-    pair memo cache (optionally backed by an on-disk cache).
+    provides the bilinear extension, running products and powers, unit
+    multiplicities and moments, and the pair memo cache (optionally backed
+    by an on-disk cache).
     """
+
+    #: Default tolerance of the amenability verdict around ``n = dim(u)``:
+    #: tight for interval-rule and abelian families, wider for the free
+    #: ones, whose norm estimates converge more slowly.
+    amenability_tolerance = 0.05
 
     def __init__(self, family_id: str):
         self.family_id = family_id
@@ -225,6 +232,10 @@ class FusionSystem(ABC):
     @abstractmethod
     def sort_key(self, label: IrrLabel):
         """A total order on labels, used for deterministic serialization."""
+
+    def format_label(self, a: IrrLabel) -> str:
+        """Wire text of a label; families with a label syntax override this."""
+        return str(a.payload)
 
     def fundamental(self) -> FusionElement:
         """The family's distinguished generating element."""
@@ -309,6 +320,49 @@ class FusionSystem(ABC):
             acc = self.tensor(acc, x)
             yield acc
 
+    def unit_mult(self, x: FusionElement, y: FusionElement) -> int:
+        """``multiplicity(unit, x (x) y)`` without forming ``x (x) y``.
+
+        By Frobenius reciprocity the unit occurs in ``a (x) b`` once when
+        ``b`` is the conjugate of ``a`` and not at all otherwise, so this is
+        ``sum_c x_c * y_{conj c}``; the sum is symmetric in ``x`` and ``y``
+        and runs over the smaller support.
+        """
+        self.check_element(x)
+        self.check_element(y)
+        if len(y) < len(x):
+            x, y = y, x
+        xs = x._terms
+        return sum(map(mul, xs.values(), map(y._terms.get, map(self.conj_irr, xs), repeat(0))))
+
+    def unit_moments(self, x: FusionElement, N: int) -> list[int]:
+        """``[multiplicity(unit, x^(x)j) for j = 0..N]`` at half the tensor depth.
+
+        ``m_{2k-1} = unit_mult(x^k, x^(k-1))`` and ``m_{2k} = unit_mult(x^k, x^k)``,
+        so only the powers up to ``ceil(N/2)`` are formed.  Both pairings
+        run in one pass over ``x^k`` that conjugates each term once, and
+        while the next power is formed only the current one is kept.
+        """
+        if N < 0:
+            raise FusionError(f"N must be >= 0, got {N}")
+        self.check_element(x)
+        conj = self.conj_irr
+        out = [1]
+        powers = self.products(repeat(x, (N + 1) // 2))
+        prev = next(powers)
+        for cur in powers:
+            prev_mult, cur_mult = prev._terms.get, cur._terms.get
+            odd = even = 0
+            for a, m in cur._terms.items():
+                b = conj(a)
+                odd += m * prev_mult(b, 0)
+                even += m * cur_mult(b, 0)
+            out.append(odd)
+            if len(out) <= N:
+                out.append(even)
+            prev = cur
+        return out
+
     def power(self, x: FusionElement, k: int) -> FusionElement:
         """k-fold tensor power; the 0th power is the unit class."""
         if k < 0:
@@ -327,3 +381,4 @@ class FusionSystem(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family_id}>"
+

@@ -129,6 +129,8 @@ class GroupDualSystem(GroupDualBase):
         desc = ",".join("Z" if m is None else f"Z/{m}" for m in factors)
         super().__init__(desc, len(factors), names)
         self.factors = factors
+        if len(factors) >= 2:
+            self.amenability_tolerance = 0.15
         self._unit = IrrLabel(self.family_id, ())
 
     # word algebra ----------------------------------------------------------
@@ -418,6 +420,8 @@ class AuSystem(FusionSystem):
     ``dim(r_{wc}) = n*dim(r_w) - [w ends with bar(c)]*dim(r_{w[:-1]})``,
     which is forced by the fusion rule and the dimension homomorphism.
     """
+
+    amenability_tolerance = 0.15
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:

@@ -28,6 +28,7 @@ from .core import (
     FusionSystem,
     IrrLabel,
 )
+from .families import format_element
 
 
 def validate_generator(sys: FusionSystem, v: FusionElement) -> FusionElement:
@@ -38,6 +39,11 @@ def validate_generator(sys: FusionSystem, v: FusionElement) -> FusionElement:
     if sys.conj_element(v) != v:
         raise FusionError("generator must be self-conjugate")
     return v
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise FusionError(f"budget must be >= 0, got {budget}")
 
 
 def _neighbor_fn(sys: FusionSystem, v: FusionElement):
@@ -65,6 +71,7 @@ def distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
     Raises BudgetExceededError if ``b`` is not reached within ``budget``
     steps (the generator may not generate, or the budget is too small).
     """
+    _check_budget(budget)
     validate_generator(sys, v)
     sys.check_label(a)
     sys.check_label(b)
@@ -97,7 +104,8 @@ def distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
         if not nxt.isdisjoint(other):
             return steps
     raise BudgetExceededError(
-        f"not reached within budget {budget}: d({a!r}, {b!r})")
+        f"not reached within budget {budget}: "
+        f"d({sys.format_label(a)}, {sys.format_label(b)})")
 
 
 def _distances_up_to(sys: FusionSystem, v: FusionElement, center: IrrLabel,
@@ -164,12 +172,13 @@ class QuasiIsometryReport:
 def containment_index(sys: FusionSystem, v: FusionElement, w: FusionElement,
                       budget: int = 64) -> int:
     """Least n with ``w`` contained in ``v^(x)n`` (all multiplicities dominated)."""
+    _check_budget(budget)
     sys.check_element(w)
     for n, acc in enumerate(sys.products(repeat(v, budget))):
         if acc.contains(w):
             return n
     raise BudgetExceededError(
-        f"not reached within budget {budget}: containment of {w!r}")
+        f"not reached within budget {budget}: containment of {format_element(sys, w)}")
 
 
 def quasi_isometry_check(sys: FusionSystem, v: FusionElement, w: FusionElement,

@@ -185,3 +185,89 @@ def test_report_serialization(ao2):
     assert data["counts"] == [str(c) for c in report.counts]
     assert data["verdict"] == report.verdict
     assert "numerical" in data["notes"]
+
+
+def mc_recursion_reference(moments, forward, kappa=None):
+    """Oracle: the moment-cumulant recursion with a generator-expression inner sum."""
+    N = len(moments) - 1
+    if kappa is None:
+        kappa = [0] * (N + 1)
+    P = [[0] * (N + 1) for _ in range(N + 1)]
+    P[0][0] = 1
+    for n in range(1, N + 1):
+        for s in range(1, n + 1):
+            t = n - s
+            if s == 1:
+                P[s][t] = moments[t]
+            else:
+                P[s][t] = sum(P[s - 1][t - j] * moments[j] for j in range(t + 1))
+        if forward:
+            moments[n] = sum(kappa[s] * P[s][n - s] for s in range(1, n + 1))
+        else:
+            kappa[n] = moments[n] - sum(kappa[s] * P[s][n - s] for s in range(1, n))
+    return moments if forward else kappa
+
+
+def test_mc_recursion_matches_reference(rng):
+    N = 40
+    kappa = [0] + [rng.randint(-5, 5) for _ in range(N)]
+    moments = mc_recursion_reference([1] + [0] * N, True, list(kappa))
+    assert fk.free_cumulants_to_moments(kappa) == moments
+    walks = [1] + [0 if j % 2 else math.comb(j, j // 2) for j in range(1, N + 1)]
+    for m in (moments, walks):
+        assert fk.moments_to_free_cumulants(m) == mc_recursion_reference(list(m), False)
+
+
+@pytest.mark.parametrize("make, K", [(lambda: fk.AoSystem(3), 12),
+                                     (lambda: fk.GroupDualSystem([None, None]), 4),
+                                     (lambda: fk.ZdDualSystem(2), 6)],
+                         ids=["a_o(3)", "F2", "Z^2"])
+def test_self_conjugate_verdict_counts_once(make, K, monkeypatch):
+    sys = make()
+    calls = []
+    char_moments = fk.amenability.char_moments
+
+    def counted(*args):
+        calls.append(args[2])
+        return char_moments(*args)
+
+    monkeypatch.setattr(fk.amenability, "char_moments", counted)
+    report = fk.amenability_verdict(sys, K=K)
+    assert calls == [2 * K]
+    p = report.cross_counts
+    assert report.counts == [4 ** k * p[k - 1] for k in range(1, K + 1)]
+    u = fk.fundamental(sys)
+    assert report.counts == counts_by_direct_expansion(sys, u, K)
+
+
+def test_non_self_conjugate_verdict_counts_both(au2, monkeypatch):
+    calls = []
+    for name in ("kesten_counts", "chi_chi_star_counts"):
+        def counted(*args, _name=name, _fn=getattr(fk.amenability, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(fk.amenability, name, counted)
+    report = fk.amenability_verdict(au2, K=8)
+    assert sorted(calls) == ["chi_chi_star_counts", "kesten_counts"]
+    assert report.counts == [2 ** k * fk.catalan(k) for k in range(1, 9)]
+    assert report.cross_counts == [fk.catalan(k) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("K, tol", [(2, None), (0, None), (-1, 0.05),
+                                    (8, -1.0), (8, float("nan"))])
+def test_verdict_rejects_bad_depth_and_tolerance_before_counting(ao3, K, tol, monkeypatch):
+    def no_counting(*args):
+        raise AssertionError("counted moments for an invalid request")
+
+    for name in ("kesten_counts", "chi_chi_star_counts", "char_moments"):
+        monkeypatch.setattr(fk.amenability, name, no_counting)
+    with pytest.raises(fk.FusionError):
+        fk.amenability_verdict(ao3, K=K, tol=tol)
+
+
+def test_default_tolerance_is_a_system_attribute(ao3, aut4, au2, f2, zdual, zmod3, zd2):
+    assert [s.amenability_tolerance for s in (ao3, aut4, zdual, zd2)] == [0.05] * 4
+    assert [s.amenability_tolerance for s in (au2, f2, zmod3)] == [0.15] * 3
+    assert fk.amenability_verdict(au2, K=4).tolerance == 0.15
+    assert fk.amenability_verdict(zdual, K=4).tolerance == 0.05

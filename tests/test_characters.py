@@ -197,3 +197,25 @@ def test_moment_reverse_star_symmetry(ao3, aut4, rng):
             bits = tuple(rng.random() < 0.5 for _ in range(rng.randint(1, 7)))
             w = StarWord(bits)
             assert fk.moment(sys, u, w) == fk.moment(sys, u, w.reversed_star())
+
+
+def moment_left_to_right(sys, u, w):
+    """Oracle: the full product of the word, letter by letter, then its unit part."""
+    ubar = sys.conj_element(u)
+    acc = sys.unit_element()
+    for starred in w.stars:
+        acc = sys.tensor(acc, ubar if starred else u)
+    return acc.mult(sys.unit)
+
+
+def test_moment_matches_left_to_right_product(au2, aut4, rng):
+    cases = [(au2, au2.fundamental()),
+             (au2, fk.parse_element(au2, "a + 2*ab")),
+             (aut4, fk.fundamental(aut4))]
+    for sys, u in cases:
+        words = [StarWord(), StarWord((True,)), StarWord((False, True, True))]
+        words += [StarWord(tuple(rng.random() < 0.5 for _ in range(rng.randint(1, 9))))
+                  for _ in range(25)]
+        assert any(len(w) % 2 for w in words)
+        for w in words:
+            assert fk.moment(sys, u, w) == moment_left_to_right(sys, u, w), (sys, u, str(w))

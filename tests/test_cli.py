@@ -156,6 +156,27 @@ def test_computation_error_exit_code(configs, capsys):
     assert code == 1
     assert env["outputs"]["kind"] == "computation"
     assert "budget" in env["outputs"]["error"]
+    assert env["outputs"]["error"].endswith("d(e, s t s)")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("amenable", ["--depth", "2"]),
+    ("amenable", ["--depth", "0"]),
+    ("amenable", ["--depth", "8", "--tol", "-1"]),
+    ("amenable", ["--depth", "8", "--tol", "nan"]),
+    ("modular-spectrum", ["--list", "q^x"]),
+    ("modular-spectrum", ["--list", "q^1/0"]),
+    ("modular-spectrum", ["--list", "q,q^-1", "--member", "q,q^x"]),
+    ("distance", ["--v", "e + s + s^-1 + t + t^-1", "--a", "e", "--b", "s",
+                  "--budget", "-1"]),
+], ids=["depth-2", "depth-0", "tol-negative", "tol-nan", "list-syntax", "list-zero-denominator",
+        "member-syntax", "budget-negative"])
+def test_flag_errors_are_config_errors(configs, capsys, command, flags):
+    family = configs["f2" if command == "distance" else "ao3"]
+    code, env = run_cli(capsys, command, "--family", family, *flags)
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["inputs"]["family"] == family
 
 
 def test_determinism(configs, capsys):

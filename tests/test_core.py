@@ -159,3 +159,56 @@ def test_element_hash_and_contains(ao2):
     assert x == y and hash(x) == hash(y)
     assert x.contains(FusionElement({ao2.r(3): 1}))
     assert not x.contains(FusionElement({ao2.r(3): 3}))
+
+
+# -- unit multiplicities at half depth, against the full-power expansion
+
+def moments_by_full_powers(sys, x, N):
+    """Oracle: form every power x^j, j = 0..N, and read the unit off each."""
+    acc = sys.unit_element()
+    out = [acc.mult(sys.unit)]
+    for _ in range(N):
+        acc = sys.tensor(acc, x)
+        out.append(acc.mult(sys.unit))
+    return out
+
+
+def _kernel_cases():
+    ao3, aut5, au2 = fk.AoSystem(3), fk.AutSystem(5), fk.AuSystem(2)
+    zz3 = fk.GroupDualSystem([None, 3], names=["g", "h"])
+    zd2 = fk.ZdDualSystem(2)
+    u = au2.fundamental()
+    return [
+        ("a_o(3)", ao3, ao3.fundamental()),
+        ("aut(5)", aut5, aut5.fundamental()),
+        ("a_u(2) u", au2, u),
+        ("a_u(2) u ubar", au2, au2.tensor(u, au2.conj_element(u))),
+        ("Z*Z/3", zz3, fk.parse_element(zz3, "2*e + g + h + h^2")),
+        ("Z^2", zd2, zd2.fundamental()),
+    ]
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name, sys, x", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_unit_moments_match_full_powers(name, sys, x):
+    full = moments_by_full_powers(sys, x, 12)
+    for N in range(13):
+        assert sys.unit_moments(x, N) == full[:N + 1], (name, N)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_unit_moments_and_unit_mult_random(family, rng, request):
+    sys = request.getfixturevalue(family)
+    pool = label_pool(sys)
+    for _ in range(6):
+        x = random_element(sys, rng, pool)
+        assert sys.unit_moments(x, 7) == moments_by_full_powers(sys, x, 7)
+    for _ in range(40):
+        x = random_element(sys, rng, pool, max_terms=4)
+        y = random_element(sys, rng, pool, max_terms=4)
+        assert sys.unit_mult(x, y) == sys.tensor(x, y).mult(sys.unit)
+    assert sys.unit_mult(x, FusionElement.zero()) == 0
+    with pytest.raises(fk.FusionError):
+        sys.unit_moments(x, -1)

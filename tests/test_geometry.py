@@ -88,6 +88,50 @@ def test_budget_exhaustion(zdual):
         fk.distance(z2, v_partial, z2.unit, z2.vector((0, 1)), budget=10)
 
 
+def test_budget_errors_name_wire_labels(f2):
+    v = std_generator(f2)
+    with pytest.raises(fk.BudgetExceededError, match=r"d\(e, s t s\)$"):
+        fk.distance(f2, v, f2.unit, f2.parse_label("s t s"), budget=2)
+    w = fk.parse_element(f2, "s t + e")
+    with pytest.raises(fk.BudgetExceededError, match=r"containment of e \+ s t$"):
+        fk.geometry.containment_index(f2, fk.parse_element(f2, "e + s + s^-1"), w, budget=3)
+
+    class IntegerDual(fk.FusionSystem):
+        """The dual of Z with bare integer payloads and no label syntax of its own."""
+
+        def __init__(self):
+            super().__init__("integers")
+            self._unit = self.label(0)
+
+        def validate_payload(self, payload):
+            return payload
+
+        def _tensor_irr(self, a, b):
+            return FusionElement({self.label(a.payload + b.payload): 1})
+
+        def conj_irr(self, a):
+            return self.label(-a.payload)
+
+        def dim_irr(self, a):
+            return 1
+
+        def sort_key(self, label):
+            return label.payload
+
+    z = IntegerDual()
+    v = FusionElement({z.label(k): 1 for k in (-1, 0, 1)})
+    with pytest.raises(fk.BudgetExceededError, match=r"d\(0, 9\)$"):
+        fk.distance(z, v, z.unit, z.label(9), budget=3)
+
+
+def test_negative_budget_rejected(f2):
+    v = std_generator(f2)
+    for call in (lambda: fk.distance(f2, v, f2.unit, f2.unit, budget=-1),
+                 lambda: fk.geometry.containment_index(f2, v, v, budget=-1)):
+        with pytest.raises(fk.FusionError, match="budget must be >= 0"):
+            call()
+
+
 def test_ball_and_sphere_f2(f2):
     v = std_generator(f2)
     assert fk.ball(f2, v, f2.unit, 0) == frozenset({f2.unit})
