@@ -113,8 +113,13 @@ def char_moments(sys: FusionSystem, x: FusionElement, N: int) -> list[int]:
     if split is not None:
         c0, parts = split
         kappa = [0] * (N + 1)
+        # factors with the same moments (s + s^-1, t + t^-1 in F2) share cumulants
+        by_moments: dict[tuple[int, ...], list[int]] = {}
         for part in parts:
-            k = moments_to_free_cumulants(sys.unit_moments(part, N))
+            m = tuple(sys.unit_moments(part, N))
+            if m not in by_moments:
+                by_moments[m] = moments_to_free_cumulants(list(m))
+            k = by_moments[m]
             for j in range(1, N + 1):
                 kappa[j] += k[j]
         kappa[1] += c0

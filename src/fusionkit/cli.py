@@ -17,6 +17,7 @@ import sys as _sys
 import tempfile
 import time
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,14 @@ class ConfigError(FusionError):
     """Invalid configuration file or flags."""
 
 
+class UsageError(ConfigError):
+    """Arguments the command-line parser rejects; ``command`` is None when unknown."""
+
+    def __init__(self, message: str, command: str | None):
+        super().__init__(message)
+        self.command = command
+
+
 # ---------------------------------------------------------------------------
 # persistent pair cache
 # ---------------------------------------------------------------------------
@@ -49,17 +58,23 @@ class DiskCache:
     pair, so no engine version reads products another one wrote.  Entries
     are JSON files written atomically (temp file + rename), so concurrent
     processes can share a cache directory.  Corrupt entries are ignored
-    and recomputed; I/O failures degrade to memory-only with a warning.
+    and recomputed; I/O failures degrade to memory-only with a warning,
+    and ``degraded`` keeps the reason for the envelope.
     """
 
     def __init__(self, directory: str):
         self.directory = directory
         self.enabled = True
+        self.degraded: list[str] = []
         try:
             os.makedirs(directory, exist_ok=True)
         except OSError as exc:
-            warnings.warn(f"cache directory unusable ({exc}); falling back to memory")
-            self.enabled = False
+            self._degrade(f"cache directory unusable ({exc}); falling back to memory")
+
+    def _degrade(self, reason: str) -> None:
+        warnings.warn(reason)
+        self.degraded.append(reason)
+        self.enabled = False
 
     def _path(self, sys: FusionSystem, a: IrrLabel, b: IrrLabel) -> str:
         key = json.dumps([__version__, sys.fingerprint(), sys.format_label(a),
@@ -89,8 +104,7 @@ class DiskCache:
                 json.dump(element_to_json(sys, value), fh)
             os.replace(tmp, path)
         except OSError as exc:
-            warnings.warn(f"cache write failed ({exc}); continuing without disk cache")
-            self.enabled = False
+            self._degrade(f"cache write failed ({exc}); continuing without disk cache")
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +171,22 @@ def load_family_config(path: str) -> FamilyConfig:
                         cache_dir=cache_dir)
 
 
-def _attach_cache(args, cfg: FamilyConfig) -> None:
+def _attach_cache(args, cfg: FamilyConfig) -> DiskCache | None:
     directory = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or cfg.cache_dir
-    if directory:
-        cfg.system.attach_disk_cache(DiskCache(directory))
+    if not directory:
+        return None
+    cache = DiskCache(directory)
+    cfg.system.attach_disk_cache(cache)
+    return cache
 
 
 # ---------------------------------------------------------------------------
 # envelope
 # ---------------------------------------------------------------------------
 
-def make_envelope(command: str, inputs: dict, outputs, exact: bool = True,
-                  elapsed_ms: float | None = None) -> dict:
-    return {
+def make_envelope(command: str | None, inputs: dict, outputs, exact: bool = True,
+                  elapsed_ms: float | None = None, degraded: Sequence[str] = ()) -> dict:
+    envelope = {
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
@@ -177,6 +194,9 @@ def make_envelope(command: str, inputs: dict, outputs, exact: bool = True,
         "engine_version": __version__,
         "elapsed_ms": elapsed_ms,
     }
+    if degraded:
+        envelope["degraded"] = list(degraded)
+    return envelope
 
 
 def emit(envelope: dict) -> None:
@@ -417,15 +437,28 @@ def _cmd_powers_search(args, cfg: FamilyConfig):
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a UsageError (one envelope) instead of exiting."""
+
+    command: str | None = None  # set on each subcommand's parser
+    subcommands: dict[str, "_Parser"]  # set on the top-level parser
+
+    def error(self, message: str):
+        self.print_usage(_sys.stderr)
+        raise UsageError(f"{self.prog}: {message}", self.command)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusionkit",
         description="Exact fusion-semiring computations for compact quantum groups")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     def family_cmd(name, fn, echo, **kw):
         """A subcommand whose envelope echoes ``--family`` and the ``echo`` arguments."""
         p = sub.add_parser(name, **kw)
+        p.command = name
         p.add_argument("--family", required=True, help="family config JSON path")
         p.add_argument("--cache-dir", default=None,
                        help=f"pair-product cache directory (or ${CACHE_ENV_VAR})")
@@ -501,25 +534,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            parser.subcommands[args.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
+    except UsageError as exc:
+        emit(make_envelope(exc.command, {"argv": argv},
+                           {"error": str(exc), "kind": "config"}))
+        return 2
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     started = time.perf_counter()
     inputs = {name: getattr(args, name) for name in args.echo}
+    cache = None
+    elapsed_ms = None
     try:
         cfg = load_family_config(args.family)
-        _attach_cache(args, cfg)
+        cache = _attach_cache(args, cfg)
         outputs, exact = args.fn(args, cfg)
+        code = 0
+        elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
     except ConfigError as exc:
-        emit(make_envelope(args.command, inputs, {"error": str(exc), "kind": "config"}))
-        return 2
+        outputs, exact, code = {"error": str(exc), "kind": "config"}, True, 2
     except FusionError as exc:
-        emit(make_envelope(args.command, inputs, {"error": str(exc), "kind": "computation"}))
-        return 1
-    elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    emit(make_envelope(args.command, inputs, outputs, exact, elapsed_ms))
-    return 0
+        outputs, exact, code = {"error": str(exc), "kind": "computation"}, True, 1
+    emit(make_envelope(args.command, inputs, outputs, exact, elapsed_ms,
+                       cache.degraded if cache else ()))
+    return code
 
 
 def main() -> None:

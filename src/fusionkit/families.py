@@ -189,21 +189,6 @@ class GroupDualSystem(GroupDualBase):
                 out.extend(w + ((i, e),) for e in range(1, m))
         return out
 
-    def extends(self, w: Word, p: Word) -> bool:
-        """Whether the normal-form prefix tree path to ``w`` passes ``p``."""
-        if not p:
-            return True
-        if len(w) < len(p):
-            return False
-        if w[: len(p) - 1] != p[: len(p) - 1]:
-            return False
-        (fw, ew), (fp, ep) = w[len(p) - 1], p[-1]
-        if fw != fp:
-            return False
-        if self.factors[fp] is None:
-            return (ew > 0) == (ep > 0) and abs(ew) >= abs(ep)
-        return ew == ep
-
     def descend(self, w: Word, depth: int) -> tuple[list[Word], list[Word]]:
         """All strict tree extensions of ``w``: (interior at depth < k, frontier at k)."""
         interior: list[Word] = []

@@ -9,6 +9,14 @@ excluded ones.  That representation is closed under union, intersection
 and complement, so witness conditions of the form ``F o D /\\ D = empty``
 and ``r_i o E /\\ r_j o E = empty`` are decided exactly.
 
+Every coverage question ("does some cylinder lie on the tree path to
+``w``?") is answered by one index per set, built when the set is made: it
+files each cylinder under its stem, the factor of its last syllable and
+the ray of that syllable (the sign of a ``Z`` exponent, the exact ``Z/m``
+exponent), keeping the least ``|exponent|``.  A coverage test then costs
+``len(w)`` dictionary lookups rather than a scan of the cylinder list, and
+canonicalization, membership, intersection and complement all use it.
+
 Left translation of a cylinder is computed by case analysis on how the
 multiplier's tail interacts with the prefix: cancellation can travel along
 an integer-exponent ray, and the image is a finite union of cylinders and
@@ -60,40 +68,89 @@ class FiniteIrrSet:
         return not self.labels
 
 
+class _HeadIndex:
+    """The cylinders of a set, keyed by their last syllable.
+
+    A nonempty prefix ``p`` is filed under ``(p[:-1], factor, ray)`` of its
+    last syllable, where ``ray`` is the exponent's sign for a ``Z`` factor
+    and the exponent itself for a ``Z/m`` factor; the value is the least
+    ``|exponent|`` filed under that head.  The tree path to ``w`` passes
+    ``p`` exactly when, at the syllable ``i = len(p) - 1``, ``w`` has the
+    same stem, factor and ray and at least that ``|exponent|``, so coverage
+    costs one lookup per syllable of ``w``.  The empty prefix covers
+    everything and is a flag.
+    """
+
+    __slots__ = ("factors", "everything", "least")
+
+    def __init__(self, factors: tuple[int | None, ...]):
+        self.factors = factors
+        self.everything = False
+        self.least: dict[tuple, int] = {}
+
+    def _head(self, stem: Word, f: int, e: int) -> tuple:
+        return stem, f, (e > 0) if self.factors[f] is None else e
+
+    def add(self, p: Word) -> None:
+        if not p:
+            self.everything = True
+            return
+        f, e = p[-1]
+        key = self._head(p[:-1], f, e)
+        least = self.least.get(key)
+        if least is None or abs(e) < least:
+            self.least[key] = abs(e)
+
+    def covers(self, w: Word) -> bool:
+        """Whether some filed cylinder lies on the tree path to ``w``."""
+        if self.everything:
+            return True
+        least = self.least
+        for i, (f, e) in enumerate(w):
+            bound = least.get(self._head(w[:i], f, e))
+            if bound is not None and bound <= abs(e):
+                return True
+        return False
+
+
 class WordSet:
     """Finitely described subset of a group dual's irreducibles.
 
     Membership: ``(covered by a cylinder and not excluded) or included``.
     The canonical form keeps cylinder prefixes an antichain, includes
-    outside the coverage, excludes inside it.
+    outside the coverage, excludes inside it.  The cylinders are indexed
+    once, by their last syllable (``_HeadIndex``), so deciding whether a
+    word ``w`` is covered takes ``len(w)`` lookups whatever the number of
+    cylinders.
     """
 
-    __slots__ = ("system", "cylinders", "includes", "excludes")
+    __slots__ = ("system", "cylinders", "includes", "excludes", "_heads")
 
     def __init__(self, system: GroupDualSystem, cylinders: frozenset[Word],
-                 includes: frozenset[Word], excludes: frozenset[Word]):
+                 includes: frozenset[Word], excludes: frozenset[Word],
+                 heads: _HeadIndex):
         self.system = system
         self.cylinders = cylinders
         self.includes = includes
         self.excludes = excludes
+        self._heads = heads
 
     # construction ---------------------------------------------------------
 
     @classmethod
     def make(cls, sys: GroupDualSystem, cylinders: Iterable[Word] = (),
              includes: Iterable[Word] = (), excludes: Iterable[Word] = ()) -> "WordSet":
+        # in _word_key order a cylinder comes after every prefix it extends
+        heads = _HeadIndex(sys.factors)
         cyls: list[Word] = []
         for p in sorted(set(cylinders), key=lambda w: _word_key(sys, w)):
-            if not any(sys.extends(p, q) for q in cyls):
+            if not heads.covers(p):
+                heads.add(p)
                 cyls.append(p)
-
-        def covered(w: Word) -> bool:
-            return any(sys.extends(w, q) for q in cyls)
-
         includes = set(includes)
-        inc = frozenset(w for w in includes if not covered(w))
-        exc = frozenset(w for w in set(excludes) if covered(w) and w not in includes)
-        return cls(sys, frozenset(cyls), inc, exc)
+        inc = frozenset(w for w in includes if not heads.covers(w))
+        exc = frozenset(w for w in set(excludes) if w not in includes and heads.covers(w))
+        return cls(sys, frozenset(cyls), inc, exc, heads)
 
     @classmethod
     def empty(cls, sys: GroupDualSystem) -> "WordSet":
@@ -117,7 +174,7 @@ class WordSet:
     # membership -----------------------------------------------------------
 
     def _covered(self, w: Word) -> bool:
-        return any(self.system.extends(w, q) for q in self.cylinders)
+        return self._heads.covers(w)
 
     def member_word(self, w: Word) -> bool:
         if w in self.includes:
@@ -153,13 +210,9 @@ class WordSet:
     def intersect(self, other: "WordSet") -> "WordSet":
         self._same(other)
         sys = self.system
-        cyls: set[Word] = set()
-        for p in self.cylinders:
-            for q in other.cylinders:
-                if sys.extends(p, q):
-                    cyls.add(p)
-                elif sys.extends(q, p):
-                    cyls.add(q)
+        # the deeper of two nested cylinders is their intersection
+        cyls = ({p for p in self.cylinders if other._covered(p)}
+                | {q for q in other.cylinders if self._covered(q)})
         inc = ({w for w in self.includes if other.member_word(w)}
                | {w for w in other.includes if self.member_word(w)})
         exc = self.excludes | other.excludes
@@ -169,11 +222,13 @@ class WordSet:
         sys = self.system
         cyls_out: list[Word] = []
         words_out: list[Word] = []
+        # an uncovered node on the path to a cylinder has some cylinder below it
+        paths = _tree_paths(sys, self.cylinders)
 
         def walk(node: Word) -> None:
-            if any(sys.extends(node, q) for q in self.cylinders):
+            if self._covered(node):
                 return  # inside the coverage
-            if not any(sys.extends(q, node) for q in self.cylinders):
+            if node not in paths:
                 cyls_out.append(node)  # whole subtree misses the coverage
                 return
             words_out.append(node)
@@ -215,6 +270,20 @@ class WordSet:
             body += " \\ {" + ", ".join(
                 fmt(w) for w in sorted(self.excludes, key=lambda w: _word_key(sys, w))) + "}"
         return f"WordSet({body})"
+
+
+def _tree_paths(sys: GroupDualSystem, cylinders: Iterable[Word]) -> set[Word]:
+    """Every node on the normal-form tree path from the root to some cylinder."""
+    out: set[Word] = set()
+    for q in cylinders:
+        out.add(())
+        for i, (f, e) in enumerate(q):
+            if sys.factors[f] is None:
+                step = 1 if e > 0 else -1
+                out.update(q[:i] + ((f, step * j),) for j in range(1, abs(e) + 1))
+            else:
+                out.add(q[:i + 1])
+    return out
 
 
 @dataclass(frozen=True, slots=True)

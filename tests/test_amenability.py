@@ -59,6 +59,27 @@ def test_free_product_path_matches_direct_expansion(f2, zmod3):
     assert fk.kesten_counts(zmod3, mixed, 4) == counts_by_direct_expansion(zmod3, mixed, 4)
 
 
+@pytest.mark.parametrize("family, u, inversions", [
+    ("f2", None, 1),  # s + s^-1 and t + t^-1 have the same moments
+    ("zmod3", "g + h", 2),
+])
+def test_cumulants_once_per_distinct_factor_moments(family, u, inversions, request,
+                                                     monkeypatch):
+    sys = request.getfixturevalue(family)
+    u = four_letter_generator(sys) if u is None else fk.parse_element(sys, u)
+    calls = []
+    inverse = fk.amenability.moments_to_free_cumulants
+
+    def counted(moments):
+        calls.append(tuple(moments))
+        return inverse(moments)
+
+    monkeypatch.setattr(fk.amenability, "moments_to_free_cumulants", counted)
+    counts = fk.kesten_counts(sys, u, 4)
+    assert len(calls) == inversions
+    assert counts == counts_by_direct_expansion(sys, u, 4)
+
+
 def test_char_moments_free_path(f2):
     u4 = four_letter_generator(f2)
     m = fk.char_moments(f2, u4, 4)

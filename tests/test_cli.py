@@ -207,6 +207,58 @@ def test_cache_transparency(configs, capsys, tmp_path):
     assert any(files for _, _, files in os.walk(cache_dir))
 
 
+def test_unusable_cache_dir_is_reported_in_the_envelope(configs, capsys, tmp_path):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory")
+    argv = ["decompose", "--family", configs["ao3"], "--x", "r3", "--y", "r5"]
+    code, plain = run_cli(capsys, *argv)
+    assert "degraded" not in plain
+    with pytest.warns(UserWarning, match="cache directory unusable"):
+        code, env = run_cli(capsys, *argv, "--cache-dir", str(blocker / "cache"))
+    assert code == 0
+    assert env["outputs"] == plain["outputs"]
+    [reason] = env["degraded"]
+    assert reason.startswith("cache directory unusable")
+
+
+def test_failed_cache_write_degrades(tmp_path):
+    sys_ = fk.AoSystem(3)
+    cache = DiskCache(str(tmp_path / "c"))
+    assert cache.degraded == []
+    os.rmdir(tmp_path / "c")
+    (tmp_path / "c").write_text("the directory became a file")
+    with pytest.warns(UserWarning, match="cache write failed"):
+        cache.store(sys_, sys_.r(2), sys_.r(3), sys_.tensor_pair(sys_.r(2), sys_.r(3)))
+    assert len(cache.degraded) == 1 and not cache.enabled
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["decompose", "--x", "r1"], "decompose"),
+    (["bogus"], None),
+    ([], None),
+    (["moments", "--family", "ao3.json", "--u", "r1", "--k", "two"], "moments"),
+    (["decompose", "--family", "ao3.json", "--x", "r1", "--y", "r1", "--z", "r2"],
+     "decompose"),
+], ids=["missing-flags", "unknown-command", "no-command", "bad-int", "unknown-flag"])
+def test_usage_errors_end_in_one_config_envelope(capsys, argv, command):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    env = json.loads(out)
+    assert code == 2
+    assert env["command"] == command
+    assert env["inputs"] == {"argv": argv}
+    assert env["outputs"]["kind"] == "config"
+    assert "usage:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decompose", "--help"]])
+def test_help_keeps_its_text(capsys, argv):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: fusionkit")
+    assert "{" not in out.splitlines()[-1]
+
+
 def test_disk_cache_api(tmp_path):
     sys_ = fk.AoSystem(3)
     cache = DiskCache(str(tmp_path / "c"))

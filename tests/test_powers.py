@@ -60,6 +60,127 @@ def test_wordset_canonicalization(f2):
     assert S2.member_word(t)
 
 
+# -- the head index against the cylinder scans it replaced ---------------------
+
+def extends(sys, w, p):
+    """Whether the normal-form prefix tree path to ``w`` passes ``p``."""
+    if not p:
+        return True
+    if len(w) < len(p):
+        return False
+    if w[: len(p) - 1] != p[: len(p) - 1]:
+        return False
+    (fw, ew), (fp, ep) = w[len(p) - 1], p[-1]
+    if fw != fp:
+        return False
+    if sys.factors[fp] is None:
+        return (ew > 0) == (ep > 0) and abs(ew) >= abs(ep)
+    return ew == ep
+
+
+def word_key(sys, w):
+    return (sys.letter_length(w), len(w), w)
+
+
+def scan_make(sys, cylinders=(), includes=(), excludes=()):
+    """Canonical (cylinders, includes, excludes) by scanning the cylinder list."""
+    cyls = []
+    for p in sorted(set(cylinders), key=lambda w: word_key(sys, w)):
+        if not any(extends(sys, p, q) for q in cyls):
+            cyls.append(p)
+
+    def covered(w):
+        return any(extends(sys, w, q) for q in cyls)
+
+    includes = set(includes)
+    inc = frozenset(w for w in includes if not covered(w))
+    exc = frozenset(w for w in set(excludes) if covered(w) and w not in includes)
+    return frozenset(cyls), inc, exc
+
+
+def scan_member(sys, parts, w):
+    cyls, inc, exc = parts
+    if w in inc:
+        return True
+    return any(extends(sys, w, q) for q in cyls) and w not in exc
+
+
+def scan_intersect(sys, a, b):
+    cyls = set()
+    for p in a[0]:
+        for q in b[0]:
+            if extends(sys, p, q):
+                cyls.add(p)
+            elif extends(sys, q, p):
+                cyls.add(q)
+    inc = ({w for w in a[1] if scan_member(sys, b, w)}
+           | {w for w in b[1] if scan_member(sys, a, w)})
+    return scan_make(sys, cyls, inc, a[2] | b[2])
+
+
+def scan_complement(sys, a):
+    cyls_out, words_out = [], []
+
+    def walk(node):
+        if any(extends(sys, node, q) for q in a[0]):
+            return
+        if not any(extends(sys, q, node) for q in a[0]):
+            cyls_out.append(node)
+            return
+        words_out.append(node)
+        for c in sys.children(node):
+            walk(c)
+
+    walk(())
+    inc = (set(words_out) | set(a[2])) - set(a[1])
+    return scan_make(sys, cyls_out, inc, a[1])
+
+
+def parts_of(S):
+    return S.cylinders, S.includes, S.excludes
+
+
+def oracle_pool(sys):
+    """Words to depth 2, plus short rays and far (|exponent| 40) integer syllables."""
+    pool = enum_words(sys, 2)
+    for stem in enum_words(sys, 1):
+        for f, m in enumerate(sys.factors):
+            if m is None:
+                pool += [sys.reduce_word(stem + ((f, e),)) for e in (3, -3, 40, -40)]
+    return sorted(set(pool))
+
+
+def random_parts(sys, rng, pool):
+    cyls = rng.sample(pool, k=rng.randint(0, 4))
+    inc = rng.sample(pool, k=rng.randint(0, 3))
+    exc = rng.sample(pool, k=rng.randint(0, 2)) + rng.sample(inc, k=len(inc) // 2)
+    for p in cyls:  # words below the cylinders, so excludes survive
+        w = p
+        for _ in range(rng.randint(0, 3)):
+            w = rng.choice(sys.children(w))
+        rng.choice((inc, exc)).append(w)
+    return cyls, inc, exc
+
+
+@pytest.mark.parametrize("factors", [[None, None], [None, 3], [3, 5], [None]],
+                         ids=["f2", "z_z3", "z3_z5", "z"])
+def test_head_index_matches_cylinder_scans(factors, rng):
+    sys = fk.GroupDualSystem(factors)
+    pool = oracle_pool(sys)
+    ray = [((f, e),) for f, m in enumerate(factors) if m is None for e in (1, 3, -40)]
+    fixed = [([()], [(), ray[0] if ray else ((0, 1),)], []),  # everything
+             (ray, ray, ray)]  # nested cylinders on one ray, listed both ways
+    cases = fixed + [random_parts(sys, rng, pool) for _ in range(150)]
+    for (ca, ia, ea), (cb, ib, eb) in zip(cases, cases[1:] + cases[:1]):
+        A, B = WordSet.make(sys, ca, ia, ea), WordSet.make(sys, cb, ib, eb)
+        a, b = scan_make(sys, ca, ia, ea), scan_make(sys, cb, ib, eb)
+        assert parts_of(A) == a
+        for w in pool:
+            assert A.member_word(w) == scan_member(sys, a, w), w
+        assert parts_of(A.intersect(B)) == scan_intersect(sys, a, b)
+        assert parts_of(A.complement()) == scan_complement(sys, a)
+
+
 # -- translations against brute force ----------------------------------------
 
 @pytest.mark.parametrize("family", ["f2", "zmod3"])
