@@ -199,8 +199,17 @@ def make_envelope(command: str | None, inputs: dict, outputs, exact: bool = True
     return envelope
 
 
-def emit(envelope: dict) -> None:
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+def emit(envelope: dict, code: int) -> int:
+    """Print the envelope and return ``code``, or 1 if stdout's reader is gone."""
+    try:
+        print(json.dumps(envelope, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +550,8 @@ def run(argv: list[str] | None = None) -> int:
             parser.subcommands[args.command].error(
                 f"unrecognized arguments: {' '.join(extra)}")
     except UsageError as exc:
-        emit(make_envelope(exc.command, {"argv": argv},
-                           {"error": str(exc), "kind": "config"}))
-        return 2
+        return emit(make_envelope(exc.command, {"argv": argv},
+                                  {"error": str(exc), "kind": "config"}), 2)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     started = time.perf_counter()
@@ -560,9 +568,8 @@ def run(argv: list[str] | None = None) -> int:
         outputs, exact, code = {"error": str(exc), "kind": "config"}, True, 2
     except FusionError as exc:
         outputs, exact, code = {"error": str(exc), "kind": "computation"}, True, 1
-    emit(make_envelope(args.command, inputs, outputs, exact, elapsed_ms,
-                       cache.degraded if cache else ()))
-    return code
+    return emit(make_envelope(args.command, inputs, outputs, exact, elapsed_ms,
+                              cache.degraded if cache else ()), code)
 
 
 def main() -> None:

@@ -171,7 +171,8 @@ class GroupDualSystem(GroupDualBase):
             total += abs(e) if self.factors[f] is None else 1
         return total
 
-    # the normal-form prefix tree (used by metric oracles and set calculus)
+    # the normal-form prefix tree: the set calculus walks it for complements,
+    # cylinder paths and the witness search pool, and test oracles enumerate it
 
     def children(self, w: Word) -> list[Word]:
         out: list[Word] = []
@@ -188,22 +189,6 @@ class GroupDualSystem(GroupDualBase):
             else:
                 out.extend(w + ((i, e),) for e in range(1, m))
         return out
-
-    def descend(self, w: Word, depth: int) -> tuple[list[Word], list[Word]]:
-        """All strict tree extensions of ``w``: (interior at depth < k, frontier at k)."""
-        interior: list[Word] = []
-        frontier: list[Word] = []
-        layer = [w]
-        for step in range(depth):
-            nxt: list[Word] = []
-            for node in layer:
-                nxt.extend(self.children(node))
-            if step + 1 == depth:
-                frontier = nxt
-            else:
-                interior.extend(nxt)
-            layer = nxt
-        return interior, frontier
 
     # fusion rules ------------------------------------------------------------
 

@@ -10,22 +10,23 @@ and complement, so witness conditions of the form ``F o D /\\ D = empty``
 and ``r_i o E /\\ r_j o E = empty`` are decided exactly.
 
 Every coverage question ("does some cylinder lie on the tree path to
-``w``?") is answered by one index per set, built when the set is made: it
-files each cylinder under its stem, the factor of its last syllable and
-the ray of that syllable (the sign of a ``Z`` exponent, the exact ``Z/m``
-exponent), keeping the least ``|exponent|``.  A coverage test then costs
-``len(w)`` dictionary lookups rather than a scan of the cylinder list, and
-canonicalization, membership, intersection and complement all use it.
+``w``?") is answered by one index per set, built when the set is made: a
+trie of cylinder stems whose nodes file each last syllable by factor and
+ray (the sign of a ``Z`` exponent, the exact ``Z/m`` exponent), keeping
+the least ``|exponent|``.  A coverage test walks ``w`` down the trie
+instead of scanning the cylinders.
 
-Left translation of a cylinder is computed by case analysis on how the
-multiplier's tail interacts with the prefix: cancellation can travel along
-an integer-exponent ray, and the image is a finite union of cylinders and
-words.  Right translation uses a frontier decomposition: deep enough
-extensions translate to whole subtrees, the shallow shell is enumerated.
+Both translations end in one step: the image gets its cylinders, and
+finitely many candidate words are each decided by whether their preimage
+is a member.  Left translation of a cylinder is a case analysis on how
+the multiplier's tail cancels into the prefix, along an integer-exponent
+ray if need be.  Right translation keeps the cylinders, since
+``S.x = {u : u x^-1 in S}`` and ``x`` moves only the last ``|x|`` letters.
 A product of two infinite cylinder sets is everything for nonelementary
-free products (both factors can be steered to hit any target); the single
-integer-factor case is ray arithmetic, and the order-2 * order-2 case is
-refused rather than approximated.
+free products (both factors can be steered to hit any target); for the
+single integer factor only the rays are multiplied and each listed point
+translates the other set; the order-2 * order-2 case is refused rather
+than approximated.
 
 The module is a witness checker and bounded searcher, not a decision
 procedure for the paradoxicality property itself: a failed bounded search
@@ -34,6 +35,7 @@ proves nothing, and reports say so.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -71,45 +73,52 @@ class FiniteIrrSet:
 class _HeadIndex:
     """The cylinders of a set, keyed by their last syllable.
 
-    A nonempty prefix ``p`` is filed under ``(p[:-1], factor, ray)`` of its
-    last syllable, where ``ray`` is the exponent's sign for a ``Z`` factor
-    and the exponent itself for a ``Z/m`` factor; the value is the least
-    ``|exponent|`` filed under that head.  The tree path to ``w`` passes
-    ``p`` exactly when, at the syllable ``i = len(p) - 1``, ``w`` has the
-    same stem, factor and ray and at least that ``|exponent|``, so coverage
-    costs one lookup per syllable of ``w``.  The empty prefix covers
-    everything and is a flag.
+    A nonempty prefix ``p`` is filed in a trie of stems: the node reached
+    by the syllables of ``p[:-1]`` maps ``(factor, ray)`` of ``p``'s last
+    syllable, where ``ray`` is the exponent's sign for a ``Z`` factor and
+    the exponent itself for a ``Z/m`` factor, to the least ``|exponent|``
+    filed there.  The tree path to ``w`` passes ``p`` exactly when, at the
+    syllable ``i = len(p) - 1``, ``w`` has the same stem, factor and ray
+    and at least that ``|exponent|``, so coverage walks ``w`` down the trie
+    at two lookups per syllable.  The empty prefix covers everything and
+    is a flag.
     """
 
-    __slots__ = ("factors", "everything", "least")
+    __slots__ = ("factors", "everything", "root")
 
     def __init__(self, factors: tuple[int | None, ...]):
         self.factors = factors
         self.everything = False
-        self.least: dict[tuple, int] = {}
-
-    def _head(self, stem: Word, f: int, e: int) -> tuple:
-        return stem, f, (e > 0) if self.factors[f] is None else e
+        self.root: tuple[dict, dict] = ({}, {})  # (least by head, child by syllable)
 
     def add(self, p: Word) -> None:
         if not p:
             self.everything = True
             return
+        node = self.root
+        for syl in p[:-1]:
+            if syl not in node[1]:
+                node[1][syl] = ({}, {})
+            node = node[1][syl]
         f, e = p[-1]
-        key = self._head(p[:-1], f, e)
-        least = self.least.get(key)
+        key = f, (e > 0) if self.factors[f] is None else e
+        least = node[0].get(key)
         if least is None or abs(e) < least:
-            self.least[key] = abs(e)
+            node[0][key] = abs(e)
 
     def covers(self, w: Word) -> bool:
         """Whether some filed cylinder lies on the tree path to ``w``."""
         if self.everything:
             return True
-        least = self.least
-        for i, (f, e) in enumerate(w):
-            bound = least.get(self._head(w[:i], f, e))
+        factors = self.factors
+        node = self.root
+        for f, e in w:
+            bound = node[0].get((f, (e > 0) if factors[f] is None else e))
             if bound is not None and bound <= abs(e):
                 return True
+            node = node[1].get((f, e))
+            if node is None:
+                return False
         return False
 
 
@@ -313,32 +322,32 @@ def _cross_children(sys: GroupDualSystem, w: Word) -> list[Word]:
     return [c for c in sys.children(w) if len(c) > len(w)]
 
 
-def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word) -> tuple[set[Word], set[Word]]:
-    """Image of ``x . Cyl(q)`` as (cylinder prefixes, single words)."""
+def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word, cyls: set[Word],
+                  words: set[Word], todo: list[Word]) -> None:
+    """Add ``x . Cyl(q)`` to ``cyls`` (prefixes) and ``words``; children of
+    ``q`` whose cancellation cascades further into ``x`` go on ``todo``."""
     if not q:
-        return {()}, set()  # translation permutes the whole tree
+        cyls.add(())  # translation permutes the whole tree
+        return
     r1 = sys.reduce_word(x + q[:-1])
     f, e = q[-1]
     if not r1 or r1[-1][0] != f:
-        return {r1 + ((f, e),)}, set()
+        cyls.add(r1 + ((f, e),))
+        return
     r2, a = r1[:-1], r1[-1][1]
     m = sys.factors[f]
-    cyls: set[Word] = set()
-    words: set[Word] = set()
     if m is not None:
         me = (a + e) % m
         if me:
-            return {r2 + ((f, me),)}, set()
+            cyls.add(r2 + ((f, me),))
+            return
         words.add(r2)
         for c in _cross_children(sys, q):
-            h = c[-1][0]
-            if r2 and r2[-1][0] == h:
-                cc, ww = _left_mul_cyl(sys, x, c)  # cancellation cascades into x
-                cyls |= cc
-                words |= ww
+            if r2 and r2[-1][0] == c[-1][0]:
+                todo.append(c)  # cancellation cascades into x
             else:
                 cyls.add(r2 + (c[-1],))
-        return cyls, words
+        return
     # integer factor: walk the exponent ray until the merged sign stabilizes
     s = 1 if e > 0 else -1
     j = 0
@@ -346,7 +355,7 @@ def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word) -> tuple[set[Word], se
         Mj = a + e + j * s
         if Mj != 0 and (Mj > 0) == (s > 0):
             cyls.add(r2 + ((f, Mj),))
-            return cyls, words
+            return
         qj = q[:-1] + ((f, e + j * s),)
         words.add(r2 if Mj == 0 else r2 + ((f, Mj),))
         for c in _cross_children(sys, qj):
@@ -354,51 +363,57 @@ def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word) -> tuple[set[Word], se
             if Mj != 0:
                 cyls.add(r2 + ((f, Mj), (h, eps)))
             elif r2 and r2[-1][0] == h:
-                cc, ww = _left_mul_cyl(sys, x, c)
-                cyls |= cc
-                words |= ww
+                todo.append(c)
             else:
                 cyls.add(r2 + ((h, eps),))
         j += 1
 
 
+def _translated(sys: GroupDualSystem, S: WordSet, cyls: Iterable[Word],
+                cands: Iterable[Word], image, preimage) -> WordSet:
+    """The translate of ``S`` that agrees with ``cyls`` off ``cands`` and the
+    images of ``S``'s listed words; those are decided by their preimages."""
+    cands = set(cands)
+    cands.update(image(w) for w in S.includes | S.excludes)
+    inc = {u for u in cands if S.member_word(preimage(u))}
+    return WordSet.make(sys, cyls, inc, cands - inc)
+
+
 def _left_translate(sys: GroupDualSystem, x: Word, S: WordSet) -> WordSet:
     cyls: set[Word] = set()
     words: set[Word] = set()
-    for q in S.cylinders:
-        cc, ww = _left_mul_cyl(sys, x, q)
-        cyls |= cc
-        words |= ww
-    # translation is injective: excluded preimages remove exactly their images
-    excl = {sys.reduce_word(x + w) for w in S.excludes}
-    words -= excl
-    reincluded = {sys.reduce_word(x + w) for w in S.includes}
-    return WordSet.make(sys, cyls, words | reincluded, excl - reincluded)
+    todo = list(S.cylinders)
+    while todo:
+        _left_mul_cyl(sys, x, todo.pop(), cyls, words, todo)
+    x_inv = sys.inverse_word(x)
+    return _translated(sys, S, cyls, words, lambda w: sys.reduce_word(x + w),
+                       lambda u: sys.reduce_word(x_inv + u))
+
+
+def _tails(sys: GroupDualSystem, x: Word) -> list[Word]:
+    """Every suffix of ``x`` cut between tree letters, the empty one too
+    (``g^e`` in ``Z`` is ``|e|`` letters, a ``Z/m`` syllable one)."""
+    out: list[Word] = [()]
+    for i, (f, e) in enumerate(x):
+        step = 1 if e > 0 else -1
+        heads = range(step, e + step, step) if sys.factors[f] is None else (e,)
+        out.extend(((f, h),) + x[i + 1:] for h in heads)
+    return out
 
 
 def _right_translate(sys: GroupDualSystem, S: WordSet, x: Word) -> WordSet:
-    if x == ():
-        return S
-    cyls: set[Word] = set()
-    words: set[Word] = set()
-    lx = sys.letter_length(x)
-    deep, shell = lx + 2, 2 * lx + 2
-    for q in S.cylinders:
-        # extensions at depth >= deep translate to whole subtrees; products
-        # from the shallow shell may land anywhere and are enumerated
-        shell_interior, _ = sys.descend(q, shell)
-        frontier = [d for d in shell_interior if _rel_depth(sys, d, q) == deep]
-        cyls.update(frontier)
-        for w in [q, *shell_interior]:
-            words.add(sys.reduce_word(w + x))
-    excl = {sys.reduce_word(w + x) for w in S.excludes}
-    words -= excl
-    reincluded = {sys.reduce_word(w + x) for w in S.includes}
-    return WordSet.make(sys, cyls, words | reincluded, excl - reincluded)
+    """``S.x = {u : u x^-1 in S}``: ``S``'s cylinders, and candidate words.
 
-
-def _rel_depth(sys: GroupDualSystem, w: Word, q: Word) -> int:
-    return sys.letter_length(w) - sys.letter_length(q)
+    Where ``u`` and ``v = u x^-1`` disagree on ``Cyl(q)``, ``u = z a`` for
+    a tail ``a`` of ``x`` and ``z`` on the path to ``q``: ``q`` itself when
+    ``u`` lies under ``q``, else where ``v`` leaves ``u``'s path (one step
+    towards ``v`` if ``v x`` merges a ``Z/m`` syllable).
+    """
+    tails = _tails(sys, x)
+    cands = {sys.reduce_word(z + a) for z in _tree_paths(sys, S.cylinders) for a in tails}
+    x_inv = sys.inverse_word(x)
+    return _translated(sys, S, S.cylinders, cands, lambda w: sys.reduce_word(w + x),
+                       lambda u: sys.reduce_word(u + x_inv))
 
 
 def _is_nonelementary(sys: GroupDualSystem) -> bool:
@@ -407,23 +422,21 @@ def _is_nonelementary(sys: GroupDualSystem) -> bool:
     return not (len(sys.factors) == 2 and sys.factors[0] == 2 and sys.factors[1] == 2)
 
 
-def _single_z_ray_product(sys: GroupDualSystem, S: WordSet, T: WordSet) -> WordSet:
-    # dual of Z: words are g^k, cylinders are the half-rays {g^(s*k) : k >= a}
+def _z_rays_product(sys: GroupDualSystem, S: WordSet, T: WordSet) -> WordSet:
+    """In the dual of Z, the product of the rays ``{g^(s*k) : k >= a}`` of
+    two sets, less their excludes."""
 
-    def parts(W: WordSet):
-        rays = [(1 if p[0][1] > 0 else -1, abs(p[0][1])) for p in W.cylinders]
-        points = {w[0][1] if w else 0 for w in W.includes}
-        exc = {w[0][1] if w else 0 for w in W.excludes}
-        return rays, points, exc
+    def rays(W: WordSet):
+        return ([(1 if p[0][1] > 0 else -1, abs(p[0][1])) for p in W.cylinders],
+                {w[0][1] if w else 0 for w in W.excludes})
 
     def word_at(k: int) -> Word:
         return () if k == 0 else ((0, k),)
 
-    rays_s, pts_s, exc_s = parts(S)
-    rays_t, pts_t, exc_t = parts(T)
+    rays_s, exc_s = rays(S)
+    rays_t, exc_t = rays(T)
     out_values: set[int] = set()
     out_rays: set[tuple[int, int]] = set()  # (sign, first magnitude fully reached)
-
     for (s1, a1), (s2, a2) in itertools.product(rays_s, rays_t):
         if s1 != s2:
             # opposite rays: every integer has infinitely many decompositions
@@ -434,29 +447,8 @@ def _single_z_ray_product(sys: GroupDualSystem, S: WordSet, T: WordSet) -> WordS
             if any(s1 * i not in exc_s and s1 * (k - i) not in exc_t
                    for i in range(a1, k - a2 + 1)):
                 out_values.add(s1 * k)
-
-    def ray_plus_point(s: int, a: int, exc: set[int], j: int) -> None:
-        # {s*k + j : k >= a, s*k not excluded}
-        biggest = max((abs(v) for v in exc), default=0)
-        k0 = max(a, biggest + abs(j) + 2)
-        for k in range(a, k0):
-            if s * k not in exc:
-                out_values.add(s * k + j)
-        out_rays.add((s, abs(s * k0 + j)))
-
-    for (s1, a1) in rays_s:
-        for j in pts_t:
-            ray_plus_point(s1, a1, exc_s, j)
-    for (s2, a2) in rays_t:
-        for i in pts_s:
-            ray_plus_point(s2, a2, exc_t, i)
-    for i in pts_s:
-        for j in pts_t:
-            out_values.add(i + j)
-
-    cylinders = [word_at(s * a) for s, a in out_rays]
-    includes = [word_at(v) for v in out_values]
-    return WordSet.make(sys, cylinders, includes)
+    return WordSet.make(sys, [word_at(s * a) for s, a in out_rays],
+                        [word_at(v) for v in out_values])
 
 
 def set_product(sys: FusionSystem, S, T):
@@ -475,22 +467,21 @@ def set_product(sys: FusionSystem, S, T):
     S = _as_wordset(sys, S)
     T = _as_wordset(sys, T)
     if S.is_finite():
-        acc = WordSet.empty(sys)
-        for w in sorted(S.finite_words(), key=lambda w: _word_key(sys, w)):
-            acc = acc.union(_left_translate(sys, w, T))
-        return acc
-    if T.is_finite():
-        acc = WordSet.empty(sys)
-        for w in sorted(T.finite_words(), key=lambda w: _word_key(sys, w)):
-            acc = acc.union(_right_translate(sys, S, w))
-        return acc
-    if _is_nonelementary(sys):
+        parts = [_left_translate(sys, w, T) for w in S.includes]
+    elif T.is_finite():
+        parts = [_right_translate(sys, S, w) for w in T.includes]
+    elif _is_nonelementary(sys):
         # two infinite cylinder sets steer onto any target word
         return WordSet.full(sys)
-    if len(sys.factors) == 1 and sys.factors[0] is None:
-        return _single_z_ray_product(sys, S, T)
-    raise UnsupportedSetOperation(
-        "products of two infinite cylinder sets are unsupported for this group")
+    elif len(sys.factors) == 1 and sys.factors[0] is None:
+        # rays times rays, then the points of each side translate the other
+        parts = [_z_rays_product(sys, S, T)]
+        parts += [_right_translate(sys, S, w) for w in T.includes]
+        parts += [_left_translate(sys, w, T) for w in S.includes]
+    else:
+        raise UnsupportedSetOperation(
+            "products of two infinite cylinder sets are unsupported for this group")
+    return functools.reduce(WordSet.union, parts, WordSet.empty(sys))
 
 
 def _as_wordset(sys: GroupDualSystem, S) -> WordSet:
@@ -649,8 +640,11 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
         if lab == sys.unit:
             raise FusionError("F must avoid the unit class")
     letters = sorted(sys.children(()), key=lambda w: _word_key(sys, w))
-    interior, frontier = sys.descend((), budget)
-    r_pool = sorted({(), *interior, *frontier}, key=lambda w: _word_key(sys, w))
+    r_pool, layer = [()], [()]
+    for _ in range(budget):
+        layer = [c for w in layer for c in sys.children(w)]
+        r_pool += layer
+    r_pool.sort(key=lambda w: _word_key(sys, w))
     for mask in range(1, 2 ** len(letters) - 1):
         chosen = [letters[i] for i in range(len(letters)) if mask >> i & 1]
         for unit_in_d in (False, True):

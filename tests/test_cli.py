@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -140,6 +141,17 @@ def test_powers_search_and_check(configs, capsys, tmp_path):
     assert code == 0
     assert env["outputs"]["holds"] is True
     assert env["outputs"]["exact"] is True
+
+
+def test_closed_stdout_exits_one_without_traceback(configs, monkeypatch):
+    # a pipe whose reader is gone: writing the envelope raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = run(["decompose", "--family", configs["ao3"], "--x", "r2", "--y", "r2"])
+        monkeypatch.undo()
+    assert code == 1
 
 
 def test_config_error_exit_code(configs, capsys):

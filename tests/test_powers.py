@@ -1,3 +1,6 @@
+import itertools
+import sys as _sys
+
 import pytest
 
 import fusionkit as fk
@@ -229,6 +232,160 @@ def test_translations_two_finite_factors(rng):
         right = _right_translate(z35, S, x)
         image = {z35.reduce_word(w + x) for w in members_upto(S, 6)}
         assert members_upto(right, 3) == {w for w in image if z35.letter_length(w) <= 3}
+
+
+# -- the replaced shell and point-by-point paths, kept as oracles -------------
+
+def descend(sys, w, depth):
+    """All strict tree extensions of ``w``: (interior at depth < k, frontier at k)."""
+    interior, frontier, layer = [], [], [w]
+    for step in range(depth):
+        nxt = [c for node in layer for c in sys.children(node)]
+        if step + 1 == depth:
+            frontier = nxt
+        else:
+            interior.extend(nxt)
+        layer = nxt
+    return interior, frontier
+
+
+def shell_right_translate(sys, S, x):
+    """Right translation by a frontier decomposition, enumerating the shell."""
+    if x == ():
+        return S
+    cyls = set()
+    words = set()
+    lx = sys.letter_length(x)
+    deep, shell = lx + 2, 2 * lx + 2
+    for q in S.cylinders:
+        # extensions at depth >= deep translate to whole subtrees; products
+        # from the shallow shell may land anywhere and are enumerated
+        shell_interior, _ = descend(sys, q, shell)
+        frontier = [d for d in shell_interior
+                    if sys.letter_length(d) - sys.letter_length(q) == deep]
+        cyls.update(frontier)
+        for w in [q, *shell_interior]:
+            words.add(sys.reduce_word(w + x))
+    excl = {sys.reduce_word(w + x) for w in S.excludes}
+    words -= excl
+    reincluded = {sys.reduce_word(w + x) for w in S.includes}
+    return WordSet.make(sys, cyls, words | reincluded, excl - reincluded)
+
+
+def z_product_reference(sys, S, T):
+    """Product of two word sets in the dual of Z, rays and points case by case."""
+    # dual of Z: words are g^k, cylinders are the half-rays {g^(s*k) : k >= a}
+
+    def parts(W):
+        rays = [(1 if p[0][1] > 0 else -1, abs(p[0][1])) for p in W.cylinders]
+        points = {w[0][1] if w else 0 for w in W.includes}
+        exc = {w[0][1] if w else 0 for w in W.excludes}
+        return rays, points, exc
+
+    def word_at(k):
+        return () if k == 0 else ((0, k),)
+
+    rays_s, pts_s, exc_s = parts(S)
+    rays_t, pts_t, exc_t = parts(T)
+    out_values = set()
+    out_rays = set()  # (sign, first magnitude fully reached)
+
+    for (s1, a1), (s2, a2) in itertools.product(rays_s, rays_t):
+        if s1 != s2:
+            # opposite rays: every integer has infinitely many decompositions
+            return WordSet.full(sys)
+        margin = a1 + a2 + len(exc_s) + len(exc_t) + 1
+        out_rays.add((s1, margin))
+        for k in range(a1 + a2, margin):
+            if any(s1 * i not in exc_s and s1 * (k - i) not in exc_t
+                   for i in range(a1, k - a2 + 1)):
+                out_values.add(s1 * k)
+
+    def ray_plus_point(s, a, exc, j):
+        # {s*k + j : k >= a, s*k not excluded}
+        biggest = max((abs(v) for v in exc), default=0)
+        k0 = max(a, biggest + abs(j) + 2)
+        for k in range(a, k0):
+            if s * k not in exc:
+                out_values.add(s * k + j)
+        out_rays.add((s, abs(s * k0 + j)))
+
+    for (s1, a1) in rays_s:
+        for j in pts_t:
+            ray_plus_point(s1, a1, exc_s, j)
+    for (s2, a2) in rays_t:
+        for i in pts_s:
+            ray_plus_point(s2, a2, exc_t, i)
+    for i in pts_s:
+        for j in pts_t:
+            out_values.add(i + j)
+
+    cylinders = [word_at(s * a) for s, a in out_rays]
+    includes = [word_at(v) for v in out_values]
+    return WordSet.make(sys, cylinders, includes)
+
+
+def oracle_operand(sys, rng, pool, deep):
+    """A seeded word set: cylinders from ``pool`` or ``deep``, a word each way."""
+    cyls = rng.sample(pool, k=rng.randint(0, 2)) + rng.sample(deep, k=rng.randint(0, 1))
+    words = [rng.choice(sys.children(rng.choice(cyls))) if cyls and rng.random() < 0.5
+             else rng.choice(pool) for _ in range(rng.randint(0, 2))]
+    return WordSet.make(sys, cyls, words[:1], words[1:])
+
+
+@pytest.mark.parametrize("factors", [[None, None], [None, 3], [3, 5], [None]],
+                         ids=["f2", "z_z3", "z3_z5", "z"])
+def test_right_translate_matches_shell_oracle(factors, rng):
+    sys = fk.GroupDualSystem(factors)
+    pool = enum_words(sys, 2)
+    # deep cylinders and multipliers: s^+-5 prefixes, |exponent| >= 3 syllables
+    deep = [((f, e),) for f, m in enumerate(factors) if m is None for e in (5, -5)]
+    deep = deep or [((0, 1), (1, 4))]
+    xs = [w for w in enum_words(sys, 3) if sys.letter_length(w) <= 3]
+    xs += [((f, e),) for f, m in enumerate(factors) if m is None for e in (3, -3)]
+    for _ in range(30):
+        S = oracle_operand(sys, rng, pool, deep)
+        x = rng.choice(xs)
+        got = _right_translate(sys, S, x)
+        assert got == shell_right_translate(sys, S, x), (S, x)
+        assert got.cylinders == S.cylinders
+
+
+def test_z_product_matches_reference(zdual, rng):
+    rays = [((0, e),) for e in (1, 2, 3, 5, -1, -2, -4)]
+    points = [() if e == 0 else ((0, e),) for e in range(-6, 7)]
+    for _ in range(120):
+        S, T = (WordSet.make(zdual, rng.sample(rays, k=rng.randint(0, 2)),
+                             rng.sample(points, k=rng.randint(0, 3)),
+                             rng.sample(points, k=rng.randint(0, 3)))
+                for _ in range(2))
+        assert fk.set_product(zdual, S, T) == z_product_reference(zdual, S, T), (S, T)
+
+
+def test_right_translate_keeps_the_operand_cylinders(f2):
+    S = WordSet.make(f2, cylinders=[f2.parse_label("s t").payload])
+    for xt in ("t^-1 s^-1 t^2", "s^2 t^-1 s^-1 t^2"):
+        R = _right_translate(f2, S, f2.parse_label(xt).payload)
+        assert R.cylinders == S.cylinders  # the shell gave 729 and 6561 cylinders
+        assert len(R.includes) + len(R.excludes) <= 3
+
+
+def test_left_translate_cascade_needs_no_stack(f2):
+    # x = (t s)^60 cancels into Cyl(s^-1) one syllable at a time, 120 deep
+    x = f2.parse_label(" ".join(["t s"] * 60)).payload
+    S = WordSet.make(f2, cylinders=[f2.parse_label("s^-1").payload])
+    depth, frame = 0, _sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = _sys.getrecursionlimit()
+    _sys.setrecursionlimit(depth + 40)
+    try:
+        T = _left_translate(f2, x, S)
+    finally:
+        _sys.setrecursionlimit(limit)
+    x_inv = f2.inverse_word(x)
+    want = {u for u in enum_words(f2, 4) if S.member_word(f2.reduce_word(x_inv + u))}
+    assert members_upto(T, 4) == want
 
 
 # -- set products ------------------------------------------------------------
