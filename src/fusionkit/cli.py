@@ -4,7 +4,9 @@ Every run prints one JSON ResultEnvelope to stdout and exits 0 on success,
 1 on a computation error, 2 on a configuration error.  Outputs are
 deterministic for a given config and engine version; multiplicities are
 serialized as decimal strings throughout because they routinely exceed
-native integer ranges in downstream consumers.
+native integer ranges in downstream consumers.  With ``--cache-dir`` a run
+starts from the family's saved pair memo and saves it back when it added
+products.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .families import (
 )
 from . import amenability, characters, geometry, params, powers, towers
 
-CACHE_ENV_VAR = "FUSIONKIT_CACHE_DIR"
-
 
 class ConfigError(FusionError):
     """Invalid configuration file or flags."""
@@ -52,14 +52,17 @@ class UsageError(ConfigError):
 # ---------------------------------------------------------------------------
 
 class DiskCache:
-    """Content-addressed cache of irreducible pair products.
+    """Snapshots of pair memos, one JSON file per (engine version, family).
 
-    Keys combine the engine version, the family fingerprint and the label
-    pair, so no engine version reads products another one wrote.  Entries
-    are JSON files written atomically (temp file + rename), so concurrent
-    processes can share a cache directory.  Corrupt entries are ignored
-    and recomputed; I/O failures degrade to memory-only with a warning,
-    and ``degraded`` keeps the reason for the envelope.
+    The file is named by the hash of the engine version and the family
+    fingerprint, so no engine version reads products another one wrote.
+    ``lookup`` reads it once before a run and ``store`` replaces it once
+    after; the replacement is a temp file renamed over the old one, so
+    concurrent processes never read a torn file and the last writer wins.
+    A missing file is an empty cache.  An unreadable or malformed one is
+    ignored and later overwritten; an unusable directory or a failed write
+    turns the cache off.  Each such degradation warns and is kept in
+    ``degraded`` for the envelope.
     """
 
     def __init__(self, directory: str):
@@ -70,41 +73,49 @@ class DiskCache:
             os.makedirs(directory, exist_ok=True)
         except OSError as exc:
             self._degrade(f"cache directory unusable ({exc}); falling back to memory")
+            self.enabled = False
 
     def _degrade(self, reason: str) -> None:
         warnings.warn(reason)
         self.degraded.append(reason)
-        self.enabled = False
 
-    def _path(self, sys: FusionSystem, a: IrrLabel, b: IrrLabel) -> str:
-        key = json.dumps([__version__, sys.fingerprint(), sys.format_label(a),
-                          sys.format_label(b)])
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return os.path.join(self.directory, digest[:2], digest + ".json")
+    def _path(self, sys: FusionSystem) -> str:
+        key = json.dumps([__version__, sys.fingerprint()])
+        return os.path.join(self.directory, hashlib.sha256(key.encode()).hexdigest() + ".json")
 
-    def lookup(self, sys: FusionSystem, a: IrrLabel, b: IrrLabel) -> FusionElement | None:
+    def lookup(self, sys: FusionSystem,
+               ) -> dict[tuple[IrrLabel, IrrLabel], FusionElement] | None:
+        """The saved pair memo of ``sys``, or None if there is none to use."""
         if not self.enabled:
             return None
-        path = self._path(sys, a, b)
+        path = self._path(sys)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return element_from_json(sys, json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, FusionError):
-            return None  # missing or corrupt entry: recompute
+                rows = json.load(fh)
+            return {(sys.parse_label(a), sys.parse_label(b)): element_from_json(sys, value)
+                    for a, b, value in rows}
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                FusionError) as exc:
+            self._degrade(f"cache file {path!r} ignored ({type(exc).__name__}: {exc})")
+            return None
 
-    def store(self, sys: FusionSystem, a: IrrLabel, b: IrrLabel,
-              value: FusionElement) -> None:
+    def store(self, sys: FusionSystem,
+              table: dict[tuple[IrrLabel, IrrLabel], FusionElement]) -> None:
+        """Replace the saved pair memo of ``sys`` with ``table``."""
         if not self.enabled:
             return
-        path = self._path(sys, a, b)
+        rows = [[sys.format_label(a), sys.format_label(b), element_to_json(sys, value)]
+                for (a, b), value in table.items()]
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(element_to_json(sys, value), fh)
-            os.replace(tmp, path)
+                json.dump(rows, fh)
+            os.replace(tmp, self._path(sys))
         except OSError as exc:
             self._degrade(f"cache write failed ({exc}); continuing without disk cache")
+            self.enabled = False
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +127,6 @@ class FamilyConfig:
     system: FusionSystem
     fundamental_list: params.ParamList | None  # from the optional params block
     values: dict[str, float]
-    cache_dir: str | None
 
 
 def load_family_config(path: str) -> FamilyConfig:
@@ -164,20 +174,7 @@ def load_family_config(path: str) -> FamilyConfig:
                 values[name] = val
             else:
                 raise bad
-    cache_dir = raw.get("cache_dir")
-    if cache_dir is not None and not isinstance(cache_dir, str):
-        raise ConfigError("'cache_dir' must be a string")
-    return FamilyConfig(system=system, fundamental_list=fund, values=values,
-                        cache_dir=cache_dir)
-
-
-def _attach_cache(args, cfg: FamilyConfig) -> DiskCache | None:
-    directory = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or cfg.cache_dir
-    if not directory:
-        return None
-    cache = DiskCache(directory)
-    cfg.system.attach_disk_cache(cache)
-    return cache
+    return FamilyConfig(system=system, fundamental_list=fund, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +417,8 @@ def _cmd_powers_check(args, cfg: FamilyConfig):
 
 
 def _cmd_powers_search(args, cfg: FamilyConfig):
+    if args.budget < 0:
+        raise ConfigError("--budget must be >= 0")
     sys_ = cfg.system
     F = [sys_.parse_label(t.strip()) for t in args.f.split(",") if t.strip()]
     witness = powers.search_witness(sys_, F, budget=args.budget)
@@ -470,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.command = name
         p.add_argument("--family", required=True, help="family config JSON path")
         p.add_argument("--cache-dir", default=None,
-                       help=f"pair-product cache directory (or ${CACHE_ENV_VAR})")
+                       help="pair-product cache directory")
         p.set_defaults(fn=fn, echo=("family", *echo))
         return p
 
@@ -560,8 +559,14 @@ def run(argv: list[str] | None = None) -> int:
     elapsed_ms = None
     try:
         cfg = load_family_config(args.family)
-        cache = _attach_cache(args, cfg)
+        memo = cfg.system._pair_cache
+        if args.cache_dir:
+            cache = DiskCache(args.cache_dir)
+            memo.update(cache.lookup(cfg.system) or {})
+        loaded = len(memo)
         outputs, exact = args.fn(args, cfg)
+        if cache is not None and len(memo) > loaded:
+            cache.store(cfg.system, memo)
         code = 0
         elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
     except ConfigError as exc:

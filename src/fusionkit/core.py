@@ -197,8 +197,7 @@ class FusionSystem(ABC):
     Subclasses implement the irreducible-pair tensor rule, conjugation, the
     dimension function and payload canonicalization.  This base class
     provides the bilinear extension, running products and powers, unit
-    multiplicities and moments, and the pair memo cache (optionally backed
-    by an on-disk cache).
+    multiplicities and moments, and the pair memo.
     """
 
     #: Default tolerance of the amenability verdict around ``n = dim(u)``:
@@ -209,7 +208,6 @@ class FusionSystem(ABC):
     def __init__(self, family_id: str):
         self.family_id = family_id
         self._pair_cache: dict[tuple[IrrLabel, IrrLabel], FusionElement] = {}
-        self._disk_cache = None
 
     # -- family rules -----------------------------------------------------
 
@@ -271,22 +269,10 @@ class FusionSystem(ABC):
     def tensor_pair(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
         key = (a, b)
         hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        if self._disk_cache is not None:
-            hit = self._disk_cache.lookup(self, a, b)
-            if hit is not None:
-                self._pair_cache[key] = hit
-                return hit
-        result = self._tensor_irr(a, b)
-        # idempotent insert: concurrent writers compute identical values
-        self._pair_cache[key] = result
-        if self._disk_cache is not None:
-            self._disk_cache.store(self, a, b, result)
-        return result
-
-    def attach_disk_cache(self, cache) -> None:
-        self._disk_cache = cache
+        if hit is None:
+            # idempotent insert: concurrent writers compute identical values
+            hit = self._pair_cache[key] = self._tensor_irr(a, b)
+        return hit
 
     # -- semiring operations -------------------------------------------------
 

@@ -478,7 +478,7 @@ _FAMILY_KEYS = {
     "aut": {"family", "n"},
     "a_u": {"family", "n"},
 }
-_TOP_LEVEL_EXTRA = {"params", "cache_dir"}
+_TOP_LEVEL_EXTRA = {"params"}
 _INDEXED_FAMILIES = {"a_o": AoSystem, "aut": AutSystem, "a_u": AuSystem}
 
 
@@ -491,9 +491,9 @@ def system_from_config(cfg: dict) -> FusionSystem:
         {"family": "group_dual", "factors": [{"type": "Zd", "d": 2}]}
         {"family": "a_o", "n": 3} | {"family": "aut", "n": 4} | {"family": "a_u", "n": 2}
 
-    Factors may carry an optional ``"name"``.  Optional top-level keys
-    ``params`` and ``cache_dir`` are ignored here (the CLI consumes them);
-    any other unknown key is rejected.
+    Factors may carry an optional ``"name"``.  An optional top-level
+    ``params`` block is ignored here (the CLI consumes it); any other
+    unknown key is rejected.
     """
     if not isinstance(cfg, dict):
         raise FusionError(f"family config must be a mapping, got {type(cfg).__name__}")

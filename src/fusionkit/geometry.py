@@ -13,7 +13,9 @@ Whether the coefficients of ``v`` generate the whole object is not
 decidable at this level; searches carry an explicit budget and failure to
 reach a target reports budget exhaustion instead of guessing.  Adjacency
 lists are cached on the system per generator support, shared across
-queries.
+queries.  A generator support forms each pair ``(g, c)`` once, when ``c``
+is first expanded, so it goes straight to the family rule: the pair memo
+would only duplicate the adjacency cache.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _neighbor_fn(sys: FusionSystem, v: FusionElement):
         if hit is None:
             acc: set[IrrLabel] = set()
             for g in vs:
-                acc.update(sys.tensor_pair(g, c).support())
+                acc.update(sys._tensor_irr(g, c).support())
             hit = tuple(acc)
             cache[c] = hit
         return hit

@@ -634,6 +634,8 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
     """
     if not isinstance(sys, GroupDualSystem):
         raise UnsupportedSetOperation("witness search needs a group-dual family")
+    if budget < 0:
+        raise FusionError(f"budget must be >= 0, got {budget}")
     F = list(F)
     for lab in F:
         sys.check_label(lab)

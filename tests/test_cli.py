@@ -20,6 +20,7 @@ def configs(tmp_path):
         "ao3": {"family": "a_o", "n": 3},
         "f2": {"family": "group_dual",
                "factors": [{"type": "Z", "name": "s"}, {"type": "Z", "name": "t"}]},
+        "au2": {"family": "a_u", "n": 2},
         "bad": {"family": "a_o", "n": 3, "mystery": 1},
     }
     for name, spec in specs.items():
@@ -181,10 +182,11 @@ def test_computation_error_exit_code(configs, capsys):
     ("modular-spectrum", ["--list", "q,q^-1", "--member", "q,q^x"]),
     ("distance", ["--v", "e + s + s^-1 + t + t^-1", "--a", "e", "--b", "s",
                   "--budget", "-1"]),
+    ("powers-search", ["--f", "s,s^-1", "--budget", "-1"]),
 ], ids=["depth-2", "depth-0", "tol-negative", "tol-nan", "list-syntax", "list-zero-denominator",
-        "member-syntax", "budget-negative"])
+        "member-syntax", "budget-negative", "search-budget-negative"])
 def test_flag_errors_are_config_errors(configs, capsys, command, flags):
-    family = configs["f2" if command == "distance" else "ao3"]
+    family = configs["f2" if command in ("distance", "powers-search") else "ao3"]
     code, env = run_cli(capsys, command, "--family", family, *flags)
     assert code == 2
     assert env["outputs"]["kind"] == "config"
@@ -216,7 +218,69 @@ def test_cache_transparency(configs, capsys, tmp_path):
     cached_cold = one("--cache-dir", cache_dir)
     cached_warm = one("--cache-dir", cache_dir)
     assert plain == cached_cold == cached_warm
-    assert any(files for _, _, files in os.walk(cache_dir))
+    [name] = os.listdir(cache_dir)
+    assert name.endswith(".json")
+
+
+def test_cache_holds_one_file_per_family(configs, capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    for family, x, y in [("ao3", "r3", "r5"), ("ao2", "r2", "r4"), ("f2", "s t", "t^-1"),
+                         ("ao3", "r2", "r7")]:
+        code, _ = run_cli(capsys, "decompose", "--family", configs[family],
+                          "--x", x, "--y", y, "--cache-dir", str(cache_dir))
+        assert code == 0
+    names = os.listdir(cache_dir)
+    assert len(names) == 3 and all(n.endswith(".json") for n in names)
+
+
+@pytest.mark.parametrize("family, x, y", [
+    ("ao3", "2*r2 + r3", "r4 + r5"),
+    ("f2", "s t + t^-1", "t^-1 s + e"),
+    ("au2", "ab + a", "ba + b"),
+])
+def test_warm_decompose_makes_no_rule_calls(configs, capsys, tmp_path, monkeypatch,
+                                            family, x, y):
+    calls = []
+    cls = type(cli.load_family_config(configs[family]).system)
+    rule = cls._tensor_irr
+    monkeypatch.setattr(cls, "_tensor_irr",
+                        lambda self, a, b: calls.append((a, b)) or rule(self, a, b))
+
+    def one():
+        code, env = run_cli(capsys, "decompose", "--family", configs[family],
+                            "--x", x, "--y", y, "--cache-dir", str(tmp_path / "c"))
+        assert code == 0 and "degraded" not in env
+        return env["outputs"]
+
+    cold = one()
+    assert calls
+    [path] = (tmp_path / "c").iterdir()
+    written = path.stat().st_ino
+    calls.clear()
+    assert one() == cold
+    assert calls == []
+    assert path.stat().st_ino == written  # a run that adds nothing keeps the file
+
+
+def test_deeply_nested_cache_file_is_ignored(configs, capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    argv = ["decompose", "--family", configs["ao3"], "--x", "r3", "--y", "r5",
+            "--cache-dir", str(cache_dir)]
+    code, cold = run_cli(capsys, *argv)
+    assert code == 0
+    paths = [os.path.join(d, f) for d, _, files in os.walk(cache_dir) for f in files]
+    assert paths
+    for path in paths:
+        with open(path, "w") as fh:
+            fh.write("[" * 100000)
+    with pytest.warns(UserWarning, match="RecursionError"):
+        code, env = run_cli(capsys, *argv)
+    assert code == 0
+    assert env["outputs"] == cold["outputs"]
+    assert len(env["degraded"]) == 1
+    # the run overwrote the bad file with its own snapshot
+    code, env = run_cli(capsys, *argv)
+    assert code == 0 and "degraded" not in env
 
 
 def test_unusable_cache_dir_is_reported_in_the_envelope(configs, capsys, tmp_path):
@@ -240,7 +304,7 @@ def test_failed_cache_write_degrades(tmp_path):
     os.rmdir(tmp_path / "c")
     (tmp_path / "c").write_text("the directory became a file")
     with pytest.warns(UserWarning, match="cache write failed"):
-        cache.store(sys_, sys_.r(2), sys_.r(3), sys_.tensor_pair(sys_.r(2), sys_.r(3)))
+        cache.store(sys_, {(sys_.r(2), sys_.r(3)): sys_.tensor_pair(sys_.r(2), sys_.r(3))})
     assert len(cache.degraded) == 1 and not cache.enabled
 
 
@@ -274,29 +338,36 @@ def test_help_keeps_its_text(capsys, argv):
 def test_disk_cache_api(tmp_path):
     sys_ = fk.AoSystem(3)
     cache = DiskCache(str(tmp_path / "c"))
+    assert cache.lookup(sys_) is None  # no file yet: an empty cache
     a, b = sys_.r(2), sys_.r(6)
-    value = sys_.tensor_pair(a, b)
-    cache.store(sys_, a, b, value)
-    assert cache.lookup(sys_, a, b) == value
+    table = {(a, b): sys_.tensor_pair(a, b), (b, b): sys_.tensor_pair(b, b)}
+    cache.store(sys_, table)
+    assert cache.lookup(sys_) == table
     other = fk.AoSystem(5)
-    assert cache.lookup(other, other.r(2), other.r(6)) is None
-    # corrupt entries are ignored
-    path = cache._path(sys_, a, b)
-    with open(path, "w") as fh:
+    assert cache.lookup(other) is None
+    # a corrupt file is ignored, recorded and overwritten by the next store
+    with open(cache._path(sys_), "w") as fh:
         fh.write("{corrupt")
-    assert cache.lookup(sys_, a, b) is None
+    with pytest.warns(UserWarning, match="ignored"):
+        assert cache.lookup(sys_) is None
+    assert len(cache.degraded) == 1 and cache.enabled
+    cache.store(sys_, table)
+    assert cache.lookup(sys_) == table
+    assert os.listdir(tmp_path / "c") == [os.path.basename(cache._path(sys_))]
 
 
 def test_disk_cache_key_includes_engine_version(tmp_path, monkeypatch):
     sys_ = fk.AoSystem(3)
     cache = DiskCache(str(tmp_path / "c"))
     a, b = sys_.r(2), sys_.r(3)
+    table = {(a, b): sys_.tensor_pair(a, b)}
     monkeypatch.setattr(cli, "__version__", "0.0.0+other")
-    cache.store(sys_, a, b, sys_.tensor_pair(a, b))
-    assert cache.lookup(sys_, a, b) == sys_.tensor_pair(a, b)
+    cache.store(sys_, table)
+    assert cache.lookup(sys_) == table
     monkeypatch.undo()
-    # an entry written by another engine version is a miss
-    assert cache.lookup(sys_, a, b) is None
+    # a file written by another engine version is a miss
+    assert cache.lookup(sys_) is None
+    assert cache.degraded == []
 
 
 CORRUPT_ENTRIES = {
@@ -313,10 +384,32 @@ def test_disk_cache_ignores_malformed_entries(tmp_path, entry):
     sys_ = fk.AoSystem(3)
     cache = DiskCache(str(tmp_path / "c"))
     a, b = sys_.r(2), sys_.r(3)
-    cache.store(sys_, a, b, sys_.tensor_pair(a, b))
-    with open(cache._path(sys_, a, b), "w") as fh:
-        fh.write(entry)
-    assert cache.lookup(sys_, a, b) is None
+    cache.store(sys_, {(a, b): sys_.tensor_pair(a, b)})
+    with open(cache._path(sys_), "w") as fh:
+        fh.write(f'[["r2", "r3", [{{"label": "r1", "mult": "1"}}]], ["r2", "r2", {entry}]]')
+    with pytest.warns(UserWarning, match="ignored"):
+        assert cache.lookup(sys_) is None
+    assert len(cache.degraded) == 1
+
+
+CORRUPT_FILES = {
+    "mapping": '{"r2": "r3"}',
+    "short-row": '[["r2", "r3"]]',
+    "int-row": "[1]",
+    "bad-label": '[["r0", "r3", []]]',
+    "not-utf8": b"\xff\xfe[",
+}
+
+
+@pytest.mark.parametrize("content", CORRUPT_FILES.values(), ids=CORRUPT_FILES.keys())
+def test_disk_cache_ignores_malformed_files(tmp_path, content):
+    sys_ = fk.AoSystem(3)
+    cache = DiskCache(str(tmp_path / "c"))
+    with open(cache._path(sys_), "wb") as fh:
+        fh.write(content if isinstance(content, bytes) else content.encode())
+    with pytest.warns(UserWarning, match="ignored"):
+        assert cache.lookup(sys_) is None
+    assert len(cache.degraded) == 1 and cache.enabled
 
 
 WITNESS = {"F": ["s", "s^-1"], "D": {"type": "cylinder", "prefixes": ["t^-1"]},

@@ -225,6 +225,8 @@ def test_system_from_config():
     assert isinstance(sys, fk.ZdDualSystem)
     with pytest.raises(fk.FusionError):
         fk.system_from_config({"family": "a_o", "n": 3, "mystery": True})
+    with pytest.raises(fk.FusionError, match="cache_dir"):
+        fk.system_from_config({"family": "a_o", "n": 3, "cache_dir": "cache"})
     with pytest.raises(fk.FusionError):
         fk.system_from_config({"family": "nope"})
     with pytest.raises(fk.FusionError):

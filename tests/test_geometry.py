@@ -146,6 +146,14 @@ def test_growth_table(f2):
     assert rows == [(0, 1), (1, 5), (2, 17), (3, 53), (4, 161)]
 
 
+def test_bfs_leaves_the_pair_memo_empty(f2, ao3):
+    v = std_generator(f2)
+    fk.ball(f2, v, f2.unit, 3)
+    fk.growth_table(f2, v, f2.unit, 4)
+    fk.growth_table(ao3, fk.parse_element(ao3, "r1 + r2"), ao3.unit, 4)
+    assert f2._pair_cache == {} and ao3._pair_cache == {}
+
+
 def test_distance_equals_reduced_length_f2(f2, rng):
     v = std_generator(f2)
     for _ in range(40):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from fusionkit.cli import CACHE_ENV_VAR, run
+from fusionkit.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -121,8 +121,7 @@ def replay(argv, workdir: Path) -> tuple[int, str, dict[str, str]]:
 
 
 @pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden_envelope(name, code, argv, tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_golden_envelope(name, code, argv, tmp_path):
     got_code, stdout, written = replay(argv, tmp_path)
     assert got_code == code
     assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
@@ -133,7 +132,6 @@ def test_golden_envelope(name, code, argv, tmp_path, monkeypatch):
 def record() -> None:
     import tempfile
 
-    os.environ.pop(CACHE_ENV_VAR, None)
     GOLDEN.mkdir(exist_ok=True)
     for name, code, argv in CASES:
         with tempfile.TemporaryDirectory() as tmp:

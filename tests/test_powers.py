@@ -540,6 +540,11 @@ def test_search_witness_rejects_unit(f2):
         fk.search_witness(f2, [f2.unit], budget=1)
 
 
+def test_search_witness_rejects_negative_budget(f2):
+    with pytest.raises(fk.FusionError, match="budget must be >= 0"):
+        fk.search_witness(f2, [f2.parse_label("s")], budget=-1)
+
+
 def test_truncated_witness_check(ao3):
     # finite sets can only be checked within a radius, and are flagged
     labels = [ao3.r(k) for k in range(1, 12)]
