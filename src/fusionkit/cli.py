@@ -129,14 +129,17 @@ class FamilyConfig:
     values: dict[str, float]
 
 
-def load_family_config(path: str) -> FamilyConfig:
+def _read_json(path: str, what: str):
+    """A parsed JSON input file; failing to read or parse it is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def load_family_config(path: str) -> FamilyConfig:
+    raw = _read_json(path, "config")
     try:
         system = system_from_config(raw)
     except FusionError as exc:
@@ -235,7 +238,10 @@ def _cmd_moments(args, cfg: FamilyConfig):
     u = parse_element(sys_, args.u)
     reports: list[dict] = []
     if args.word is not None:
-        w = characters.StarWord.from_string(args.word)
+        try:
+            w = characters.StarWord.from_string(args.word)
+        except FusionError as exc:
+            raise ConfigError(f"--word: {exc}") from exc
         reports.append({"word": str(w), "value": str(characters.moment(sys_, u, w))})
     else:
         if args.k is None:
@@ -254,8 +260,6 @@ def _cmd_moments(args, cfg: FamilyConfig):
 
 
 def _cmd_distance(args, cfg: FamilyConfig):
-    if args.budget < 0:
-        raise ConfigError("--budget must be >= 0")
     sys_ = cfg.system
     v = parse_element(sys_, args.v)
     a = sys_.parse_label(args.a)
@@ -285,8 +289,6 @@ def _cmd_growth(args, cfg: FamilyConfig):
 
 
 def _cmd_amenable(args, cfg: FamilyConfig):
-    if args.depth < 3:
-        raise ConfigError("--depth must be >= 3")
     if args.tol is not None and not args.tol >= 0:
         raise ConfigError("--tol must be >= 0")
     sys_ = cfg.system
@@ -386,11 +388,7 @@ def _parse_irrset(sys_, spec, what: str) -> object:
 
 def _load_witness(sys_, path: str) -> powers.PowersWitness:
     """Read a witness file; every malformed shape is a ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            wdata = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read witness {path!r}: {exc}") from exc
+    wdata = _read_json(path, "witness")
     needed = {"F", "D", "E", "r"}
     if not isinstance(wdata, dict) or not needed.issubset(wdata):
         raise ConfigError(f"witness file must define keys {sorted(needed)}")
@@ -417,8 +415,6 @@ def _cmd_powers_check(args, cfg: FamilyConfig):
 
 
 def _cmd_powers_search(args, cfg: FamilyConfig):
-    if args.budget < 0:
-        raise ConfigError("--budget must be >= 0")
     sys_ = cfg.system
     F = [sys_.parse_label(t.strip()) for t in args.f.split(",") if t.strip()]
     witness = powers.search_witness(sys_, F, budget=args.budget)
@@ -470,8 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", required=True, help="family config JSON path")
         p.add_argument("--cache-dir", default=None,
                        help="pair-product cache directory")
-        p.set_defaults(fn=fn, echo=("family", *echo))
+        p.set_defaults(fn=fn, echo=("family", *echo), least={})
         return p
+
+    def int_flag(p, flag, least, **kw):
+        """An integer flag whose values below ``least`` are configuration errors."""
+        p.add_argument(flag, type=int, **kw)
+        p.get_default("least")[flag[2:]] = least
 
     p = family_cmd("decompose", _cmd_decompose, ("x", "y"),
                    help="tensor product decomposition")
@@ -491,31 +492,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--budget", type=int, default=64)
+    int_flag(p, "--budget", 0, default=64)
 
     p = family_cmd("ball", _cmd_ball, ("v", "center", "r"), help="metric ball contents")
     p.add_argument("--v", required=True)
     p.add_argument("--center", required=True)
-    p.add_argument("--r", type=int, required=True)
+    int_flag(p, "--r", 0, required=True)
 
     p = family_cmd("growth", _cmd_growth, ("v", "center", "rmax", "csv"),
                    help="ball growth table (CSV)")
     p.add_argument("--v", required=True)
     p.add_argument("--center", required=True)
-    p.add_argument("--rmax", type=int, required=True)
+    int_flag(p, "--rmax", 0, required=True)
     p.add_argument("--csv", default=None)
 
     p = family_cmd("amenable", _cmd_amenable, ("u", "depth", "tol", "method"),
                    help="Kesten-type amenability estimate")
     p.add_argument("--u", default=None, help="generator element (default: fundamental)")
-    p.add_argument("--depth", type=int, default=30)
+    int_flag(p, "--depth", 3, default=30)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--method", default="extrapolated-ratio",
                    choices=["root", "ratio", "extrapolated-ratio"])
 
     p = family_cmd("list-invariant", _cmd_list_invariant, ("depth",),
                    help="derive parameter lists of irreducibles")
-    p.add_argument("--depth", type=int, default=6)
+    int_flag(p, "--depth", 0, default=6)
 
     p = family_cmd("modular-spectrum", _cmd_modular_spectrum, ("list", "member"),
                    help="exponent lattice generated by the squared list products")
@@ -525,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = family_cmd("graph", _cmd_graph, ("u", "depth"),
                    help="tower and principal graph (DOT export)")
     p.add_argument("--u", required=True)
-    p.add_argument("--depth", type=int, default=10)
+    int_flag(p, "--depth", 1, default=10)
     p.add_argument("--dot", default=None)
 
     p = family_cmd("powers-check", _cmd_powers_check, ("witness",),
@@ -535,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = family_cmd("powers-search", _cmd_powers_search, ("f", "budget"),
                    help="bounded search for a paradoxicality witness")
     p.add_argument("--f", required=True, help="comma-separated F labels")
-    p.add_argument("--budget", type=int, default=2)
+    int_flag(p, "--budget", 0, default=2)
 
     return parser
 
@@ -564,6 +565,9 @@ def run(argv: list[str] | None = None) -> int:
             cache = DiskCache(args.cache_dir)
             memo.update(cache.lookup(cfg.system) or {})
         loaded = len(memo)
+        for name, least in args.least.items():
+            if getattr(args, name) < least:
+                raise ConfigError(f"--{name} must be >= {least}")
         outputs, exact = args.fn(args, cfg)
         if cache is not None and len(memo) > loaded:
             cache.store(cfg.system, memo)

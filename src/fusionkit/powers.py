@@ -233,18 +233,16 @@ class WordSet:
         words_out: list[Word] = []
         # an uncovered node on the path to a cylinder has some cylinder below it
         paths = _tree_paths(sys, self.cylinders)
-
-        def walk(node: Word) -> None:
+        todo: list[Word] = [()]
+        while todo:
+            node = todo.pop()
             if self._covered(node):
-                return  # inside the coverage
+                continue  # inside the coverage
             if node not in paths:
                 cyls_out.append(node)  # whole subtree misses the coverage
-                return
+                continue
             words_out.append(node)
-            for c in sys.children(node):
-                walk(c)
-
-        walk(())
+            todo += sys.children(node)
         inc = (set(words_out) | set(self.excludes)) - set(self.includes)
         return WordSet.make(sys, cyls_out, inc, self.includes)
 

@@ -3,10 +3,10 @@
 The tower of a class ``u`` is built from the alternating words
 ``u, u (x) u^, u (x) u^ (x) u, ...`` (``u^`` the conjugate): level ``k``
 records the irreducible decomposition of the k-letter word, level 0 being
-the unit, and the inclusion matrices record how tensoring by the next
-letter maps level-``k`` irreducibles into level ``k+1``.  The squared
-multiplicities at level ``k`` sum to the endomorphism dimension of the
-word.
+the unit.  Level ``k+1`` is ``sum_a m_a (a (x) letter)``; each product
+``a (x) letter`` is formed once and kept as the sparse inclusion row of
+``a``.  The squared multiplicities at level ``k`` sum to the endomorphism
+dimension of the word.
 
 The principal graph keeps each irreducible at its level of first
 appearance and joins new vertices of consecutive levels with the
@@ -18,24 +18,23 @@ reduction can always be audited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .core import FusionElement, FusionError, FusionSystem, IrrLabel
 
 
 @dataclass(slots=True)
 class BratteliDiagram:
-    """Levels and inclusion matrices of an alternating-word tower.
+    """Levels and inclusion rows of an alternating-word tower.
 
-    ``levels[k]`` lists ``(label, multiplicity)`` for the k-letter word
-    (``levels[0]`` is the unit); ``inclusions[k]`` is the integer matrix
-    from level ``k`` to level ``k+1``, indexed by the level orderings.
+    ``levels[k]`` lists ``(label, multiplicity)`` for the k-letter word in
+    ``sort_key`` order (``levels[0]`` is the unit); ``inclusions[k][i]`` is
+    level-``k`` vertex ``i`` times the next letter: its row into level ``k+1``.
     """
 
     system: FusionSystem
     u: FusionElement
     levels: list[list[tuple[IrrLabel, int]]]
-    inclusions: list[list[list[int]]]
+    inclusions: list[list[FusionElement]]
 
     @property
     def depth(self) -> int:
@@ -44,6 +43,10 @@ class BratteliDiagram:
     def end_dims(self) -> list[int]:
         """``sum m^2`` per level: the endomorphism algebra dimensions."""
         return [sum(m * m for _, m in level) for level in self.levels]
+
+    def inclusion_matrix(self, k: int) -> list[list[int]]:
+        """Dense integer view of ``inclusions[k]``, indexed by the level orderings."""
+        return [[row.mult(c) for c, _ in self.levels[k + 1]] for row in self.inclusions[k]]
 
 
 @dataclass(slots=True)
@@ -88,18 +91,17 @@ def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:
         raise FusionError(f"depth must be >= 1, got {depth}")
     sys.check_element(u)
     ubar = sys.conj_element(u)
-    letters = [u if k % 2 else ubar for k in range(1, depth + 1)]
     levels: list[list[tuple[IrrLabel, int]]] = [[(sys.unit, 1)]]
-    inclusions: list[list[list[int]]] = []
-    for letter, word in zip(letters, islice(sys.products(letters), 1, None)):
-        level = [(lab, word.mult(lab)) for lab in sorted(word.support(), key=sys.sort_key)]
-        prev = levels[-1]
-        matrix = []
-        for a, _ in prev:
-            prod = sys.tensor(FusionElement.from_label(a), letter)
-            matrix.append([prod.mult(c) for c, _ in level])
-        levels.append(level)
-        inclusions.append(matrix)
+    inclusions: list[list[FusionElement]] = []
+    for k in range(depth):
+        letter = ubar if k % 2 else u
+        rows = [sys.tensor(FusionElement.from_label(a), letter) for a, _ in levels[-1]]
+        word: dict[IrrLabel, int] = {}
+        for (_, m), row in zip(levels[-1], rows):
+            for c, mc in row.items():
+                word[c] = word.get(c, 0) + m * mc
+        levels.append(sys.sorted_items(FusionElement._adopt(word)))
+        inclusions.append(rows)
     return BratteliDiagram(system=sys, u=u, levels=levels, inclusions=inclusions)
 
 
@@ -112,16 +114,10 @@ def principal_graph(d: BratteliDiagram) -> WeightedGraph:
             first.setdefault(lab, k)
     vertices = sorted(first.items(), key=lambda it: (it[1], sys.sort_key(it[0])))
     edges: list[tuple[IrrLabel, IrrLabel, int]] = []
-    for k, matrix in enumerate(d.inclusions):
-        prev, nxt = d.levels[k], d.levels[k + 1]
-        for i, (a, _) in enumerate(prev):
-            if first[a] != k:
-                continue
-            for j, (c, _) in enumerate(nxt):
-                if first[c] != k + 1:
-                    continue
-                if matrix[i][j]:
-                    edges.append((a, c, matrix[i][j]))
+    for k, rows in enumerate(d.inclusions):
+        for (a, _), row in zip(d.levels[k], rows):
+            if first[a] == k:
+                edges += [(a, c, m) for c, m in sys.sorted_items(row) if first[c] == k + 1]
     return WeightedGraph(system=sys, vertices=vertices, edges=edges)
 
 

@@ -183,10 +183,19 @@ def test_computation_error_exit_code(configs, capsys):
     ("distance", ["--v", "e + s + s^-1 + t + t^-1", "--a", "e", "--b", "s",
                   "--budget", "-1"]),
     ("powers-search", ["--f", "s,s^-1", "--budget", "-1"]),
+    ("ball", ["--v", "e + s + s^-1", "--center", "e", "--r", "-1"]),
+    ("growth", ["--v", "e + s + s^-1", "--center", "e", "--rmax", "-1"]),
+    ("graph", ["--u", "r2", "--depth", "0"]),
+    ("moments", ["--u", "r2", "--word", "X**"]),
+    ("moments", ["--u", "r2", "--word", "XY"]),
+    ("list-invariant", ["--depth", "-1"]),
 ], ids=["depth-2", "depth-0", "tol-negative", "tol-nan", "list-syntax", "list-zero-denominator",
-        "member-syntax", "budget-negative", "search-budget-negative"])
+        "member-syntax", "budget-negative", "search-budget-negative", "ball-r-negative",
+        "growth-rmax-negative", "graph-depth-0", "word-double-star", "word-bad-character",
+        "list-depth-negative"])
 def test_flag_errors_are_config_errors(configs, capsys, command, flags):
-    family = configs["f2" if command in ("distance", "powers-search") else "ao3"]
+    group = command in ("distance", "powers-search", "ball", "growth")
+    family = configs["f2" if group else "ao2" if command == "list-invariant" else "ao3"]
     code, env = run_cli(capsys, command, "--family", family, *flags)
     assert code == 2
     assert env["outputs"]["kind"] == "config"
@@ -444,6 +453,28 @@ def test_malformed_witness_is_config_error(configs, capsys, tmp_path, patch):
     assert env["inputs"] == {"family": configs["f2"], "witness": str(witness_file)}
 
 
+def test_deeply_nested_witness_is_config_error(configs, capsys, tmp_path):
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text("[" * 100000)
+    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
+                        "--witness", str(witness_file))
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["inputs"] == {"family": configs["f2"], "witness": str(witness_file)}
+
+
+def test_deep_cylinder_witness_ends_in_one_envelope(configs, capsys, tmp_path):
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps({**WITNESS,
+                                        "D": {"type": "cylinder", "prefixes": ["s^1500"]},
+                                        "E": {"type": "cylinder", "prefixes": ["t"]}}))
+    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
+                        "--witness", str(witness_file))
+    assert code == 0
+    assert env["outputs"]["holds"] is False
+    assert env["outputs"]["detail"] == "D and E do not cover all irreducibles"
+
+
 def test_missing_family_file(capsys):
     code, env = run_cli(capsys, "decompose", "--family", "/nonexistent.json",
                         "--x", "r1", "--y", "r1")
@@ -468,6 +499,15 @@ MALFORMED_CONFIGS = {
 def test_malformed_family_config_is_config_error(capsys, tmp_path, spec):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(spec))
+    code, env = run_cli(capsys, "decompose", "--family", str(config), "--x", "e", "--y", "e")
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["inputs"] == {"family": str(config), "x": "e", "y": "e"}
+
+
+def test_deeply_nested_family_config_is_config_error(capsys, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text("[" * 100000)
     code, env = run_cli(capsys, "decompose", "--family", str(config), "--x", "e", "--y", "e")
     assert code == 2
     assert env["outputs"]["kind"] == "config"

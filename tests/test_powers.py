@@ -370,22 +370,38 @@ def test_right_translate_keeps_the_operand_cylinders(f2):
         assert len(R.includes) + len(R.excludes) <= 3
 
 
-def test_left_translate_cascade_needs_no_stack(f2):
-    # x = (t s)^60 cancels into Cyl(s^-1) one syllable at a time, 120 deep
-    x = f2.parse_label(" ".join(["t s"] * 60)).payload
-    S = WordSet.make(f2, cylinders=[f2.parse_label("s^-1").payload])
+def with_stack_margin(fn, *args, margin=40):
+    """Call ``fn`` with the recursion limit only ``margin`` frames above the stack."""
     depth, frame = 0, _sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = _sys.getrecursionlimit()
-    _sys.setrecursionlimit(depth + 40)
+    _sys.setrecursionlimit(depth + margin)
     try:
-        T = _left_translate(f2, x, S)
+        return fn(*args)
     finally:
         _sys.setrecursionlimit(limit)
+
+
+def test_left_translate_cascade_needs_no_stack(f2):
+    # x = (t s)^60 cancels into Cyl(s^-1) one syllable at a time, 120 deep
+    x = f2.parse_label(" ".join(["t s"] * 60)).payload
+    S = WordSet.make(f2, cylinders=[f2.parse_label("s^-1").payload])
+    T = with_stack_margin(_left_translate, f2, x, S)
     x_inv = f2.inverse_word(x)
     want = {u for u in enum_words(f2, 4) if S.member_word(f2.reduce_word(x_inv + u))}
     assert members_upto(T, 4) == want
+
+
+def test_deep_cylinder_complement_needs_no_stack(f2):
+    # the path from the root to Cyl(s^60) is 60 uncovered tree nodes deep
+    S = WordSet.make(f2, cylinders=[f2.parse_label("s^60").payload])
+    C = with_stack_margin(S.complement)
+    deep = [f2.parse_label(t).payload
+            for t in ("s^59", "s^60", "s^61", "s^59 t", "s^60 t^-1", "s^-60", "t s^60")]
+    for w in enum_words(f2, 4) + deep:
+        assert C.member_word(w) != S.member_word(w)
+    assert C.union(S) == WordSet.full(f2)
 
 
 # -- set products ------------------------------------------------------------

@@ -5,12 +5,78 @@ from fusionkit import FusionElement
 from fusionkit.params import ParamList
 
 
+def dense_tower_reference(sys, u, depth):
+    """The dense tower the sparse rows replaced: the running word decomposed
+    per level, and one integer matrix per level pair; plus the principal
+    graph read from those matrices by a double scan."""
+    ubar = sys.conj_element(u)
+    letters = [u if k % 2 else ubar for k in range(1, depth + 1)]
+    levels = [[(sys.unit, 1)]]
+    matrices = []
+    word = sys.unit_element()
+    for letter in letters:
+        word = sys.tensor(word, letter)
+        level = [(lab, word.mult(lab)) for lab in sorted(word.support(), key=sys.sort_key)]
+        matrix = []
+        for a, _ in levels[-1]:
+            prod = sys.tensor(FusionElement.from_label(a), letter)
+            matrix.append([prod.mult(c) for c, _ in level])
+        levels.append(level)
+        matrices.append(matrix)
+    first = {}
+    for k, level in enumerate(levels):
+        for lab, _ in level:
+            first.setdefault(lab, k)
+    vertices = sorted(first.items(), key=lambda it: (it[1], sys.sort_key(it[0])))
+    edges = []
+    for k, matrix in enumerate(matrices):
+        prev, nxt = levels[k], levels[k + 1]
+        for i, (a, _) in enumerate(prev):
+            if first[a] != k:
+                continue
+            for j, (c, _) in enumerate(nxt):
+                if first[c] != k + 1:
+                    continue
+                if matrix[i][j]:
+                    edges.append((a, c, matrix[i][j]))
+    return levels, matrices, vertices, edges
+
+
+# the group duals use generators whose towers stay small enough for dense
+# matrices: with the fundamental generator, F2 at depth 8 spans 64M entries
+ORACLE_CASES = {
+    "ao3": ("ao3", "r2 + r3"),
+    "aut4": ("aut4", None),
+    "au2": ("au2", None),
+    "Z^2": ("zd2", None),
+    "Z*Z/3": ("zmod3", "e + g + h"),
+    "F2": ("f2", "s + s^-1 + t"),
+}
+
+
+@pytest.mark.parametrize("fixture, text", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_tower_matches_dense_reference(request, fixture, text):
+    sys = request.getfixturevalue(fixture)
+    u = fk.parse_element(sys, text) if text else fk.fundamental(sys)
+    for depth in range(1, 9):
+        d = fk.tower(sys, u, depth)
+        levels, matrices, vertices, edges = dense_tower_reference(sys, u, depth)
+        assert d.levels == levels
+        assert [d.inclusion_matrix(k) for k in range(depth)] == matrices
+        g = fk.principal_graph(d)
+        assert g.vertices == vertices
+        assert g.edges == edges
+    for k, rows in enumerate(d.inclusions):
+        weighted = sum((m * row for (_, m), row in zip(d.levels[k], rows)), FusionElement())
+        assert weighted == FusionElement(d.levels[k + 1])
+
+
 def test_tower_depth_one(ao3):
     u = fk.parse_element(ao3, "r2 + r3")
     d = fk.tower(ao3, u, 1)
     assert d.levels[0] == [(ao3.unit, 1)]
     assert d.levels[1] == [(ao3.r(2), 1), (ao3.r(3), 1)]
-    assert d.inclusions[0] == [[1, 1]]
+    assert d.inclusion_matrix(0) == [[1, 1]]
 
 
 def test_tower_ao2_catalan(ao2):
