@@ -14,20 +14,28 @@ A cross-check runs the same estimate through the positive element
 ``chi(u) chi(u)*`` (moments ``p_k = multiplicity(unit, (u (x) conj u)^(x)k)``,
 norm ``n^2`` exactly when amenable); the two verdicts must agree.
 
-Counting: every count is a unit multiplicity of a tensor power, and
-Frobenius reciprocity gives ``multiplicity(unit, a (x) b) =
+Counting: every count is a unit multiplicity of a tensor power
+(``FusionSystem.unit_moments``).  Where the family proves an equitable
+partition of the labels for right multiplication by the generator
+(``FusionSystem.radial_key``: word length for ``c0 + w (a + b)`` in
+``a_u``, letter length for ``c0 + w * sum (g + g^-1)`` over the free
+groups ``F_n``, signed-permutation orbits for the same shape in ``Z^d``),
+the counts are walks of class weights on the quotient of the fusion graph
+(Woess, *Random Walks on Infinite Graphs and Groups*, 2000): the family
+rule runs once per class and support label, and no power is formed.
+Elsewhere Frobenius reciprocity gives ``multiplicity(unit, a (x) b) =
 sum_c a_c b_{conj c}``, so ``x^(x)2k`` and ``x^(x)2k-1`` are read off the
-pair ``x^(x)k, x^(x)k-1`` (``FusionSystem.unit_moments``): powers are
-formed to half the depth only.  For a self-conjugate generator
-``u + conj u = 2u``, so ``c_{2k} = 4^k p_k`` exactly and a verdict counts
-one sequence, shared by the estimate and the cross-check.  For duals of
-free products the supports grow exponentially, but elements supported on
-the unit and single-syllable words split as a sum of elements from
-distinct free factors, which are free with respect to the
-unit-multiplicity trace; their mixed moments are therefore determined by
-the factor moments through the free (noncrossing) moment-cumulant
-relations.  Those relations are integer recursions, so this path is exact
-and is cross-checked against direct expansion in the tests.
+pair ``x^(x)k, x^(x)k-1``: powers are formed to half the depth only.  For
+a self-conjugate generator ``u + conj u = 2u``, so ``c_{2k} = 4^k p_k``
+exactly and a verdict counts one sequence, shared by the estimate and the
+cross-check.  For the other duals of free products the supports grow
+exponentially, but elements supported on the unit and single-syllable
+words split as a sum of elements from distinct free factors, which are
+free with respect to the unit-multiplicity trace; their mixed moments are
+therefore determined by the factor moments through the free
+(noncrossing) moment-cumulant relations.  Those relations are integer
+recursions, so this path is exact.  Both paths are cross-checked against
+direct expansion in the tests.
 """
 
 from __future__ import annotations
@@ -109,7 +117,8 @@ def _mc_recursion(moments: list[int], forward: bool, kappa: list[int] | None = N
 def char_moments(sys: FusionSystem, x: FusionElement, N: int) -> list[int]:
     """Exact moments ``m_j = multiplicity(unit, x^(x)j)`` for j = 0..N."""
     sys.check_element(x)
-    split = _free_factor_split(sys, x)
+    # a proven quotient walk is cheaper than the cumulant table
+    split = None if sys.radial_key(x) is not None else _free_factor_split(sys, x)
     if split is not None:
         c0, parts = split
         kappa = [0] * (N + 1)

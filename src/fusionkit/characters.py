@@ -6,9 +6,11 @@ obtained by substituting ``X -> u`` and ``X* -> conj(u)``.  By Frobenius
 reciprocity that multiplicity pairs the products of the two halves of the
 word, ``multiplicity(unit, A (x) B) = sum_c A_c B_{conj c}``, so a word of
 length ``L`` costs two products of length about ``L/2`` and the full
-product is never formed; moment sequences share the same kernel
-(``FusionSystem.unit_moments``).  Noncrossing pairing enumeration and the
-Catalan recurrence provide independent cross-checks for these counts.
+product is never formed; moment sequences come from
+``FusionSystem.unit_moments``, which shares that kernel or walks the
+radial quotient where the family proves one.  Noncrossing pairing
+enumeration and the Catalan recurrence provide independent cross-checks
+for these counts.
 """
 
 from __future__ import annotations

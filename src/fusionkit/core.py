@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from itertools import repeat
 from operator import mul
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class FusionError(Exception):
@@ -239,6 +239,17 @@ class FusionSystem(ABC):
         """The family's distinguished generating element."""
         raise FusionError(f"no fundamental rule for {self!r}")
 
+    def radial_key(self, x: FusionElement) -> Callable[[IrrLabel], Hashable] | None:
+        """A key on labels whose classes are equitable for right multiplication by ``x``.
+
+        Families return one only for the generators where it is proven:
+        the unit is the only label with its key, and the total multiplicity
+        ``a (x) x`` puts into each class depends only on ``key(a)``.  Then
+        ``unit_moments`` walks class weights instead of forming powers.
+        The default, None, keeps the expansion.
+        """
+        return None
+
     # -- labels ------------------------------------------------------------
 
     def label(self, payload) -> IrrLabel:
@@ -322,8 +333,14 @@ class FusionSystem(ABC):
         return sum(map(mul, xs.values(), map(y._terms.get, map(self.conj_irr, xs), repeat(0))))
 
     def unit_moments(self, x: FusionElement, N: int) -> list[int]:
-        """``[multiplicity(unit, x^(x)j) for j = 0..N]`` at half the tensor depth.
+        """``[multiplicity(unit, x^(x)j) for j = 0..N]``.
 
+        When ``radial_key(x)`` gives a key, the weights of its classes are
+        walked for ``N`` steps and ``m_j`` is the weight of the unit's
+        class, which holds the unit alone.  The family rule runs once per
+        (class representative, support label) pair.
+
+        Otherwise the powers are formed to half the depth:
         ``m_{2k-1} = unit_mult(x^k, x^(k-1))`` and ``m_{2k} = unit_mult(x^k, x^k)``,
         so only the powers up to ``ceil(N/2)`` are formed.  Both pairings
         run in one pass over ``x^k`` that conjugates each term once, and
@@ -332,6 +349,9 @@ class FusionSystem(ABC):
         if N < 0:
             raise FusionError(f"N must be >= 0, got {N}")
         self.check_element(x)
+        key = self.radial_key(x)
+        if key is not None:
+            return self._class_walk(x, key, N)
         conj = self.conj_irr
         out = [1]
         powers = self.products(repeat(x, (N + 1) // 2))
@@ -347,6 +367,32 @@ class FusionSystem(ABC):
             if len(out) <= N:
                 out.append(even)
             prev = cur
+        return out
+
+    def _class_walk(self, x: FusionElement, key: Callable[[IrrLabel], Hashable],
+                    N: int) -> list[int]:
+        """Unit multiplicities of ``x^(x)j``, j = 0..N, on the classes of ``key``."""
+        unit = key(self._unit)
+        reps = {unit: self._unit}  # the first label met in each class
+        rows: dict[Hashable, list[tuple[Hashable, int]]] = {}
+        weights = {unit: 1}
+        out = [1]
+        for _ in range(N):
+            nxt: dict[Hashable, int] = {}
+            for c, w in weights.items():
+                row = rows.get(c)
+                if row is None:
+                    acc: dict[Hashable, int] = {}
+                    for b, mb in x._terms.items():
+                        for d, md in self._tensor_irr(reps[c], b)._terms.items():
+                            k = key(d)
+                            reps.setdefault(k, d)
+                            acc[k] = acc.get(k, 0) + mb * md
+                    row = rows[c] = list(acc.items())
+                for k, m in row:
+                    nxt[k] = nxt.get(k, 0) + w * m
+            weights = nxt
+            out.append(weights.get(unit, 0))
         return out
 
     def power(self, x: FusionElement, k: int) -> FusionElement:

@@ -90,6 +90,15 @@ class GroupDualBase(FusionSystem):
                 seen.setdefault(lab, 1)
         return FusionElement._adopt(seen)
 
+    def _uniform_letters(self, x: FusionElement) -> bool:
+        """Whether ``x = c0 e + w * sum over g of (g + g^-1)``, every generator, w >= 1."""
+        letters = [self._from_syllables([(i, e)])
+                   for i in range(len(self.names)) for e in (1, -1)]
+        terms = x._terms
+        w = terms.get(letters[0], 0)
+        return (w > 0 and all(terms.get(g) == w for g in letters)
+                and len(terms) == len(letters) + (self._unit in terms))
+
     def dim_irr(self, a: IrrLabel) -> int:
         return 1
 
@@ -209,12 +218,28 @@ class GroupDualSystem(GroupDualBase):
     def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
         return FusionElement._adopt({self.word(a.payload + b.payload): 1})
 
+    def radial_key(self, x: FusionElement):
+        """Letter length, for ``c0 e + w * sum (g + g^-1)`` over free ``Z`` factors.
+
+        Right multiplication by ``x`` is ``c0`` plus ``w`` times the
+        adjacency of the ``2n``-regular tree, whose root stabiliser is
+        transitive on spheres: a word leads to one parent and ``2n - 1``
+        children, the unit to ``2n`` children.
+        """
+        if any(m is not None for m in self.factors) or not self._uniform_letters(x):
+            return None
+        return lambda a: self.letter_length(a.payload)
+
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, self.inverse_word(a.payload))
 
     def sort_key(self, label: IrrLabel):
         w = label.payload
         return (self.letter_length(w), len(w), w)
+
+
+def _abs_orbit(a: IrrLabel) -> tuple[int, ...]:
+    return tuple(sorted(map(abs, a.payload)))
 
 
 class ZdDualSystem(GroupDualBase):
@@ -248,6 +273,17 @@ class ZdDualSystem(GroupDualBase):
     def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
         return FusionElement._adopt(
             {IrrLabel(self.family_id, tuple(map(add, a.payload, b.payload))): 1})
+
+    def radial_key(self, x: FusionElement):
+        """Sorted absolute coordinates, for ``c0 e + w * sum (e_i + (-e_i))``.
+
+        The classes are the orbits of the signed permutations of the
+        coordinates, which fix the unit and ``x`` and commute with
+        multiplication by ``x``.
+        """
+        if not self._uniform_letters(x):
+            return None
+        return _abs_orbit
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, tuple(-x for x in a.payload))
@@ -379,6 +415,10 @@ def au_bar(w: str) -> str:
 _AU_SWAP = str.maketrans("ab", "ba")
 
 
+def _word_length(a: IrrLabel) -> int:
+    return len(a.payload)
+
+
 class AuSystem(FusionSystem):
     """Free unitary type fusion on words over ``{a, b}``.
 
@@ -386,7 +426,7 @@ class AuSystem(FusionSystem):
     empty word is the unit.  The tensor rule sums over matched
     suffix/prefix cancellations:
     ``r_x (x) r_y = sum over splits x = u.g, y = bar(g).v of r_{u.v}``.
-    Dimensions are computed by the memoized recursion
+    Dimensions follow the two-term recurrence over the letters
     ``dim(r_{wc}) = n*dim(r_w) - [w ends with bar(c)]*dim(r_{w[:-1]})``,
     which is forced by the fusion rule and the dimension homomorphism.
     """
@@ -398,7 +438,6 @@ class AuSystem(FusionSystem):
             raise FusionError(f"AuSystem needs an integer n >= 2, got {n!r}")
         super().__init__(f"a_u(n={n})")
         self.n = n
-        self._dim_cache: dict[str, int] = {"": 1}
         self._unit = IrrLabel(self.family_id, "")
 
     def word(self, w: str) -> IrrLabel:
@@ -425,18 +464,26 @@ class AuSystem(FusionSystem):
         return IrrLabel(self.family_id, au_bar(a.payload))
 
     def dim_irr(self, a: IrrLabel) -> int:
-        return self._dim_word(a.payload)
-
-    def _dim_word(self, w: str) -> int:
-        hit = self._dim_cache.get(w)
-        if hit is not None:
-            return hit
-        head, c = w[:-1], w[-1]
-        d = self.n * self._dim_word(head)
-        if head and head[-1] == au_bar(c):
-            d -= self._dim_word(head[:-1])
-        self._dim_cache[w] = d
+        # d_j = n*d_{j-1} - [w_{j-1} = bar(w_j)]*d_{j-2}; a one-letter bar
+        # swaps the letter, so the correction applies when two differ
+        d_prev, d, last = 0, 1, ""
+        for c in a.payload:
+            d_prev, d = d, self.n * d - (d_prev if c != last else 0)
+            last = c
         return d
+
+    def radial_key(self, x: FusionElement):
+        """Word length, for ``c0 e + w (a + b)``.
+
+        ``r_w (x) a = r_{wa} + [w ends with b] r_{w[:-1]}`` and likewise for
+        ``b``, so a non-empty word leads to two children and one parent,
+        and the unit to two children.
+        """
+        terms = x._terms
+        a, b = IrrLabel(self.family_id, "a"), IrrLabel(self.family_id, "b")
+        if terms.keys() - {self._unit, a, b} or terms.get(a) != terms.get(b):
+            return None
+        return _word_length
 
     def sort_key(self, label: IrrLabel):
         return (len(label.payload), label.payload)

@@ -1,4 +1,5 @@
 import random
+import sys as _sys
 
 import pytest
 
@@ -83,3 +84,16 @@ def random_element(sys, rng, pool=None, max_terms=2, max_mult=2):
     for _ in range(rng.randint(1, max_terms)):
         terms[rng.choice(pool)] = rng.randint(1, max_mult)
     return fk.FusionElement(terms)
+
+
+def with_stack_margin(fn, *args, margin=40):
+    """Call ``fn`` with the recursion limit only ``margin`` frames above the stack."""
+    depth, frame = 0, _sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = _sys.getrecursionlimit()
+    _sys.setrecursionlimit(depth + margin)
+    try:
+        return fn(*args)
+    finally:
+        _sys.setrecursionlimit(limit)

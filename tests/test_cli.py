@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -100,6 +101,17 @@ def test_amenable(configs, capsys):
     assert out["verdict"] == "non-amenable-numerical"
     assert all(isinstance(c, str) for c in out["counts"])
     assert env["exact"] is False
+
+
+def test_amenable_au_at_the_default_depth(configs, capsys):
+    # (u + conj u)^k has 2^k labels; the radial walk over word lengths does not
+    started = time.perf_counter()
+    code, env = run_cli(capsys, "amenable", "--family", configs["au2"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    out = env["outputs"]
+    assert out["depth"] == 30
+    assert out["counts"] == [str(2 ** k * fk.catalan(k)) for k in range(1, 31)]
 
 
 def test_list_invariant(configs, capsys):

@@ -1,4 +1,5 @@
 import threading
+from itertools import repeat
 
 import pytest
 
@@ -212,3 +213,111 @@ def test_unit_moments_and_unit_mult_random(family, rng, request):
     assert sys.unit_mult(x, FusionElement.zero()) == 0
     with pytest.raises(fk.FusionError):
         sys.unit_moments(x, -1)
+
+
+# -- unit multiplicities on the radial quotient, against the expansion
+
+def moments_by_half_powers(sys, x, N):
+    """Oracle: ``m_j = unit_mult(x^ceil(j/2), x^floor(j/2))`` from formed powers."""
+    powers = list(sys.products(repeat(x, (N + 1) // 2)))
+    return [sys.unit_mult(powers[(j + 1) // 2], powers[j // 2]) for j in range(N + 1)]
+
+
+def letter_sum(sys, c0, w):
+    """``c0 e + w (a + b)`` for ``a_u``; ``c0 e + w * sum (g + g^-1)`` for group duals."""
+    if isinstance(sys, fk.AuSystem):
+        letters = [sys.word("a"), sys.word("b")]
+    else:
+        letters = [h for g in sys.generators() for h in (g, sys.conj_irr(g))]
+    return FusionElement({sys.unit: c0, **dict.fromkeys(letters, w)})
+
+
+# the full expansion of a free group's ball grows as (2n-1)^N, so F2 and F3
+# take it to a smaller N and the half-depth expansion to 12
+RADIAL_CASES = [
+    ("a_u(2)", fk.AuSystem(2), 12),
+    ("a_u(3)", fk.AuSystem(3), 12),
+    ("F2", fk.GroupDualSystem([None, None], names=["s", "t"]), 8),
+    ("F3", fk.GroupDualSystem([None, None, None]), 6),
+    ("Z^2", fk.ZdDualSystem(2), 12),
+    ("Z^3", fk.ZdDualSystem(3), 12),
+]
+
+
+@pytest.mark.parametrize("c0, w", [(c0, w) for c0 in (0, 1, 3) for w in (1, 2)])
+@pytest.mark.parametrize("name, sys, full_N", RADIAL_CASES, ids=[c[0] for c in RADIAL_CASES])
+def test_radial_moments_match_expansion(name, sys, full_N, c0, w):
+    x = letter_sum(sys, c0, w)
+    assert sys.radial_key(x) is not None
+    moments = sys.unit_moments(x, 12)
+    assert moments[:full_N + 1] == moments_by_full_powers(sys, x, full_N)
+    assert moments == moments_by_half_powers(sys, x, 12)
+    for N in range(12):
+        assert sys.unit_moments(x, N) == moments[:N + 1]
+
+
+def _not_radial_cases():
+    au2, zd2 = fk.AuSystem(2), fk.ZdDualSystem(2)
+    f2 = fk.GroupDualSystem([None, None], names=["s", "t"])
+    zz3 = fk.GroupDualSystem([None, 3], names=["g", "h"])
+    u = au2.fundamental()
+    return [
+        ("a_u a", au2, u),
+        ("a_u a + 2b", au2, fk.parse_element(au2, "a + 2*b")),
+        ("a_u u ubar", au2, au2.tensor(u, au2.conj_element(u))),
+        ("F2 s + s^-1 + t", f2, fk.parse_element(f2, "s + s^-1 + t")),
+        ("F2 unequal weights", f2, fk.parse_element(f2, "s + s^-1 + 2*t + 2*t^-1")),
+        ("F2 squares", f2, fk.parse_element(f2, "s^2 + s^-2 + t^2 + t^-2")),
+        ("Z*Z/3 g + h", zz3, fk.parse_element(zz3, "g + h")),
+        ("Z^2 without -e_2", zd2, fk.parse_element(zd2, "e + g1 + g1^-1 + g2")),
+    ]
+
+
+NOT_RADIAL_CASES = _not_radial_cases()
+
+
+@pytest.mark.parametrize("name, sys, x", NOT_RADIAL_CASES, ids=[c[0] for c in NOT_RADIAL_CASES])
+def test_radial_key_only_where_proven(name, sys, x):
+    assert sys.radial_key(x) is None
+    assert sys.unit_moments(x, 6) == moments_by_full_powers(sys, x, 6)
+
+
+def equitable_violation(sys, x, key, depth=5):
+    """Brute force over the labels within ``depth`` steps of the unit.
+
+    Returns the first label that shares the unit's key, or whose product
+    with ``x`` puts other class totals than an earlier label of its class;
+    None when the key is equitable there.
+    """
+    labels, layer = {sys.unit}, {sys.unit}
+    for _ in range(depth):
+        layer = {d for a in layer for b in x for d in sys.tensor_pair(a, b)} - labels
+        labels |= layer
+    rows = {}
+    for a in sorted(labels, key=sys.sort_key):
+        if a != sys.unit and key(a) == key(sys.unit):
+            return a
+        row = {}
+        for d, m in sys.tensor(FusionElement({a: 1}), x).items():
+            row[key(d)] = row.get(key(d), 0) + m
+        if rows.setdefault(key(a), row) != row:
+            return a
+    return None
+
+
+@pytest.mark.parametrize("name, sys, full_N", RADIAL_CASES, ids=[c[0] for c in RADIAL_CASES])
+def test_radial_keys_are_equitable(name, sys, full_N):
+    for c0, w in ((0, 1), (3, 2)):
+        x = letter_sum(sys, c0, w)
+        assert equitable_violation(sys, x, sys.radial_key(x)) is None
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("F2", lambda sys, a: sys.letter_length(a.payload) % 2),  # joins the unit's class
+    ("Z^2", lambda sys, a: sum(map(abs, a.payload))),  # (2, 0) and (1, 1) differ
+    ("a_u(2)", lambda sys, a: a.payload.count("a")),
+])
+def test_equitable_check_rejects_mutated_keys(name, mutant):
+    sys = next(s for n, s, _ in RADIAL_CASES if n == name)
+    x = letter_sum(sys, 1, 1)
+    assert equitable_violation(sys, x, lambda a: mutant(sys, a)) is not None

@@ -5,6 +5,8 @@ import pytest
 import fusionkit as fk
 from fusionkit import FusionElement
 
+from conftest import with_stack_margin
+
 
 # -- oracle: closed-form dimensions through the quadratic field Q(sqrt(n^2-4))
 
@@ -113,6 +115,31 @@ def test_au_unit_multiplicity_all_words_up_to_6(au2):
     for x in words:
         prod = au2.tensor_pair(au2.word(x), au2.word(fk.au_bar(x)))
         assert prod.mult(au2.unit) == 1
+
+
+def au_dim_by_recursion(n, w):
+    """Oracle: the recursion over the last letter, one frame per letter."""
+    if not w:
+        return 1
+    d = n * au_dim_by_recursion(n, w[:-1])
+    if len(w) >= 2 and w[-2] == fk.au_bar(w[-1]):
+        d -= au_dim_by_recursion(n, w[:-2])
+    return d
+
+
+def test_au_dims_match_the_letter_recursion(rng):
+    systems = [fk.AuSystem(n) for n in (2, 3, 5)]
+    for _ in range(300):
+        sys = rng.choice(systems)
+        w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 10)))
+        assert sys.dim_irr(sys.word(w)) == au_dim_by_recursion(sys.n, w), (sys.n, w)
+
+
+def test_au_dims_of_long_words_need_no_stack(au2):
+    # a word of 3000 letters is far deeper than the 40 spare frames
+    assert with_stack_margin(au2.dim_irr, au2.word("a" * 3000)) == 2 ** 3000
+    # alternating letters: d_j = 2 d_{j-1} - d_{j-2}, so d_j = j + 1
+    assert with_stack_margin(au2.dim_irr, au2.word("ab" * 1500)) == 3001
 
 
 def test_au_dims(au2):

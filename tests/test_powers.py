@@ -1,10 +1,11 @@
 import itertools
-import sys as _sys
 
 import pytest
 
 import fusionkit as fk
 from fusionkit.powers import FiniteIrrSet, WordSet, _left_translate, _right_translate
+
+from conftest import with_stack_margin
 
 
 def enum_words(sys, depth):
@@ -368,19 +369,6 @@ def test_right_translate_keeps_the_operand_cylinders(f2):
         R = _right_translate(f2, S, f2.parse_label(xt).payload)
         assert R.cylinders == S.cylinders
         assert len(R.includes) + len(R.excludes) <= 3
-
-
-def with_stack_margin(fn, *args, margin=40):
-    """Call ``fn`` with the recursion limit only ``margin`` frames above the stack."""
-    depth, frame = 0, _sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = _sys.getrecursionlimit()
-    _sys.setrecursionlimit(depth + margin)
-    try:
-        return fn(*args)
-    finally:
-        _sys.setrecursionlimit(limit)
 
 
 def test_left_translate_cascade_needs_no_stack(f2):
