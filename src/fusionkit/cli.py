@@ -577,6 +577,9 @@ def run(argv: list[str] | None = None) -> int:
         outputs, exact, code = {"error": str(exc), "kind": "config"}, True, 2
     except FusionError as exc:
         outputs, exact, code = {"error": str(exc), "kind": "computation"}, True, 1
+    except Exception as exc:  # last resort: a defect still ends in one envelope
+        outputs, exact, code = {"error": f"{type(exc).__name__}: {exc}",
+                                "kind": "internal"}, True, 1
     return emit(make_envelope(args.command, inputs, outputs, exact, elapsed_ms,
                               cache.degraded if cache else ()), code)
 

@@ -125,7 +125,9 @@ class GroupDualSystem(GroupDualBase):
     stored as tuples of ``(factor, exponent)`` syllables with nonzero
     exponents (``1..m-1`` for finite factors) and no two consecutive
     syllables in the same factor.  All irreducibles have dimension 1 and
-    fusion is word concatenation followed by reduction.
+    fusion is group multiplication: two reduced words cancel only where
+    they meet, so the product walks inward from the seam
+    (``mul_words``); ``reduce_word`` normalises untrusted input.
     """
 
     def __init__(self, factors: Sequence[int | None], names: Sequence[str] | None = None):
@@ -162,8 +164,34 @@ class GroupDualSystem(GroupDualBase):
             out.append((f, e))
         return tuple(out)
 
+    def mul_words(self, u: Word, v: Word) -> Word:
+        """The reduced product of two reduced words.
+
+        Reduced words cancel only at the seam: walk inward from it while
+        the facing syllables share a factor.  A full cancellation goes on
+        walking; a nonzero merge or a factor change ends the walk, and the
+        untouched syllables of both words are kept as they are.
+        """
+        factors = self.factors
+        i, j, n = len(u), 0, len(v)
+        while i and j < n:
+            f, a = u[i - 1]
+            g, b = v[j]
+            if f != g:
+                break
+            m = factors[f]
+            e = a + b if m is None else (a + b) % m
+            if e:
+                return u[:i - 1] + ((f, e),) + v[j + 1:]
+            i -= 1
+            j += 1
+        return u[:i] + v[j:]
+
     def inverse_word(self, w: Word) -> Word:
-        return self.reduce_word((f, -e) for f, e in reversed(w))
+        """The inverse of a reduced word: reversed, exponents negated."""
+        factors = self.factors
+        return tuple((f, -e if factors[f] is None else -e % factors[f])
+                     for f, e in reversed(w))
 
     def word(self, letters: Iterable[Letter]) -> IrrLabel:
         return IrrLabel(self.family_id, self.reduce_word(letters))
@@ -216,7 +244,8 @@ class GroupDualSystem(GroupDualBase):
         return payload
 
     def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
-        return FusionElement._adopt({self.word(a.payload + b.payload): 1})
+        return FusionElement._adopt({IrrLabel(self.family_id,
+                                              self.mul_words(a.payload, b.payload)): 1})
 
     def radial_key(self, x: FusionElement):
         """Letter length, for ``c0 e + w * sum (g + g^-1)`` over free ``Z`` factors.

@@ -15,7 +15,10 @@ reach a target reports budget exhaustion instead of guessing.  Adjacency
 lists are cached on the system per generator support, shared across
 queries.  A generator support forms each pair ``(g, c)`` once, when ``c``
 is first expanded, so it goes straight to the family rule: the pair memo
-would only duplicate the adjacency cache.
+would only duplicate the adjacency cache.  On free products of cyclic
+groups that rule is one walk inward from the seam of two reduced words
+(``GroupDualSystem.mul_words``), so expanding a node costs the
+cancellation length per generator, not a re-reduction of the whole word.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def _neighbor_fn(sys: FusionSystem, v: FusionElement):
         if hit is None:
             acc: set[IrrLabel] = set()
             for g in vs:
-                acc.update(sys._tensor_irr(g, c).support())
+                acc.update(sys._tensor_irr(g, c)._terms)
             hit = tuple(acc)
             cache[c] = hit
         return hit

@@ -18,10 +18,13 @@ instead of scanning the cylinders.
 
 Both translations end in one step: the image gets its cylinders, and
 finitely many candidate words are each decided by whether their preimage
-is a member.  Left translation of a cylinder is a case analysis on how
-the multiplier's tail cancels into the prefix, along an integer-exponent
-ray if need be.  Right translation keeps the cylinders, since
-``S.x = {u : u x^-1 in S}`` and ``x`` moves only the last ``|x|`` letters.
+is a member.  Every product of two reduced words here (images,
+preimages, candidates, cascade prefixes) is ``GroupDualSystem.mul_words``,
+which cancels only at the seam where the words meet.  Left translation
+of a cylinder is a case analysis on how the multiplier's tail cancels
+into the prefix, along an integer-exponent ray if need be.  Right
+translation keeps the cylinders, since ``S.x = {u : u x^-1 in S}`` and
+``x`` moves only the last ``|x|`` letters.
 A product of two infinite cylinder sets is everything for nonelementary
 free products (both factors can be steered to hit any target); for the
 single integer factor only the rays are multiplied and each listed point
@@ -327,7 +330,7 @@ def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word, cyls: set[Word],
     if not q:
         cyls.add(())  # translation permutes the whole tree
         return
-    r1 = sys.reduce_word(x + q[:-1])
+    r1 = sys.mul_words(x, q[:-1])
     f, e = q[-1]
     if not r1 or r1[-1][0] != f:
         cyls.add(r1 + ((f, e),))
@@ -384,8 +387,8 @@ def _left_translate(sys: GroupDualSystem, x: Word, S: WordSet) -> WordSet:
     while todo:
         _left_mul_cyl(sys, x, todo.pop(), cyls, words, todo)
     x_inv = sys.inverse_word(x)
-    return _translated(sys, S, cyls, words, lambda w: sys.reduce_word(x + w),
-                       lambda u: sys.reduce_word(x_inv + u))
+    return _translated(sys, S, cyls, words, lambda w: sys.mul_words(x, w),
+                       lambda u: sys.mul_words(x_inv, u))
 
 
 def _tails(sys: GroupDualSystem, x: Word) -> list[Word]:
@@ -408,10 +411,10 @@ def _right_translate(sys: GroupDualSystem, S: WordSet, x: Word) -> WordSet:
     towards ``v`` if ``v x`` merges a ``Z/m`` syllable).
     """
     tails = _tails(sys, x)
-    cands = {sys.reduce_word(z + a) for z in _tree_paths(sys, S.cylinders) for a in tails}
+    cands = {sys.mul_words(z, a) for z in _tree_paths(sys, S.cylinders) for a in tails}
     x_inv = sys.inverse_word(x)
-    return _translated(sys, S, S.cylinders, cands, lambda w: sys.reduce_word(w + x),
-                       lambda u: sys.reduce_word(u + x_inv))
+    return _translated(sys, S, S.cylinders, cands, lambda w: sys.mul_words(w, x),
+                       lambda u: sys.mul_words(u, x_inv))
 
 
 def _is_nonelementary(sys: GroupDualSystem) -> bool:

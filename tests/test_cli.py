@@ -167,6 +167,20 @@ def test_closed_stdout_exits_one_without_traceback(configs, monkeypatch):
     assert code == 1
 
 
+def test_unexpected_exception_ends_in_one_internal_envelope(configs, capsys, monkeypatch):
+    def broken(args, cfg):
+        raise RuntimeError("defect")
+
+    monkeypatch.setattr(cli, "_cmd_decompose", broken)
+    code = run(["decompose", "--family", configs["ao3"], "--x", "r2", "--y", "r3"])
+    out, err = capsys.readouterr()
+    env = json.loads(out)  # raises on a second document
+    assert code == 1
+    assert env["outputs"] == {"error": "RuntimeError: defect", "kind": "internal"}
+    assert env["inputs"] == {"family": configs["ao3"], "x": "r2", "y": "r3"}
+    assert "Traceback" not in out + err
+
+
 def test_config_error_exit_code(configs, capsys):
     code, env = run_cli(capsys, "decompose", "--family", configs["bad"],
                         "--x", "r1", "--y", "r1")

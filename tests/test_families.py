@@ -183,6 +183,87 @@ def test_pure_zmod3_dual():
     assert z3.tensor_pair(g2, z3.parse_label("g1")) == z3.unit_element()
 
 
+WORD_FACTORS = {
+    "f2": [None, None],
+    "z_z3": [None, 3],
+    "z2_z2": [2, 2],
+    "z3_z5": [3, 5],
+    "z": [None],
+    "z_z_z4": [None, None, 4],
+}
+
+
+def random_reduced_word(sys, rng, length, first_not=None):
+    """A reduced word of ``length`` syllables whose first factor is not ``first_not``."""
+    out, last = [], first_not
+    for _ in range(length):
+        choices = [f for f in range(len(sys.factors)) if f != last]
+        if not choices:
+            break
+        f = rng.choice(choices)
+        m = sys.factors[f]
+        e = rng.randint(1, m - 1) if m else rng.choice([-1, 1]) * rng.randint(1, 3)
+        out.append((f, e))
+        last = f
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", WORD_FACTORS)
+def test_inverse_word_matches_reduction(name, rng):
+    sys = fk.GroupDualSystem(WORD_FACTORS[name])
+    for _ in range(200):
+        w = random_reduced_word(sys, rng, rng.randint(0, 8))
+        inv = sys.inverse_word(w)
+        assert inv == sys.reduce_word((f, -e) for f, e in reversed(w)), w
+        assert sys.mul_words(w, inv) == () == sys.mul_words(inv, w)
+
+
+@pytest.mark.parametrize("name", WORD_FACTORS)
+def test_mul_words_matches_reduction(name, rng):
+    sys = fk.GroupDualSystem(WORD_FACTORS[name])
+    for _ in range(300):
+        u = random_reduced_word(sys, rng, rng.randint(0, 8))
+        v = random_reduced_word(sys, rng, rng.randint(0, 8))
+        assert sys.mul_words(u, v) == sys.reduce_word(u + v), (u, v)
+        # v = u^-1 cancels all the way
+        assert sys.mul_words(u, sys.inverse_word(u)) == () == sys.reduce_word(
+            u + sys.inverse_word(u))
+        if not u:
+            continue
+        # v opens with inverse(u[-k:]) and then does not invert u[-k-1]:
+        # the cascade stops inside u
+        k = rng.randint(1, len(u))
+        head = sys.inverse_word(u[-k:])
+        while True:
+            tail = random_reduced_word(sys, rng, rng.randint(0, 4), first_not=head[-1][0])
+            if not (tail and k < len(u) and sys.reduce_word((u[-k - 1], tail[0])) == ()):
+                break
+        v = head + tail
+        got = sys.mul_words(u, v)
+        assert got == sys.reduce_word(u + v), (u, v)
+        keep = max(len(u) - k - 1, 0)
+        assert got[:keep] == u[:keep]
+
+
+def checked_product(sys, u, v):
+    got = sys.mul_words(u, v)
+    assert got == sys.reduce_word(u + v)
+    return got
+
+
+def test_mul_words_merges_at_the_seam():
+    z_z3 = fk.GroupDualSystem([None, 3])
+    # Z/3 partial merge, g^2 . g^2 = g, after a full cancellation
+    u, v = ((1, 2), (0, 3)), ((0, -3), (1, 2), (0, 1))
+    assert checked_product(z_z3, u, v) == ((1, 1), (0, 1))
+    # a Z exponent that changes sign keeps both outer syllables
+    u, v = ((1, 1), (0, 2)), ((0, -5), (1, 2))
+    assert checked_product(z_z3, u, v) == ((1, 1), (0, -3), (1, 2))
+    z_z_z4 = fk.GroupDualSystem([None, None, 4])
+    u, v = ((2, 3), (0, 1), (1, -2)), ((1, 2), (0, -1), (2, 3), (1, 1))
+    assert checked_product(z_z_z4, u, v) == ((2, 2), (1, 1))
+
+
 def test_zd_dual(zd2):
     g1, g2 = zd2.generators()
     x = zd2.tensor_pair(g1, g2)
