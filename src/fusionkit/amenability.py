@@ -15,14 +15,15 @@ A cross-check runs the same estimate through the positive element
 norm ``n^2`` exactly when amenable); the two verdicts must agree.
 
 Counting: every count is a unit multiplicity of a tensor power
-(``FusionSystem.unit_moments``).  Where the family proves an equitable
-partition of the labels for right multiplication by the generator
-(``FusionSystem.radial_key``: word length for ``c0 + w (a + b)`` in
-``a_u``, letter length for ``c0 + w * sum (g + g^-1)`` over the free
-groups ``F_n``, signed-permutation orbits for the same shape in ``Z^d``),
-the counts are walks of class weights on the quotient of the fusion graph
-(Woess, *Random Walks on Infinite Graphs and Groups*, 2000): the family
-rule runs once per class and support label, and no power is formed.
+(``FusionSystem.unit_moments``).  Where the family proves that the
+generator is ``c0`` units plus independent steps of birth-death chains on
+levels (``FusionSystem.radial_chains``: word length for ``c0 + w (a + b)``
+in ``a_u``, letter length for ``c0 + w * sum (g + g^-1)`` over the free
+groups ``F_n``, one chain per coordinate for the same shape in ``Z^d``),
+the counts are closed walks of those chains, whose rates are constant
+from level 1 on (Kesten, *Trans. AMS* 92, 1959; Woess, *Random Walks on
+Infinite Graphs and Groups*, 2000): integers are walked on levels, and
+no rule runs and no power is formed.
 Elsewhere Frobenius reciprocity gives ``multiplicity(unit, a (x) b) =
 sum_c a_c b_{conj c}``, so ``x^(x)2k`` and ``x^(x)2k-1`` are read off the
 pair ``x^(x)k, x^(x)k-1``: powers are formed to half the depth only.  For
@@ -117,8 +118,8 @@ def _mc_recursion(moments: list[int], forward: bool, kappa: list[int] | None = N
 def char_moments(sys: FusionSystem, x: FusionElement, N: int) -> list[int]:
     """Exact moments ``m_j = multiplicity(unit, x^(x)j)`` for j = 0..N."""
     sys.check_element(x)
-    # a proven quotient walk is cheaper than the cumulant table
-    split = None if sys.radial_key(x) is not None else _free_factor_split(sys, x)
+    # a declared chain walk is cheaper than the cumulant table
+    split = None if sys.radial_chains(x) is not None else _free_factor_split(sys, x)
     if split is not None:
         c0, parts = split
         kappa = [0] * (N + 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys as _sys
 import tempfile
@@ -202,7 +203,12 @@ def make_envelope(command: str | None, inputs: dict, outputs, exact: bool = True
 def emit(envelope: dict, code: int) -> int:
     """Print the envelope and return ``code``, or 1 if stdout's reader is gone."""
     try:
-        print(json.dumps(envelope, sort_keys=True, indent=2), flush=True)
+        text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)
+    except (TypeError, ValueError, RecursionError) as exc:  # outputs JSON cannot hold
+        return emit({**envelope, "exact": True, "outputs": {
+            "error": f"{type(exc).__name__}: {exc}", "kind": "internal"}}, 1)
+    try:
+        print(text, flush=True)
     except BrokenPipeError:
         # point stdout at devnull so the flush at interpreter exit stays quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -289,8 +295,8 @@ def _cmd_growth(args, cfg: FamilyConfig):
 
 
 def _cmd_amenable(args, cfg: FamilyConfig):
-    if args.tol is not None and not args.tol >= 0:
-        raise ConfigError("--tol must be >= 0")
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise ConfigError("--tol must be finite and >= 0")
     sys_ = cfg.system
     u = parse_element(sys_, args.u) if args.u else None
     report = amenability.amenability_verdict(sys_, u, K=args.depth, tol=args.tol,
@@ -555,7 +561,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     started = time.perf_counter()
-    inputs = {name: getattr(args, name) for name in args.echo}
+    # JSON has no NaN or infinity: echo such flag values as text
+    inputs = {name: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+              for name, v in vars(args).items() if name in args.echo}
     cache = None
     elapsed_ms = None
     try:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import repeat
+from math import comb
 from operator import mul
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 
 class FusionError(Exception):
@@ -191,6 +192,9 @@ class FusionElement:
         return "FusionElement(" + " + ".join(bits) + ")"
 
 
+Chain = tuple[int, int, int]  # (p0, p, q), as FusionSystem.radial_chains declares them
+
+
 class FusionSystem(ABC):
     """Descriptor of one fusion family.
 
@@ -239,14 +243,16 @@ class FusionSystem(ABC):
         """The family's distinguished generating element."""
         raise FusionError(f"no fundamental rule for {self!r}")
 
-    def radial_key(self, x: FusionElement) -> Callable[[IrrLabel], Hashable] | None:
-        """A key on labels whose classes are equitable for right multiplication by ``x``.
+    def radial_chains(self, x: FusionElement) -> tuple[int, tuple[Chain, ...]] | None:
+        """``x`` as ``c0`` units plus independent birth-death steps, where proven.
 
-        Families return one only for the generators where it is proven:
-        the unit is the only label with its key, and the total multiplicity
-        ``a (x) x`` puts into each class depends only on ``key(a)``.  Then
-        ``unit_moments`` walks class weights instead of forming powers.
-        The default, None, keeps the expansion.
+        ``(c0, chains)`` means ``x = c0 unit + y_1 + ... + y_d``, where the
+        ``y_i`` commute and the unit multiplicity of a product of their
+        powers is the product of theirs.  Each ``y_i`` steps on levels by
+        its chain ``(p0, p, q)``: up ``p0`` from level 0, which holds the
+        unit alone, and up ``p`` or down ``q`` from every level >= 1, with
+        no holding.  Families declare chains only for the generators where
+        they prove them; the default, None, keeps the expansion.
         """
         return None
 
@@ -335,10 +341,11 @@ class FusionSystem(ABC):
     def unit_moments(self, x: FusionElement, N: int) -> list[int]:
         """``[multiplicity(unit, x^(x)j) for j = 0..N]``.
 
-        When ``radial_key(x)`` gives a key, the weights of its classes are
-        walked for ``N`` steps and ``m_j`` is the weight of the unit's
-        class, which holds the unit alone.  The family rule runs once per
-        (class representative, support label) pair.
+        When ``radial_chains(x)`` declares chains, no rule runs: each
+        chain's level weights are walked for ``N`` steps, keeping at step
+        ``j`` only the levels ``<= min(j, N - j)`` that can still return,
+        and the return weights are joined with ``c0^j`` by binomial
+        convolution (``_chain_moments``).
 
         Otherwise the powers are formed to half the depth:
         ``m_{2k-1} = unit_mult(x^k, x^(k-1))`` and ``m_{2k} = unit_mult(x^k, x^k)``,
@@ -349,9 +356,9 @@ class FusionSystem(ABC):
         if N < 0:
             raise FusionError(f"N must be >= 0, got {N}")
         self.check_element(x)
-        key = self.radial_key(x)
-        if key is not None:
-            return self._class_walk(x, key, N)
+        chains = self.radial_chains(x)
+        if chains is not None:
+            return _chain_moments(*chains, N)
         conj = self.conj_irr
         out = [1]
         powers = self.products(repeat(x, (N + 1) // 2))
@@ -367,32 +374,6 @@ class FusionSystem(ABC):
             if len(out) <= N:
                 out.append(even)
             prev = cur
-        return out
-
-    def _class_walk(self, x: FusionElement, key: Callable[[IrrLabel], Hashable],
-                    N: int) -> list[int]:
-        """Unit multiplicities of ``x^(x)j``, j = 0..N, on the classes of ``key``."""
-        unit = key(self._unit)
-        reps = {unit: self._unit}  # the first label met in each class
-        rows: dict[Hashable, list[tuple[Hashable, int]]] = {}
-        weights = {unit: 1}
-        out = [1]
-        for _ in range(N):
-            nxt: dict[Hashable, int] = {}
-            for c, w in weights.items():
-                row = rows.get(c)
-                if row is None:
-                    acc: dict[Hashable, int] = {}
-                    for b, mb in x._terms.items():
-                        for d, md in self._tensor_irr(reps[c], b)._terms.items():
-                            k = key(d)
-                            reps.setdefault(k, d)
-                            acc[k] = acc.get(k, 0) + mb * md
-                    row = rows[c] = list(acc.items())
-                for k, m in row:
-                    nxt[k] = nxt.get(k, 0) + w * m
-            weights = nxt
-            out.append(weights.get(unit, 0))
         return out
 
     def power(self, x: FusionElement, k: int) -> FusionElement:
@@ -414,3 +395,19 @@ class FusionSystem(ABC):
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family_id}>"
 
+
+def _chain_moments(c0: int, chains: tuple[Chain, ...], N: int) -> list[int]:
+    """Unit multiplicities of ``(c0 unit + y_1 + ... + y_d)^(x)j``, j = 0..N."""
+    out = [c0 ** j for j in range(N + 1)]
+    for p0, p, q in chains:
+        levels, walk = [1], [1]
+        for j in range(1, N + 1):
+            up = [0, p0 * levels[0], *(p * w for w in levels[1:])]
+            down = [*levels[1:], 0, 0]
+            # a walk above level N - j cannot be back at 0 by step N
+            levels = [u + q * d for u, d in zip(up[:min(j, N - j) + 1], down)]
+            walk.append(levels[0])
+        # the parts commute: (rest + y)^n = sum over k of C(n, k) rest^(n-k) y^k
+        out = [sum(comb(n, k) * out[n - k] * w for k, w in enumerate(walk[:n + 1]) if w)
+               for n in range(N + 1)]
+    return out

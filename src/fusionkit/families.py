@@ -90,14 +90,14 @@ class GroupDualBase(FusionSystem):
                 seen.setdefault(lab, 1)
         return FusionElement._adopt(seen)
 
-    def _uniform_letters(self, x: FusionElement) -> bool:
-        """Whether ``x = c0 e + w * sum over g of (g + g^-1)``, every generator, w >= 1."""
+    def _uniform_letters(self, x: FusionElement) -> int:
+        """``w >= 1`` if ``x = c0 e + w * sum over g of (g + g^-1)``, every generator; else 0."""
         letters = [self._from_syllables([(i, e)])
                    for i in range(len(self.names)) for e in (1, -1)]
         terms = x._terms
         w = terms.get(letters[0], 0)
-        return (w > 0 and all(terms.get(g) == w for g in letters)
-                and len(terms) == len(letters) + (self._unit in terms))
+        return w if (all(terms.get(g) == w for g in letters)
+                     and len(terms) == len(letters) + (self._unit in terms)) else 0
 
     def dim_irr(self, a: IrrLabel) -> int:
         return 1
@@ -247,17 +247,19 @@ class GroupDualSystem(GroupDualBase):
         return FusionElement._adopt({IrrLabel(self.family_id,
                                               self.mul_words(a.payload, b.payload)): 1})
 
-    def radial_key(self, x: FusionElement):
-        """Letter length, for ``c0 e + w * sum (g + g^-1)`` over free ``Z`` factors.
+    def radial_chains(self, x: FusionElement):
+        """``(c0, ((2n w, (2n - 1) w, w),))`` for ``c0 e + w * sum (g + g^-1)``, n free ``Z``s.
 
-        Right multiplication by ``x`` is ``c0`` plus ``w`` times the
-        adjacency of the ``2n``-regular tree, whose root stabiliser is
-        transitive on spheres: a word leads to one parent and ``2n - 1``
-        children, the unit to ``2n`` children.
+        Right multiplication by ``x - c0 e`` is ``w`` times the adjacency of
+        the ``2n``-regular tree, and the level is the letter length: the
+        unit has ``2n`` children, and every other word one parent (the
+        letter that cancels its last one) and ``2n - 1`` children.
         """
-        if any(m is not None for m in self.factors) or not self._uniform_letters(x):
+        w = self._uniform_letters(x)
+        if not w or any(m is not None for m in self.factors):
             return None
-        return lambda a: self.letter_length(a.payload)
+        n = len(self.factors)
+        return x._terms.get(self._unit, 0), ((2 * n * w, (2 * n - 1) * w, w),)
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, self.inverse_word(a.payload))
@@ -265,10 +267,6 @@ class GroupDualSystem(GroupDualBase):
     def sort_key(self, label: IrrLabel):
         w = label.payload
         return (self.letter_length(w), len(w), w)
-
-
-def _abs_orbit(a: IrrLabel) -> tuple[int, ...]:
-    return tuple(sorted(map(abs, a.payload)))
 
 
 class ZdDualSystem(GroupDualBase):
@@ -303,16 +301,17 @@ class ZdDualSystem(GroupDualBase):
         return FusionElement._adopt(
             {IrrLabel(self.family_id, tuple(map(add, a.payload, b.payload))): 1})
 
-    def radial_key(self, x: FusionElement):
-        """Sorted absolute coordinates, for ``c0 e + w * sum (e_i + (-e_i))``.
+    def radial_chains(self, x: FusionElement):
+        """``(c0, ((2w, w, w),) * d)`` for ``c0 e + w * sum (e_i + (-e_i))``.
 
-        The classes are the orbits of the signed permutations of the
-        coordinates, which fix the unit and ``x`` and commute with
-        multiplication by ``x``.
+        ``y_i = w (e_i + (-e_i))`` moves coordinate ``i`` alone, so the
+        ``y_i`` commute and a product of their powers holds the unit as
+        many times as the product of theirs.  The level of ``y_i`` is
+        ``|v_i|``: both of its steps raise it from 0, and from any other
+        value one raises it and the other lowers it.
         """
-        if not self._uniform_letters(x):
-            return None
-        return _abs_orbit
+        w = self._uniform_letters(x)
+        return (x._terms.get(self._unit, 0), ((2 * w, w, w),) * self.d) if w else None
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, tuple(-x for x in a.payload))
@@ -444,10 +443,6 @@ def au_bar(w: str) -> str:
 _AU_SWAP = str.maketrans("ab", "ba")
 
 
-def _word_length(a: IrrLabel) -> int:
-    return len(a.payload)
-
-
 class AuSystem(FusionSystem):
     """Free unitary type fusion on words over ``{a, b}``.
 
@@ -501,18 +496,20 @@ class AuSystem(FusionSystem):
             last = c
         return d
 
-    def radial_key(self, x: FusionElement):
-        """Word length, for ``c0 e + w (a + b)``.
+    def radial_chains(self, x: FusionElement):
+        """``(c0, ((2w, 2w, w),))`` for ``c0 e + w (a + b)``, with the word length as level.
 
-        ``r_w (x) a = r_{wa} + [w ends with b] r_{w[:-1]}`` and likewise for
-        ``b``, so a non-empty word leads to two children and one parent,
-        and the unit to two children.
+        ``r_v (x) a = r_{va} + [v ends with b] r_{v[:-1]}`` and likewise for
+        ``b``, so the unit leads to two children, and a non-empty word to
+        two children and, since it ends with exactly one of ``a``, ``b``,
+        one parent.
         """
         terms = x._terms
         a, b = IrrLabel(self.family_id, "a"), IrrLabel(self.family_id, "b")
-        if terms.keys() - {self._unit, a, b} or terms.get(a) != terms.get(b):
+        w = terms.get(a, 0)
+        if terms.keys() - {self._unit, a, b} or terms.get(b, 0) != w:
             return None
-        return _word_length
+        return terms.get(self._unit, 0), ((2 * w, 2 * w, w),)
 
     def sort_key(self, label: IrrLabel):
         return (len(label.payload), label.payload)

@@ -11,14 +11,14 @@ are irrelevant to the metric.
 
 Whether the coefficients of ``v`` generate the whole object is not
 decidable at this level; searches carry an explicit budget and failure to
-reach a target reports budget exhaustion instead of guessing.  Adjacency
-lists are cached on the system per generator support, shared across
-queries.  A generator support forms each pair ``(g, c)`` once, when ``c``
-is first expanded, so it goes straight to the family rule: the pair memo
-would only duplicate the adjacency cache.  On free products of cyclic
-groups that rule is one walk inward from the seam of two reduced words
-(``GroupDualSystem.mul_words``), so expanding a node costs the
-cancellation length per generator, not a re-reduction of the whole word.
+reach a target reports budget exhaustion instead of guessing.  A search
+expands each node once, so it forms each pair ``(g, c)`` of a generator
+label and a node once: it goes straight to the family rule and keeps no
+adjacency lists, since neither they nor the pair memo would be read
+again.  On free products of cyclic groups that rule is one walk inward
+from the seam of two reduced words (``GroupDualSystem.mul_words``), so
+expanding a node costs the cancellation length per generator, not a
+re-reduction of the whole word.
 """
 
 from __future__ import annotations
@@ -53,18 +53,12 @@ def _check_budget(budget: int) -> None:
 
 def _neighbor_fn(sys: FusionSystem, v: FusionElement):
     vs = v.support()
-    caches = sys.__dict__.setdefault("_neighbor_caches", {})
-    cache: dict[IrrLabel, tuple[IrrLabel, ...]] = caches.setdefault(vs, {})
 
-    def neighbors(c: IrrLabel) -> tuple[IrrLabel, ...]:
-        hit = cache.get(c)
-        if hit is None:
-            acc: set[IrrLabel] = set()
-            for g in vs:
-                acc.update(sys._tensor_irr(g, c)._terms)
-            hit = tuple(acc)
-            cache[c] = hit
-        return hit
+    def neighbors(c: IrrLabel) -> set[IrrLabel]:
+        acc: set[IrrLabel] = set()
+        for g in vs:
+            acc.update(sys._tensor_irr(g, c)._terms)
+        return acc
 
     return neighbors
 

@@ -31,10 +31,18 @@ def configs(tmp_path):
     return paths
 
 
+def strict_loads(text):
+    """``json.loads`` that rejects NaN and infinities, which JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(capsys, *args):
     code = run(list(args))
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (strict_loads(out) if out.strip() else None)
 
 
 def test_decompose(configs, capsys):
@@ -181,6 +189,24 @@ def test_unexpected_exception_ends_in_one_internal_envelope(configs, capsys, mon
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("outputs", [
+    {"estimate": float("nan")},
+    {"estimate": float("inf")},
+    {"label": object()},
+    {("r", 1): "1"},
+], ids=["nan", "inf", "object", "tuple-key"])
+def test_unencodable_output_ends_in_one_internal_envelope(configs, capsys, monkeypatch,
+                                                           outputs):
+    monkeypatch.setattr(cli, "_cmd_decompose", lambda args, cfg: (outputs, True))
+    code = run(["decompose", "--family", configs["ao3"], "--x", "r2", "--y", "r3"])
+    out, err = capsys.readouterr()
+    env = strict_loads(out)  # raises on a second document
+    assert code == 1
+    assert env["outputs"]["kind"] == "internal"
+    assert env["inputs"] == {"family": configs["ao3"], "x": "r2", "y": "r3"}
+    assert "Traceback" not in out + err
+
+
 def test_config_error_exit_code(configs, capsys):
     code, env = run_cli(capsys, "decompose", "--family", configs["bad"],
                         "--x", "r1", "--y", "r1")
@@ -203,6 +229,7 @@ def test_computation_error_exit_code(configs, capsys):
     ("amenable", ["--depth", "0"]),
     ("amenable", ["--depth", "8", "--tol", "-1"]),
     ("amenable", ["--depth", "8", "--tol", "nan"]),
+    ("amenable", ["--depth", "8", "--tol", "inf"]),
     ("modular-spectrum", ["--list", "q^x"]),
     ("modular-spectrum", ["--list", "q^1/0"]),
     ("modular-spectrum", ["--list", "q,q^-1", "--member", "q,q^x"]),
@@ -215,10 +242,10 @@ def test_computation_error_exit_code(configs, capsys):
     ("moments", ["--u", "r2", "--word", "X**"]),
     ("moments", ["--u", "r2", "--word", "XY"]),
     ("list-invariant", ["--depth", "-1"]),
-], ids=["depth-2", "depth-0", "tol-negative", "tol-nan", "list-syntax", "list-zero-denominator",
-        "member-syntax", "budget-negative", "search-budget-negative", "ball-r-negative",
-        "growth-rmax-negative", "graph-depth-0", "word-double-star", "word-bad-character",
-        "list-depth-negative"])
+], ids=["depth-2", "depth-0", "tol-negative", "tol-nan", "tol-inf", "list-syntax",
+        "list-zero-denominator", "member-syntax", "budget-negative", "search-budget-negative",
+        "ball-r-negative", "growth-rmax-negative", "graph-depth-0", "word-double-star",
+        "word-bad-character", "list-depth-negative"])
 def test_flag_errors_are_config_errors(configs, capsys, command, flags):
     group = command in ("distance", "powers-search", "ball", "growth")
     family = configs["f2" if group else "ao2" if command == "list-invariant" else "ao3"]

@@ -244,16 +244,74 @@ RADIAL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("c0, w", [(c0, w) for c0 in (0, 1, 3) for w in (1, 2)])
+def radial_key(sys):
+    """The level classes of ``letter_sum``: word length for ``a_u``, letter
+    length for free groups, sorted absolute coordinates for ``Z^d``."""
+    if isinstance(sys, fk.AuSystem):
+        return lambda a: len(a.payload)
+    if isinstance(sys, fk.ZdDualSystem):
+        return lambda a: tuple(sorted(map(abs, a.payload)))
+    return lambda a: sys.letter_length(a.payload)
+
+
+def class_walk_reference(sys, x, key, N):
+    """Oracle: unit multiplicities of ``x^(x)j``, j = 0..N, by walking class weights.
+
+    ``key`` must be equitable for right multiplication by ``x`` with the
+    unit alone in its class (``equitable_violation`` checks that); each
+    class row is read off the family rule at the first label met in it.
+    """
+    unit = key(sys.unit)
+    reps = {unit: sys.unit}
+    rows = {}
+    weights = {unit: 1}
+    out = [1]
+    for _ in range(N):
+        nxt = {}
+        for c, w in weights.items():
+            row = rows.get(c)
+            if row is None:
+                acc = {}
+                for b, mb in x.items():
+                    for d, md in sys._tensor_irr(reps[c], b).items():
+                        k = key(d)
+                        reps.setdefault(k, d)
+                        acc[k] = acc.get(k, 0) + mb * md
+                row = rows[c] = list(acc.items())
+            for k, m in row:
+                nxt[k] = nxt.get(k, 0) + w * m
+        weights = nxt
+        out.append(weights.get(unit, 0))
+    return out
+
+
+RADIAL_WEIGHTS = [(c0, w) for c0 in (0, 1, 3) for w in (1, 2)]
+
+
+@pytest.mark.parametrize("c0, w", RADIAL_WEIGHTS)
 @pytest.mark.parametrize("name, sys, full_N", RADIAL_CASES, ids=[c[0] for c in RADIAL_CASES])
 def test_radial_moments_match_expansion(name, sys, full_N, c0, w):
     x = letter_sum(sys, c0, w)
-    assert sys.radial_key(x) is not None
+    assert sys.radial_chains(x) is not None
     moments = sys.unit_moments(x, 12)
     assert moments[:full_N + 1] == moments_by_full_powers(sys, x, full_N)
     assert moments == moments_by_half_powers(sys, x, 12)
     for N in range(12):
         assert sys.unit_moments(x, N) == moments[:N + 1]
+
+
+@pytest.mark.parametrize("c0, w", RADIAL_WEIGHTS)
+@pytest.mark.parametrize("name, sys, full_N", RADIAL_CASES, ids=[c[0] for c in RADIAL_CASES])
+def test_chain_walk_matches_class_walk(name, sys, full_N, c0, w):
+    x = letter_sum(sys, c0, w)
+    assert sys.unit_moments(x, 16) == class_walk_reference(sys, x, radial_key(sys), 16)
+
+
+def test_chains_of_the_unit_alone(au2):
+    for c0 in (0, 1, 3):
+        x = FusionElement({au2.unit: c0})
+        assert au2.radial_chains(x) is not None
+        assert au2.unit_moments(x, 6) == [c0 ** j for j in range(7)]
 
 
 def _not_radial_cases():
@@ -278,7 +336,7 @@ NOT_RADIAL_CASES = _not_radial_cases()
 
 @pytest.mark.parametrize("name, sys, x", NOT_RADIAL_CASES, ids=[c[0] for c in NOT_RADIAL_CASES])
 def test_radial_key_only_where_proven(name, sys, x):
-    assert sys.radial_key(x) is None
+    assert sys.radial_chains(x) is None
     assert sys.unit_moments(x, 6) == moments_by_full_powers(sys, x, 6)
 
 
@@ -309,7 +367,7 @@ def equitable_violation(sys, x, key, depth=5):
 def test_radial_keys_are_equitable(name, sys, full_N):
     for c0, w in ((0, 1), (3, 2)):
         x = letter_sum(sys, c0, w)
-        assert equitable_violation(sys, x, sys.radial_key(x)) is None
+        assert equitable_violation(sys, x, radial_key(sys)) is None
 
 
 @pytest.mark.parametrize("name, mutant", [
