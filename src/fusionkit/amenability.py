@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
 from .core import FusionElement, FusionError, FusionSystem
@@ -231,10 +230,13 @@ def root_sequence(counts: list[int]) -> list[float]:
 def root_sequence_is_monotone(counts: list[int]) -> bool:
     """Exact check that ``(4^-k c_{2k})^{1/2k}`` is non-decreasing."""
     for k in range(1, len(counts)):
-        # compare M_k^{1/2k} <= M_{k+1}^{1/(2k+2)} with M_k = c_{2k}/4^k
-        lhs = Fraction(counts[k - 1], 4 ** k) ** (k + 1)
-        rhs = Fraction(counts[k], 4 ** (k + 1)) ** k
-        if lhs > rhs:
+        # M_k^{1/2k} <= M_{k+1}^{1/(2k+2)}, M_k = c_{2k}/4^k, raised to the power
+        # 2k(k+1) is c_{2k}^{k+1} <= c_{2k+2}^k.  The counts of a self-conjugate
+        # u carry 4^k, so powers of two enter as one shift; odd parts are raised.
+        ta, tb = ((c & -c).bit_length() - 1 if c else 0 for c in counts[k - 1:k + 1])
+        lhs, rhs = (counts[k - 1] >> ta) ** (k + 1), (counts[k] >> tb) ** k
+        shift = ta * (k + 1) - tb * k
+        if (lhs << shift > rhs) if shift >= 0 else (lhs > rhs << -shift):
             return False
     return True
 

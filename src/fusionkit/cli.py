@@ -55,8 +55,8 @@ class UsageError(ConfigError):
 class DiskCache:
     """Snapshots of pair memos, one JSON file per (engine version, family).
 
-    The file is named by the hash of the engine version and the family
-    fingerprint, so no engine version reads products another one wrote.
+    The file is named by the hash of the engine version and the family id,
+    so no engine version reads products another one wrote.
     ``lookup`` reads it once before a run and ``store`` replaces it once
     after; the replacement is a temp file renamed over the old one, so
     concurrent processes never read a torn file and the last writer wins.
@@ -81,7 +81,7 @@ class DiskCache:
         self.degraded.append(reason)
 
     def _path(self, sys: FusionSystem) -> str:
-        key = json.dumps([__version__, sys.fingerprint()])
+        key = json.dumps([__version__, sys.family_id])
         return os.path.join(self.directory, hashlib.sha256(key.encode()).hexdigest() + ".json")
 
     def lookup(self, sys: FusionSystem,
@@ -163,7 +163,7 @@ def load_family_config(path: str) -> FamilyConfig:
             try:
                 fund = params.ParamList.parse(entries)
             except FusionError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise ConfigError(f"fundamental_list: {exc}") from exc
         given = block.get("values", {})
         if not isinstance(given, dict):
             raise ConfigError("'values' must be a mapping from generator names to numbers")
@@ -369,10 +369,7 @@ def _label_list(data, what: str) -> list[str]:
 
 def _parse_irrset(sys_, spec, what: str) -> object:
     if isinstance(spec, list):
-        labels = [sys_.parse_label(t) for t in _label_list(spec, what)]
-        if isinstance(sys_, GroupDualSystem):
-            return powers.WordSet.finite(sys_, labels)
-        return powers.FiniteIrrSet(sys_, frozenset(labels))
+        return powers._finite_set(sys_, [sys_.parse_label(t) for t in _label_list(spec, what)])
     if not isinstance(spec, dict):
         raise ConfigError(f"bad set descriptor: {spec!r}")
     kind = spec.get("type")

@@ -388,10 +388,6 @@ class FusionSystem(ABC):
     def sorted_items(self, x: FusionElement) -> list[tuple[IrrLabel, int]]:
         return sorted(x.items(), key=lambda it: self.sort_key(it[0]))
 
-    def fingerprint(self) -> str:
-        """Stable identifier of the family, used to key persistent caches."""
-        return self.family_id
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family_id}>"
 

@@ -90,9 +90,14 @@ class Param:
 
     @classmethod
     def parse(cls, text: str) -> "Param":
-        """Parse ``"q^2*r^-1"``, ``"2^1/2"``, ``"1"``; bases are names or rationals."""
+        """Parse ``"q^2*r^-1"``, ``"2^1/2"``, ``"1"``; bases are names or rationals.
+
+        Only ``"1"`` spells the empty product; empty or blank text is an error.
+        """
         text = text.strip()
-        if text in ("1", ""):
+        if not text:
+            raise FusionError("empty parameter")
+        if text == "1":
             return cls.one()
         acc = cls.one()
         for chunk in text.split("*"):

@@ -7,7 +7,11 @@ group, and infinite subsets are represented exactly as unions of
 stated prefix), plus finitely many included words, minus finitely many
 excluded ones.  That representation is closed under union, intersection
 and complement, so witness conditions of the form ``F o D /\\ D = empty``
-and ``r_i o E /\\ r_j o E = empty`` are decided exactly.
+and ``r_i o E /\\ r_j o E = empty`` are decided exactly.  Witnesses on a
+group dual are always checked this way, so a finite partition D | E there
+fails coverage.  Families without a word tree have only explicit finite
+sets (``FiniteIrrSet``), and their witnesses are checked within a stated
+radius only.
 
 Every coverage question ("does some cylinder lie on the tree path to
 ``w``?") is answered by one index per set, built when the set is made: a
@@ -59,18 +63,36 @@ def _word_key(sys: GroupDualSystem, w: Word):
 # the two set representations
 # ---------------------------------------------------------------------------
 
+def _same(A, B) -> None:
+    if type(B) is not type(A) or B.system is not A.system:
+        raise FamilyMismatchError(f"set operands disagree: {A!r} vs {B!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class FiniteIrrSet:
-    """An explicit finite set of irreducibles (any family)."""
+    """An explicit finite set of irreducibles of a family without a word
+    tree; a group dual's finite sets are ``WordSet.finite``."""
 
     system: FusionSystem
     labels: frozenset[IrrLabel]
+
+    def __post_init__(self) -> None:
+        if isinstance(self.system, GroupDualSystem):
+            raise FusionError("finite sets of a group dual are WordSets; use WordSet.finite")
 
     def member(self, a: IrrLabel) -> bool:
         return a in self.labels
 
     def is_empty(self) -> bool:
         return not self.labels
+
+    def union(self, other: "FiniteIrrSet") -> "FiniteIrrSet":
+        _same(self, other)
+        return FiniteIrrSet(self.system, self.labels | other.labels)
+
+    def intersect(self, other: "FiniteIrrSet") -> "FiniteIrrSet":
+        _same(self, other)
+        return FiniteIrrSet(self.system, self.labels & other.labels)
 
 
 class _HeadIndex:
@@ -180,9 +202,6 @@ class WordSet:
             words.append(lab.payload)
         return cls.make(sys, includes=words)
 
-    def labels_of(self, words: Iterable[Word]) -> list[IrrLabel]:
-        return [self.system.word(w) for w in words]
-
     # membership -----------------------------------------------------------
 
     def _covered(self, w: Word) -> bool:
@@ -211,7 +230,7 @@ class WordSet:
     # boolean algebra --------------------------------------------------------
 
     def union(self, other: "WordSet") -> "WordSet":
-        self._same(other)
+        _same(self, other)
         exc = {w for w in self.excludes | other.excludes
                if not self.member_word(w) and not other.member_word(w)}
         return WordSet.make(self.system,
@@ -220,7 +239,7 @@ class WordSet:
                             exc)
 
     def intersect(self, other: "WordSet") -> "WordSet":
-        self._same(other)
+        _same(self, other)
         sys = self.system
         # the deeper of two nested cylinders is their intersection
         cyls = ({p for p in self.cylinders if other._covered(p)}
@@ -261,10 +280,6 @@ class WordSet:
         return NotImplemented
 
     __hash__ = None
-
-    def _same(self, other: "WordSet") -> None:
-        if not isinstance(other, WordSet) or other.system is not self.system:
-            raise FamilyMismatchError(f"set operands disagree: {self!r} vs {other!r}")
 
     def __repr__(self) -> str:
         sys = self.system
@@ -454,19 +469,16 @@ def _z_rays_product(sys: GroupDualSystem, S: WordSet, T: WordSet) -> WordSet:
 
 def set_product(sys: FusionSystem, S, T):
     """``S o T``: all irreducibles contained in some ``a (x) b``."""
-    if isinstance(S, FiniteIrrSet) and isinstance(T, FiniteIrrSet):
+    if isinstance(S, ConjugatedSet) or isinstance(T, ConjugatedSet):
+        raise UnsupportedSetOperation("products with conjugated cylinder sets "
+                                      "are not representable; normalize first")
+    S, T = _as_set(sys, S), _as_set(sys, T)
+    if not isinstance(sys, GroupDualSystem):
         out: set[IrrLabel] = set()
         for a in S.labels:
             for b in T.labels:
                 out.update(sys.tensor_pair(a, b).support())
         return FiniteIrrSet(sys, frozenset(out))
-    if isinstance(S, ConjugatedSet) or isinstance(T, ConjugatedSet):
-        raise UnsupportedSetOperation("products with conjugated cylinder sets "
-                                      "are not representable; normalize first")
-    if not isinstance(sys, GroupDualSystem):
-        raise UnsupportedSetOperation("infinite set products need a group dual")
-    S = _as_wordset(sys, S)
-    T = _as_wordset(sys, T)
     if S.is_finite():
         parts = [_left_translate(sys, w, T) for w in S.includes]
     elif T.is_finite():
@@ -485,16 +497,22 @@ def set_product(sys: FusionSystem, S, T):
     return functools.reduce(WordSet.union, parts, WordSet.empty(sys))
 
 
-def _as_wordset(sys: GroupDualSystem, S) -> WordSet:
-    if isinstance(S, WordSet):
-        if S.system is not sys:
-            raise FamilyMismatchError("set belongs to a different system")
-        return S
-    if isinstance(S, FiniteIrrSet):
-        return WordSet.finite(sys, S.labels)
+def _finite_set(sys: FusionSystem, labels: Iterable[IrrLabel]):
+    """The finite set of ``labels`` in the set type of ``sys``'s family."""
+    if isinstance(sys, GroupDualSystem):
+        return WordSet.finite(sys, labels)
+    return FiniteIrrSet(sys, frozenset(labels))
+
+
+def _as_set(sys: FusionSystem, S):
+    """``S`` in the set type of ``sys``'s family; a label list is a finite set."""
     if isinstance(S, (list, tuple, set, frozenset)):
-        return WordSet.finite(sys, S)
-    raise FusionError(f"not an irreducible set: {S!r}")
+        return _finite_set(sys, S)
+    if not isinstance(S, (WordSet, FiniteIrrSet)):
+        raise FusionError(f"not an irreducible set: {S!r}")
+    if S.system is not sys:
+        raise FamilyMismatchError("set belongs to a different system")
+    return S
 
 
 def set_conj(sys: FusionSystem, S):
@@ -538,88 +556,59 @@ class WitnessCheck:
     detail: str = ""
 
 
-def _singleton(sys: FusionSystem, lab: IrrLabel):
-    if isinstance(sys, GroupDualSystem):
-        return WordSet.finite(sys, [lab])
-    return FiniteIrrSet(sys, frozenset([lab]))
-
-
-def _set_union(sys, A, B):
-    if isinstance(A, WordSet):
-        return A.union(B)
-    return FiniteIrrSet(sys, A.labels | B.labels)
-
-
-def _set_intersection_empty(sys, A, B) -> bool:
-    if isinstance(A, WordSet) and isinstance(B, WordSet):
-        return A.intersect(B).is_empty()
-    if isinstance(A, FiniteIrrSet) and isinstance(B, FiniteIrrSet):
-        return not (A.labels & B.labels)
-    fin, other = (A, B) if isinstance(A, FiniteIrrSet) else (B, A)
-    return not any(other.member(lab) for lab in fin.labels)
-
-
-def _coerce_finite(sys: FusionSystem, S) -> FiniteIrrSet:
-    if isinstance(S, FiniteIrrSet):
-        return S
-    if isinstance(S, WordSet) and S.is_finite():
-        return FiniteIrrSet(sys, frozenset(S.labels_of(S.finite_words())))
-    if isinstance(S, (list, tuple, set, frozenset)):
-        return FiniteIrrSet(sys, frozenset(S))
-    raise FusionError(f"expected a finite set, got {S!r}")
+def _meeting_pair(sets: list) -> tuple[int, int] | None:
+    """The first pair ``i < j``, in ``(0, 1), (0, 2), ..., (1, 2), ...``
+    order, whose sets meet; ``None`` when they are pairwise disjoint."""
+    for (i, A), (j, B) in itertools.combinations(enumerate(sets), 2):
+        if not A.intersect(B).is_empty():
+            return i, j
+    return None
 
 
 def check_witness(sys: FusionSystem, w: PowersWitness) -> WitnessCheck:
-    """Evaluate both witness conditions; exact only when the partition is.
+    """Evaluate both witness conditions; exact on group duals only.
 
-    Group-dual cylinder descriptions are decided exactly.  Finite D, E can
-    only partition a truncated universe; those checks run the same product
-    conditions but are flagged ``exact=False``.
+    On a group dual, D and E are ``WordSet``s (a list is read as a finite
+    one) and every condition is decided exactly, so a finite D | E fails
+    coverage.  Families without a word tree have only finite sets, which
+    can partition no more than the ball of radius ``truncation_radius``;
+    those checks run the same product conditions there and are flagged
+    ``exact=False``.
     """
     for lab in w.F:
         sys.check_label(lab)
         if lab == sys.unit:
             raise FusionError("F must avoid the unit class")
     details: list[str] = []
-    if (isinstance(sys, GroupDualSystem)
-            and isinstance(w.D, WordSet) and isinstance(w.E, WordSet)):
-        exact = True
-        D, E = w.D, w.E
-        if not D.intersect(E).is_empty():
-            return WitnessCheck(False, True, "D and E overlap")
+    exact = isinstance(sys, GroupDualSystem)
+    if not exact and w.truncation_radius is None:
+        raise FusionError("finite witnesses need a truncation_radius")
+    D, E = _as_set(sys, w.D), _as_set(sys, w.E)
+    if not D.intersect(E).is_empty():
+        return WitnessCheck(False, exact, "D and E overlap")
+    if exact:
         if not D.union(E).complement().is_empty():
             return WitnessCheck(False, True, "D and E do not cover all irreducibles")
     else:
-        exact = False
-        if w.truncation_radius is None:
-            raise FusionError("finite witnesses need a truncation_radius")
         from .families import fundamental
         from .geometry import ball
         fund = fundamental(sys)
         gen = sys.unit_element() + fund + sys.conj_element(fund)
         universe = ball(sys, gen, sys.unit, w.truncation_radius)
-        D = _coerce_finite(sys, w.D)
-        E = _coerce_finite(sys, w.E)
-        if D.labels & E.labels:
-            return WitnessCheck(False, False, "D and E overlap")
-        missing = universe - (D.labels | E.labels)
+        missing = universe - D.union(E).labels
         if missing:
             return WitnessCheck(
                 False, False,
                 f"{len(missing)} irreducibles within radius {w.truncation_radius} uncovered")
         details.append(f"partition verified within radius {w.truncation_radius} only")
-    FD = None
     for lab in w.F:
-        part = set_product(sys, _singleton(sys, lab), D)
-        FD = part if FD is None else _set_union(sys, FD, part)
-    if FD is not None and not _set_intersection_empty(sys, FD, D):
-        return WitnessCheck(False, exact, "F o D meets D")
-    if FD is None:
+        if not set_product(sys, _finite_set(sys, [lab]), D).intersect(D).is_empty():
+            return WitnessCheck(False, exact, "F o D meets D")
+    if not w.F:
         details.append("F empty: first condition vacuous")
-    translates = [set_product(sys, _singleton(sys, r), E) for r in w.r_labels()]
-    for (i, A), (j, B) in itertools.combinations(enumerate(translates), 2):
-        if not _set_intersection_empty(sys, A, B):
-            return WitnessCheck(False, exact, f"r{i + 1} o E meets r{j + 1} o E")
+    meet = _meeting_pair([set_product(sys, _finite_set(sys, [r]), E) for r in w.r_labels()])
+    if meet is not None:
+        return WitnessCheck(False, exact, f"r{meet[0] + 1} o E meets r{meet[1] + 1} o E")
     return WitnessCheck(True, exact, "; ".join(details) if details else "all conditions hold")
 
 
@@ -659,11 +648,7 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
             E = D.complement()
             translates = [_left_translate(sys, w, E) for w in r_pool]
             for i, j, k in itertools.combinations(range(len(r_pool)), 3):
-                if not translates[i].intersect(translates[j]).is_empty():
-                    continue
-                if not translates[i].intersect(translates[k]).is_empty():
-                    continue
-                if not translates[j].intersect(translates[k]).is_empty():
+                if _meeting_pair([translates[i], translates[j], translates[k]]) is not None:
                     continue
                 witness = PowersWitness(
                     F=F, D=D, E=E, r1=sys.word(r_pool[i]),

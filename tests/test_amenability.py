@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +128,39 @@ def test_root_sequence_monotone_kac_families(ao2, ao3, aut4, au2, f2):
     for sys, u, K in cases:
         counts = fk.kesten_counts(sys, u, K)
         assert root_sequence_is_monotone(counts), sys.family_id
+
+
+def monotone_by_fractions(counts):
+    """Oracle: ``(c_{2k}/4^k)^{k+1} <= (c_{2k+2}/4^{k+1})^k`` for each k, as fractions."""
+    return all(Fraction(counts[k - 1], 4 ** k) ** (k + 1) <= Fraction(counts[k], 4 ** (k + 1)) ** k
+               for k in range(1, len(counts)))
+
+
+def test_root_sequence_monotone_matches_fraction_oracle(rng):
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        cases.append([rng.randint(1, 10 ** rng.randint(1, 8)) for _ in range(n)])
+    for _ in range(100):
+        # c_{2k} = b^{2k} makes the root sequence constant at b/2: the equality case
+        b, n = rng.randint(1, 9), rng.randint(2, 12)
+        equal = [b ** (2 * k) for k in range(1, n + 1)]
+        assert monotone_by_fractions(equal)
+        cases.append(equal)
+        scaled = [rng.randint(2, 5) * c for c in equal]  # root sequence decreases
+        assert not monotone_by_fractions(scaled)
+        cases.append(scaled)
+        nudged = list(equal)
+        nudged[rng.randrange(n)] += rng.choice((-1, 1)) if b > 1 else 1
+        cases.append(nudged)
+    for counts in list(cases):
+        # the counts of a self-conjugate u carry 4^k; zeros are legal input
+        cases.append([4 ** k * c for k, c in enumerate(counts, start=1)])
+        zeroed = list(counts)
+        zeroed[rng.randrange(len(counts))] = 0
+        cases.append(zeroed)
+    for counts in cases:
+        assert root_sequence_is_monotone(counts) == monotone_by_fractions(counts), counts
 
 
 def test_estimates_bounded_by_dimension(ao2, ao3, aut4, f2):

@@ -528,6 +528,41 @@ def test_deep_cylinder_witness_ends_in_one_envelope(configs, capsys, tmp_path):
     assert env["outputs"]["detail"] == "D and E do not cover all irreducibles"
 
 
+def test_finite_group_dual_witness_is_checked_exactly(configs, capsys, tmp_path):
+    # lists, finite WordSets and the CLI reach the same exact verdict
+    spec = {"F": ["s"], "D": ["s", "t"], "E": ["e", "s^-1", "t^-1"], "r": ["e", "t", "s"],
+            "truncation_radius": 1}
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps(spec))
+    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
+                        "--witness", str(witness_file))
+    assert code == 0
+    f2 = cli.load_family_config(configs["f2"]).system
+    D, E = ([f2.parse_label(t) for t in spec[key]] for key in ("D", "E"))
+    checks = []
+    for d, e in [(D, E), (fk.WordSet.finite(f2, D), fk.WordSet.finite(f2, E))]:
+        checks.append(fk.check_witness(f2, fk.PowersWitness(
+            [f2.parse_label("s")], d, e, *(f2.parse_label(t) for t in spec["r"]),
+            truncation_radius=1)))
+    expect = fk.WitnessCheck(False, True, "D and E do not cover all irreducibles")
+    assert checks == [expect, expect]
+    assert env["outputs"] == {"holds": False, "exact": True, "detail": expect.detail}
+
+
+def test_empty_parameter_entries_are_config_errors(configs, capsys, tmp_path):
+    code, env = run_cli(capsys, "modular-spectrum", "--family", configs["ao2"],
+                        "--list", "2^1/2,2^-1/2,", "--member", "2")
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["outputs"]["error"] == "--list: empty parameter"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**AO3, "params": {"fundamental_list": ["q", " "]}}))
+    code, env = run_cli(capsys, "modular-spectrum", "--family", str(config))
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert env["outputs"]["error"] == "fundamental_list: empty parameter"
+
+
 def test_missing_family_file(capsys):
     code, env = run_cli(capsys, "decompose", "--family", "/nonexistent.json",
                         "--x", "r1", "--y", "r1")

@@ -28,6 +28,15 @@ def test_param_parse_and_str():
         Param.parse("q^^2")
 
 
+@pytest.mark.parametrize("text", ["", " ", "\t"])
+def test_param_parse_rejects_empty_text(text):
+    # only "1" spells the trivial parameter; a stray comma must not add one
+    with pytest.raises(fk.FusionError, match="empty parameter"):
+        Param.parse(text)
+    with pytest.raises(fk.FusionError, match="empty parameter"):
+        ParamList.parse(["2^1/2", "2^-1/2", text])
+
+
 def test_param_eval():
     q = Param.generator("q")
     assert q.eval({"q": 2.0}) == pytest.approx(2.0)

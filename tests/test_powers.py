@@ -409,7 +409,24 @@ def test_set_product_group_examples(f2):
 def test_set_product_interval_family(ao3):
     S = FiniteIrrSet(ao3, frozenset([ao3.r(2)]))
     prod = fk.set_product(ao3, S, S)
+    assert isinstance(prod, FiniteIrrSet)
     assert prod.labels == frozenset({ao3.r(1), ao3.r(3)})
+    assert fk.set_product(ao3, [ao3.r(2)], S) == prod
+
+
+def test_finite_irr_set_is_for_families_without_a_word_tree(f2, ao3, zmod3):
+    for sys in (f2, zmod3):
+        with pytest.raises(fk.FusionError):
+            FiniteIrrSet(sys, frozenset([sys.unit]))
+    A = FiniteIrrSet(ao3, frozenset([ao3.r(1), ao3.r(2)]))
+    B = FiniteIrrSet(ao3, frozenset([ao3.r(2), ao3.r(3)]))
+    assert A.union(B).labels == frozenset([ao3.r(1), ao3.r(2), ao3.r(3)])
+    assert A.intersect(B) == FiniteIrrSet(ao3, frozenset([ao3.r(2)]))
+    assert A.intersect(FiniteIrrSet(ao3, frozenset([ao3.r(3)]))).is_empty()
+    with pytest.raises(fk.FamilyMismatchError):
+        A.union(WordSet.finite(f2, [f2.unit]))
+    with pytest.raises(fk.FamilyMismatchError):
+        A.intersect(FiniteIrrSet(fk.AoSystem(4), frozenset()))
 
 
 def test_set_product_sizes_group_dual(f2, rng):
@@ -557,6 +574,9 @@ def test_truncated_witness_check(ao3):
     w = fk.PowersWitness(F=[ao3.r(3)], D=D, E=E, r1=ao3.r(1), r2=ao3.r(5),
                          r3=ao3.r(9), truncation_radius=5)
     verdict = fk.check_witness(ao3, w)
-    assert not verdict.exact
-    # F o D hits D for the interval rule, so this witness fails
-    assert not verdict.holds
+    # the partition holds within the radius, and F o D hits D for the interval rule
+    assert verdict == fk.WitnessCheck(False, False, "F o D meets D")
+    short = fk.PowersWitness(F=[ao3.r(3)], D=D, E=FiniteIrrSet(ao3, frozenset(labels[0:4:2])),
+                             r1=ao3.r(1), r2=ao3.r(5), r3=ao3.r(9), truncation_radius=5)
+    assert fk.check_witness(ao3, short) == fk.WitnessCheck(
+        False, False, "1 irreducibles within radius 5 uncovered")
