@@ -256,6 +256,23 @@ class FusionSystem(ABC):
         """
         return None
 
+    def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
+        """Sizes of the spheres of radius ``0..rmax`` of the metric of ``v``, in closed form.
+
+        The spheres are the same around every center.  Families answer
+        only for the generators where they prove the count; the default,
+        None, keeps the breadth-first search.
+        """
+        return None
+
+    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
+        """The metric of ``v`` from ``a`` to ``b`` in closed form, where proven.
+
+        That is the least ``n`` with ``b`` in ``v^(x)n (x) a``.  The
+        default, None, keeps the breadth-first search.
+        """
+        return None
+
     # -- labels ------------------------------------------------------------
 
     def label(self, payload) -> IrrLabel:

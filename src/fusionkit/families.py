@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from abc import abstractmethod
+from math import comb
 from operator import add
 from typing import Iterable, Sequence
 
@@ -80,20 +81,29 @@ class GroupDualBase(FusionSystem):
     def generators(self) -> list[IrrLabel]:
         return [self._from_syllables([(i, 1)]) for i in range(len(self.names))]
 
-    def fundamental(self, generators: Iterable[IrrLabel] | None = None) -> FusionElement:
-        """``1 + sum over g, g^-1`` for the standard or the given generators."""
+    def _letters(self, generators: Iterable[IrrLabel] | None = None) -> list[IrrLabel]:
+        """``g`` and ``g^-1`` for the standard or the given generators, each label once.
+
+        A generator of order 2 is its own inverse and is listed once.
+        """
         gens = list(generators) if generators is not None else self.generators()
-        seen: dict[IrrLabel, int] = {self.unit: 1}
         for g in gens:
             self.check_label(g)
-            for lab in (g, self.conj_irr(g)):
-                seen.setdefault(lab, 1)
+        return list(dict.fromkeys(lab for g in gens for lab in (g, self.conj_irr(g))))
+
+    def fundamental(self, generators: Iterable[IrrLabel] | None = None) -> FusionElement:
+        """``1 + sum over g, g^-1`` for the standard or the given generators."""
+        seen = {self.unit: 1}
+        seen.update(dict.fromkeys(self._letters(generators), 1))
         return FusionElement._adopt(seen)
 
+    def _standard_support(self, v: FusionElement) -> bool:
+        """Whether ``v`` holds the unit and the standard letters, whatever the weights, and nothing else."""
+        return v._terms.keys() == {self._unit, *self._letters()}
+
     def _uniform_letters(self, x: FusionElement) -> int:
-        """``w >= 1`` if ``x = c0 e + w * sum over g of (g + g^-1)``, every generator; else 0."""
-        letters = [self._from_syllables([(i, e)])
-                   for i in range(len(self.names)) for e in (1, -1)]
+        """``w >= 1`` if ``x = c0 e + w * sum of the standard letters``; else 0."""
+        letters = self._letters()
         terms = x._terms
         w = terms.get(letters[0], 0)
         return w if (all(terms.get(g) == w for g in letters)
@@ -261,12 +271,70 @@ class GroupDualSystem(GroupDualBase):
         n = len(self.factors)
         return x._terms.get(self._unit, 0), ((2 * n * w, (2 * n - 1) * w, w),)
 
+    # the metric of the standard generator ------------------------------------
+
+    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
+        """``|b a^-1|``, the summed syllable costs of its reduced word, if ``v`` has the standard support.
+
+        Tensoring by ``v`` on the left sends ``c`` to ``g c`` for the letters
+        ``g`` of ``v`` and ``c`` itself, so ``d(a, b)`` is the least ``n``
+        with ``b a^-1`` a product of ``n`` letters (not ``a^-1 b``: from
+        ``s`` to ``t s`` is one step).  A syllable ``g_f^e`` costs the
+        fewest letters ``g_f^{+-1}`` with that product: ``|e|`` in ``Z``,
+        ``min(e, m - e)`` in ``Z/m``.  A product of letters reduces by
+        merging neighbours of one factor, so each syllable ``(f, e)`` of
+        its normal form is the product of letters of factor ``f`` that no
+        other syllable uses, at least its cost of them; writing each
+        syllable out with that many letters attains the sum.
+        The weights of ``v`` do not matter, only its support.
+        """
+        if not self._standard_support(v):
+            return None
+        factors = self.factors
+        return sum(abs(e) if factors[f] is None else min(e, factors[f] - e)
+                   for f, e in self.mul_words(b.payload, self.inverse_word(a.payload)))
+
+    def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
+        """The growth series of the free product to ``z^rmax``, if ``v`` has the standard support.
+
+        By ``generator_distance`` the sphere of radius ``r`` holds the
+        reduced words of summed syllable cost ``r``.  A factor's nonzero
+        syllables count by cost as ``T_i = S_i - 1``, where
+        ``S_Z = (1 + z)/(1 - z)`` and ``S_{Z/m} = 1 + 2z + ... +
+        2z^((m-1)//2)``, plus ``z^(m/2)`` for even ``m`` (``e`` and
+        ``m - e`` cost the same, and ``m/2`` is its own partner).  A
+        reduced word is a sequence of syllables with no two neighbours in
+        one factor.  Cutting any sequence of syllables into blocks of one
+        factor, a block of ``l`` syllables weighed ``(-1)^(l-1)``, counts
+        each maximal run of ``L`` syllables ``(1 - 1)^(L-1)`` times, so
+        only the reduced words remain: ``S = 1/(1 - sum T_i/(1 + T_i))``,
+        that is ``1/S = sum 1/S_i - (k - 1)`` over the ``k`` factors (de la
+        Harpe, *Topics in Geometric Group Theory*, 2000, ch. VI).  Every
+        series has constant term 1, so both inversions stay integral.
+        """
+        if not self._standard_support(v):
+            return None
+        n = rmax + 1
+        inv = [1 - len(self.factors)] + [0] * rmax
+        for m in self.factors:
+            s = [1] + ([2] * rmax if m is None else [2] * ((m - 1) // 2) + [1] * (m % 2 == 0))
+            inv = list(map(add, inv, _inverse_series(s, n)))
+        return _inverse_series(inv, n)
+
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, self.inverse_word(a.payload))
 
     def sort_key(self, label: IrrLabel):
         w = label.payload
         return (self.letter_length(w), len(w), w)
+
+
+def _inverse_series(a: Sequence[int], n: int) -> list[int]:
+    """The first ``n`` coefficients of ``1/a`` for an integer power series with ``a[0] = 1``."""
+    b = [1] + [0] * (n - 1)
+    for j in range(1, n):
+        b[j] = -sum(a[i] * b[j - i] for i in range(1, min(j + 1, len(a))))
+    return b
 
 
 class ZdDualSystem(GroupDualBase):
@@ -312,6 +380,33 @@ class ZdDualSystem(GroupDualBase):
         """
         w = self._uniform_letters(x)
         return (x._terms.get(self._unit, 0), ((2 * w, w, w),) * self.d) if w else None
+
+    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
+        """The l1 norm of ``b - a``, if ``v`` has the standard support.
+
+        Tensoring by ``v`` moves one coordinate by one or stays, and
+        ``b - a`` needs ``|b_i - a_i|`` moves in coordinate ``i``, which
+        suffice.  The weights of ``v`` do not matter, only its support.
+        """
+        if not self._standard_support(v):
+            return None
+        return sum(abs(y - x) for x, y in zip(a.payload, b.payload))
+
+    def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
+        """The coefficients of ``((1 + z)/(1 - z))^d`` to ``z^rmax``, if ``v`` has the standard support.
+
+        By ``generator_distance`` the sphere of radius ``r`` holds the
+        vectors of l1 norm ``r``, a sum of ``d`` independent ``|v_i|``, so
+        the series is ``S_Z^d``.  Its coefficient of ``z^r``, ``r >= 1``,
+        chooses the ``k`` nonzero coordinates, their signs and the
+        composition of ``r`` into ``k`` positive parts:
+        ``sum over k of C(d, k) 2^k C(r - 1, k - 1)``.
+        """
+        if not self._standard_support(v):
+            return None
+        d = self.d
+        return [1] + [sum(comb(d, k) * 2 ** k * comb(r - 1, k - 1) for k in range(1, d + 1))
+                      for r in range(1, rmax + 1)]
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, tuple(-x for x in a.payload))

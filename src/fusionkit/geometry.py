@@ -2,12 +2,18 @@
 
 A generator is a self-conjugate element containing the unit.  The distance
 between irreducibles ``a`` and ``b`` is the least ``n`` with ``b``
-contained in ``v^(x)n (x) a``; it is computed by breadth-first search on
-the graph whose edges join ``c`` to the support of ``v (x) c``.  Since
-``v`` is self-conjugate that adjacency is symmetric, so distance queries
-run bidirectional BFS (meet in the middle), which matters for families
-with exponential growth.  Frontiers store supports only; multiplicities
-are irrelevant to the metric.
+contained in ``v^(x)n (x) a``: the graph distance on the graph whose edges
+join ``c`` to the support of ``v (x) c``.  Since ``v`` is self-conjugate
+that adjacency is symmetric.
+
+Where a family proves the metric of a generator in closed form
+(``FusionSystem.generator_distance`` and ``sphere_sizes``; the group duals
+do for the standard generator, whatever its weights), ``distance`` and
+``growth_table`` take it and call no rule.  Otherwise distances are
+computed by breadth-first search: distance queries run bidirectional BFS
+(meet in the middle), which matters for families with exponential growth.
+Balls and spheres list their elements, so they always search.  Frontiers
+store supports only; multiplicities are irrelevant to the metric.
 
 Whether the coefficients of ``v`` generate the whole object is not
 decidable at this level; searches carry an explicit budget and failure to
@@ -24,7 +30,7 @@ re-reduction of the whole word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .core import (
     BudgetExceededError,
@@ -65,7 +71,7 @@ def _neighbor_fn(sys: FusionSystem, v: FusionElement):
 
 def distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
              budget: int = 64) -> int:
-    """The generator metric ``d_v(a, b)``, by bidirectional BFS.
+    """The generator metric ``d_v(a, b)``: the family's closed form, else bidirectional BFS.
 
     Raises BudgetExceededError if ``b`` is not reached within ``budget``
     steps (the generator may not generate, or the budget is too small).
@@ -76,6 +82,19 @@ def distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
     sys.check_label(b)
     if a == b:
         return 0
+    d = sys.generator_distance(v, a, b)
+    if d is None:
+        d = _bfs_distance(sys, v, a, b, budget)
+    if d is None or d > budget:
+        raise BudgetExceededError(
+            f"not reached within budget {budget}: "
+            f"d({sys.format_label(a)}, {sys.format_label(b)})")
+    return d
+
+
+def _bfs_distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
+                  budget: int) -> int | None:
+    """Bidirectional BFS from ``a != b``; None if the frontiers do not meet within ``budget``."""
     neighbors = _neighbor_fn(sys, v)
     visited_a, frontier_a = {a}, {a}
     visited_b, frontier_b = {b}, {b}
@@ -102,17 +121,19 @@ def distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
         steps += 1
         if not nxt.isdisjoint(other):
             return steps
-    raise BudgetExceededError(
-        f"not reached within budget {budget}: "
-        f"d({sys.format_label(a)}, {sys.format_label(b)})")
+    return None
 
 
-def _distances_up_to(sys: FusionSystem, v: FusionElement, center: IrrLabel,
-                     r: int) -> dict[IrrLabel, int]:
+def _check_ball(sys: FusionSystem, v: FusionElement, center: IrrLabel, r: int) -> None:
     validate_generator(sys, v)
     sys.check_label(center)
     if r < 0:
         raise FusionError(f"radius must be >= 0, got {r}")
+
+
+def _distances_up_to(sys: FusionSystem, v: FusionElement, center: IrrLabel,
+                     r: int) -> dict[IrrLabel, int]:
+    """BFS from the center to radius ``r``; the caller has run ``_check_ball``."""
     neighbors = _neighbor_fn(sys, v)
     dist = {center: 0}
     frontier = [center]
@@ -132,29 +153,32 @@ def _distances_up_to(sys: FusionSystem, v: FusionElement, center: IrrLabel,
 def ball(sys: FusionSystem, v: FusionElement, center: IrrLabel, r: int,
          ) -> frozenset[IrrLabel]:
     """All irreducibles at distance <= r from the center."""
+    _check_ball(sys, v, center, r)
     return frozenset(_distances_up_to(sys, v, center, r))
 
 
 def sphere(sys: FusionSystem, v: FusionElement, center: IrrLabel, r: int,
            ) -> frozenset[IrrLabel]:
     """All irreducibles at distance exactly r from the center."""
+    _check_ball(sys, v, center, r)
     dist = _distances_up_to(sys, v, center, r)
     return frozenset(lab for lab, d in dist.items() if d == r)
 
 
 def growth_table(sys: FusionSystem, v: FusionElement, center: IrrLabel,
                  rmax: int) -> list[tuple[int, int]]:
-    """Rows ``(radius, ball size)`` for radius = 0..rmax."""
-    dist = _distances_up_to(sys, v, center, rmax)
-    sizes = [0] * (rmax + 1)
-    for d in dist.values():
-        sizes[d] += 1
-    out = []
-    total = 0
-    for r in range(rmax + 1):
-        total += sizes[r]
-        out.append((r, total))
-    return out
+    """Rows ``(radius, ball size)`` for radius = 0..rmax.
+
+    The sphere sizes are the family's closed form (``sphere_sizes``)
+    where it declares one, else counted by BFS from the center.
+    """
+    _check_ball(sys, v, center, rmax)
+    sizes = sys.sphere_sizes(v, rmax)
+    if sizes is None:
+        sizes = [0] * (rmax + 1)
+        for d in _distances_up_to(sys, v, center, rmax).values():
+            sizes[d] += 1
+    return list(enumerate(accumulate(sizes)))
 
 
 @dataclass(slots=True)

@@ -101,6 +101,18 @@ def test_growth_csv(configs, capsys, tmp_path):
     assert lines[1:] == ["0,1", "1,5", "2,17", "3,53"]
 
 
+def test_standard_generator_metric_at_scale(configs, capsys):
+    v = "e + s + s^-1 + t + t^-1"
+    code, env = run_cli(capsys, "growth", "--family", configs["f2"], "--v", v,
+                        "--center", "e", "--rmax", "60")
+    assert code == 0
+    assert env["outputs"][-1] == {"ball_size": 2 * 3 ** 60 - 1, "radius": 60}
+    code, env = run_cli(capsys, "distance", "--family", configs["f2"], "--v", v,
+                        "--a", "e", "--b", " ".join(["s t"] * 500), "--budget", "2000")
+    assert code == 0
+    assert env["outputs"] == {"distance": 1000}
+
+
 def test_amenable(configs, capsys):
     code, env = run_cli(capsys, "amenable", "--family", configs["ao3"],
                         "--depth", "12", "--tol", "0.05")

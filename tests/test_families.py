@@ -287,6 +287,17 @@ def test_fundamental(ao3, aut4, au2, f2):
     assert partial == fk.parse_element(f2, "e + s + s^-1")
 
 
+def test_an_involution_is_one_letter():
+    sys = fk.GroupDualSystem([2, None], names=["u", "s"])
+    letters = [sys.parse_label(t) for t in ("u", "s", "s^-1")]
+    assert sys._letters() == letters
+    assert fk.fundamental(sys) == fk.parse_element(sys, "e + u + s + s^-1")
+    x = fk.parse_element(sys, "2*e + 3*u + 3*s + 3*s^-1")
+    assert sys._uniform_letters(x) == 3
+    assert sys._standard_support(x)
+    assert sys.radial_chains(x) is None  # finite factors declare no chain
+
+
 def test_label_serialization_roundtrip(ao3, aut4, au2, f2, zmod3):
     cases = [
         (ao3, ["r1", "r5"]),

@@ -1,11 +1,102 @@
+import random
+
 import pytest
 
 import fusionkit as fk
-from fusionkit import FusionElement
+from fusionkit import BudgetExceededError, FusionElement, FusionError, IrrLabel
+from fusionkit.geometry import _check_budget, validate_generator
 
 
 def std_generator(sys):
     return fk.fundamental(sys)
+
+
+# -- the breadth-first search, kept as the oracle of the closed forms ---------
+
+def _neighbor_fn(sys, v):
+    vs = v.support()
+
+    def neighbors(c: IrrLabel) -> set[IrrLabel]:
+        acc: set[IrrLabel] = set()
+        for g in vs:
+            acc.update(sys._tensor_irr(g, c)._terms)
+        return acc
+
+    return neighbors
+
+
+def bfs_distance(sys, v, a, b, budget=64):
+    """Oracle: the generator metric ``d_v(a, b)``, by bidirectional BFS."""
+    _check_budget(budget)
+    validate_generator(sys, v)
+    sys.check_label(a)
+    sys.check_label(b)
+    if a == b:
+        return 0
+    neighbors = _neighbor_fn(sys, v)
+    visited_a, frontier_a = {a}, {a}
+    visited_b, frontier_b = {b}, {b}
+    steps = 0
+    while steps < budget:
+        if not frontier_a and not frontier_b:
+            break
+        # expand the smaller live frontier by one layer
+        from_a = frontier_a and (not frontier_b or len(frontier_a) <= len(frontier_b))
+        if from_a:
+            visited, frontier, other = visited_a, frontier_a, visited_b
+        else:
+            visited, frontier, other = visited_b, frontier_b, visited_a
+        nxt: set[IrrLabel] = set()
+        for c in frontier:
+            for nb in neighbors(c):
+                if nb not in visited:
+                    visited.add(nb)
+                    nxt.add(nb)
+        if from_a:
+            frontier_a = nxt
+        else:
+            frontier_b = nxt
+        steps += 1
+        if not nxt.isdisjoint(other):
+            return steps
+    raise BudgetExceededError(
+        f"not reached within budget {budget}: "
+        f"d({sys.format_label(a)}, {sys.format_label(b)})")
+
+
+def bfs_distances_up_to(sys, v, center, r):
+    validate_generator(sys, v)
+    sys.check_label(center)
+    if r < 0:
+        raise FusionError(f"radius must be >= 0, got {r}")
+    neighbors = _neighbor_fn(sys, v)
+    dist = {center: 0}
+    frontier = [center]
+    for layer in range(1, r + 1):
+        nxt: list[IrrLabel] = []
+        for c in frontier:
+            for nb in neighbors(c):
+                if nb not in dist:
+                    dist[nb] = layer
+                    nxt.append(nb)
+        if not nxt:
+            break
+        frontier = nxt
+    return dist
+
+
+def bfs_growth(sys, v, center, rmax):
+    """Oracle: rows ``(radius, ball size)`` for radius = 0..rmax, by BFS."""
+    dist = bfs_distances_up_to(sys, v, center, rmax)
+    sizes = [0] * (rmax + 1)
+    for d in dist.values():
+        sizes[d] += 1
+    out = []
+    total = 0
+    for r in range(rmax + 1):
+        total += sizes[r]
+        out.append((r, total))
+    return out
 
 
 def random_f2_word(sys, rng, max_len):
@@ -211,3 +302,173 @@ def test_quasi_isometry_ao(ao3):
     report = fk.quasi_isometry_check(ao3, v, w, pairs, budget=32)
     assert report.holds
     assert report.pairs_checked == len(pairs)
+
+
+# -- closed forms of the standard generator against the BFS oracle ------------
+
+def weighted_standard(sys, rng):
+    """``c0 e + sum w_g (g + g^-1)`` over the standard generators, with seeded weights."""
+    terms = {sys.unit: rng.randint(1, 3)}
+    for g in sys.generators():
+        w = rng.randint(1, 3)
+        terms[g] = terms[sys.conj_irr(g)] = w
+    return FusionElement(terms)
+
+
+def random_label(sys, rng, depth):
+    """A seeded label within ``depth`` steps of the prefix tree (each coordinate, on ``Z^d``)."""
+    if isinstance(sys, fk.ZdDualSystem):
+        return sys.vector(tuple(rng.randint(-depth, depth) for _ in range(sys.d)))
+    word = ()
+    for _ in range(rng.randint(0, depth)):
+        options = sys.children(word)
+        if not options:  # a single finite factor has words of one syllable only
+            break
+        word = rng.choice(options)
+    return sys.word(word)
+
+
+def _seeded_factor_lists(count):
+    rng = random.Random(1301)
+    return [[rng.choice((None, 2, 3, 4, 5, 6)) for _ in range(rng.randint(1, 3))]
+            for _ in range(count)]
+
+
+GROWTH_CASES = [
+    ([None, None], 7), ([2, 3], 14), ([None, 3], 8), ([3, 5], 8), ([None, None, 4], 5),
+    ([2, 2], 12), ([None], 12), ([2], 4), ([4, None, 6], 5), ([5, 4], 7), ([6], 6),
+] + [(factors, 5) for factors in _seeded_factor_lists(6)]
+
+
+def _factor_id(factors):
+    return "*".join("Z" if m is None else f"Z{m}" for m in factors)
+
+
+@pytest.mark.parametrize("factors, rmax", GROWTH_CASES,
+                         ids=[_factor_id(f) for f, _ in GROWTH_CASES])
+def test_growth_matches_bfs_on_free_products(factors, rmax):
+    sys = fk.GroupDualSystem(factors)
+    rng = random.Random(rmax * 7 + len(factors))
+    center = random_label(sys, rng, 3)
+    for v in (std_generator(sys), weighted_standard(sys, rng)):
+        assert fk.growth_table(sys, v, center, rmax) == bfs_growth(sys, v, center, rmax)
+
+
+@pytest.mark.parametrize("d, rmax", [(1, 12), (2, 10), (3, 7)])
+def test_growth_matches_bfs_on_zd(d, rmax):
+    sys = fk.ZdDualSystem(d)
+    rng = random.Random(d)
+    center = random_label(sys, rng, 5)
+    for v in (std_generator(sys), weighted_standard(sys, rng)):
+        assert fk.growth_table(sys, v, center, rmax) == bfs_growth(sys, v, center, rmax)
+
+
+DISTANCE_SYSTEMS = [
+    ("F2", lambda: fk.GroupDualSystem([None, None], names=["s", "t"])),
+    ("Z2*Z3", lambda: fk.GroupDualSystem([2, 3])),
+    ("Z*Z5", lambda: fk.GroupDualSystem([None, 5])),
+    ("Z4*Z*Z6", lambda: fk.GroupDualSystem([4, None, 6])),
+    ("Z2*Z2", lambda: fk.GroupDualSystem([2, 2])),
+    ("Z7", lambda: fk.GroupDualSystem([7])),
+    ("Z^1", lambda: fk.ZdDualSystem(1)),
+    ("Z^2", lambda: fk.ZdDualSystem(2)),
+    ("Z^3", lambda: fk.ZdDualSystem(3)),
+]
+
+
+@pytest.mark.parametrize("name, make", DISTANCE_SYSTEMS, ids=[n for n, _ in DISTANCE_SYSTEMS])
+def test_distance_matches_bfs(name, make):
+    sys = make()
+    rng = random.Random(name)
+    for _ in range(25):
+        a, b = random_label(sys, rng, 3), random_label(sys, rng, 2)
+        v = weighted_standard(sys, rng)
+        assert fk.distance(sys, v, a, b, budget=32) == bfs_distance(sys, v, a, b, budget=32), \
+            (sys.format_label(a), sys.format_label(b))
+
+
+def test_distance_left_multiplies(f2):
+    # from s to t s is one left multiplication by t; |s^-1 t s| would be 3
+    v = std_generator(f2)
+    a, b = f2.parse_label("s"), f2.parse_label("t s")
+    assert fk.distance(f2, v, a, b) == bfs_distance(f2, v, a, b) == 1
+
+
+STANDARD_CASES = [c for c in DISTANCE_SYSTEMS if c[0] in ("F2", "Z4*Z*Z6", "Z^3")]
+
+
+@pytest.mark.parametrize("name, make", STANDARD_CASES, ids=[n for n, _ in STANDARD_CASES])
+def test_standard_support_calls_no_rule(name, make, monkeypatch):
+    sys = make()
+    rng = random.Random(name)
+    v = weighted_standard(sys, rng)
+    v = v + v + std_generator(sys)  # weights >= 3, so not all 1
+    pairs = [(random_label(sys, rng, 3), random_label(sys, rng, 2)) for _ in range(8)]
+    want_rows = bfs_growth(sys, v, pairs[0][0], 5)
+    want_d = [bfs_distance(sys, v, a, b, budget=32) for a, b in pairs]
+
+    def refuse(a, b):
+        raise AssertionError("the closed form called the rule")
+
+    monkeypatch.setattr(sys, "_tensor_irr", refuse)
+    assert fk.growth_table(sys, v, pairs[0][0], 5) == want_rows
+    assert [fk.distance(sys, v, a, b, budget=32) for a, b in pairs] == want_d
+    with pytest.raises(AssertionError, match="called the rule"):
+        fk.ball(sys, v, sys.unit, 1)
+
+
+def _bfs_cases():
+    zd2, f2 = fk.ZdDualSystem(2), fk.GroupDualSystem([None, None], names=["s", "t"])
+    ao3, aut4, au2 = fk.AoSystem(3), fk.AutSystem(4), fk.AuSystem(2)
+    return [
+        ("Z^2 missing letter", zd2, "e + g1 + g1^-1"),
+        ("F2 extra label", f2, "e + s^2 + s^-2 + s + s^-1 + t + t^-1"),
+        ("a_o", ao3, "r1 + r2"),
+        ("aut", aut4, "s0 + s1"),
+        ("a_u", au2, "e + a + b"),
+    ]
+
+
+BFS_CASES = _bfs_cases()
+
+
+@pytest.mark.parametrize("name, sys, vexpr", BFS_CASES, ids=[c[0] for c in BFS_CASES])
+def test_other_supports_run_bfs(name, sys, vexpr, monkeypatch):
+    v = fk.parse_element(sys, vexpr)
+    pool = sorted(bfs_distances_up_to(sys, v, sys.unit, 2), key=sys.sort_key)
+    want_rows = bfs_growth(sys, v, sys.unit, 4)
+    want_d = [bfs_distance(sys, v, a, b, budget=16) for a in pool[:4] for b in pool[-4:]]
+    calls = []
+    rule = sys._tensor_irr
+
+    def counted(a, b):
+        calls.append(None)
+        return rule(a, b)
+
+    monkeypatch.setattr(sys, "_tensor_irr", counted)
+    assert fk.growth_table(sys, v, sys.unit, 4) == want_rows
+    assert calls
+    calls.clear()
+    assert [fk.distance(sys, v, a, b, budget=16) for a in pool[:4] for b in pool[-4:]] == want_d
+    assert calls
+
+
+def test_closed_forms_keep_the_checks_in_order(f2):
+    v = std_generator(f2)
+    bad = fk.AoSystem(3).r(2)
+    one_sided = fk.parse_element(f2, "e + s")
+    with pytest.raises(FusionError, match="self-conjugate"):
+        fk.growth_table(f2, one_sided, bad, -1)
+    with pytest.raises(fk.FamilyMismatchError):
+        fk.growth_table(f2, v, bad, -1)
+    with pytest.raises(FusionError, match="radius must be >= 0, got -1"):
+        fk.growth_table(f2, v, f2.unit, -1)
+    with pytest.raises(FusionError, match="self-conjugate"):
+        fk.distance(f2, one_sided, bad, bad)
+    with pytest.raises(fk.FamilyMismatchError):
+        fk.distance(f2, v, f2.unit, bad)
+    far = f2.parse_label("s^40")
+    assert fk.distance(f2, v, far, far, budget=0) == 0
+    assert fk.distance(f2, v, f2.unit, far, budget=40) == 40
+    with pytest.raises(BudgetExceededError, match=r"^not reached within budget 39: d\(e, s\^40\)$"):
+        fk.distance(f2, v, f2.unit, far, budget=39)
