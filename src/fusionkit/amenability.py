@@ -14,39 +14,31 @@ A cross-check runs the same estimate through the positive element
 ``chi(u) chi(u)*`` (moments ``p_k = multiplicity(unit, (u (x) conj u)^(x)k)``,
 norm ``n^2`` exactly when amenable); the two verdicts must agree.
 
-Counting: every count is a unit multiplicity of a tensor power
-(``FusionSystem.unit_moments``).  Where the family proves that the
-generator is ``c0`` units plus independent steps of birth-death chains on
-levels (``FusionSystem.radial_chains``: word length for ``c0 + w (a + b)``
-in ``a_u``, letter length for ``c0 + w * sum (g + g^-1)`` over the free
-groups ``F_n``, one chain per coordinate for the same shape in ``Z^d``),
-the counts are closed walks of those chains, whose rates are constant
-from level 1 on (Kesten, *Trans. AMS* 92, 1959; Woess, *Random Walks on
-Infinite Graphs and Groups*, 2000): integers are walked on levels, and
-no rule runs and no power is formed.
-Elsewhere Frobenius reciprocity gives ``multiplicity(unit, a (x) b) =
-sum_c a_c b_{conj c}``, so ``x^(x)2k`` and ``x^(x)2k-1`` are read off the
-pair ``x^(x)k, x^(x)k-1``: powers are formed to half the depth only.  For
-a self-conjugate generator ``u + conj u = 2u``, so ``c_{2k} = 4^k p_k``
-exactly and a verdict counts one sequence, shared by the estimate and the
-cross-check.  For the other duals of free products the supports grow
-exponentially, but elements supported on the unit and single-syllable
-words split as a sum of elements from distinct free factors, which are
-free with respect to the unit-multiplicity trace; their mixed moments are
-therefore determined by the factor moments through the free
-(noncrossing) moment-cumulant relations.  Those relations are integer
-recursions, so this path is exact.  Both paths are cross-checked against
+Counting: every count is a unit multiplicity of a tensor power, and
+``FusionSystem.unit_moments`` chooses how to count it.  It walks the
+birth-death chains a family declares (``radial_chains``; Kesten, *Trans.
+AMS* 92, 1959; Woess, *Random Walks on Infinite Graphs and Groups*, 2000),
+joins the free parts a family declares (``free_parts``) by adding free
+cumulants, or forms powers to half the depth; ``char_moments`` is the
+same call.  For a self-conjugate generator ``u + conj u = 2u``, so
+``c_{2k} = 4^k p_k`` exactly and a verdict counts one sequence, shared by
+the estimate and the cross-check.  Every path is cross-checked against
 direct expansion in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from operator import mul
+from dataclasses import asdict, dataclass, field
 
-from .core import FusionElement, FusionError, FusionSystem
-from .families import GroupDualSystem, fundamental
+# the moment-cumulant recursions are re-exported from core
+from .core import (
+    FusionElement,
+    FusionError,
+    FusionSystem,
+    free_cumulants_to_moments,
+    moments_to_free_cumulants,
+)
 
 AMENABLE = "amenable-consistent"
 NON_AMENABLE = "non-amenable-numerical"
@@ -60,137 +52,31 @@ _NOTE = ("verdict is numerical: finitely many exact moments bound the norm from 
 
 
 # ---------------------------------------------------------------------------
-# free moment-cumulant recursions (exact integer arithmetic)
-# ---------------------------------------------------------------------------
-
-def moments_to_free_cumulants(moments: list[int]) -> list[int]:
-    """Free cumulants ``k_1..k_N`` from moments ``[m_0=1, m_1, ..., m_N]``.
-
-    Uses ``m_n = sum_s k_s * [z^(n-s)] M(z)^s`` with
-    ``M(z) = sum m_j z^j``; solving for ``k_n`` keeps everything integral.
-    """
-    N = len(moments) - 1
-    if N < 0 or moments[0] != 1:
-        raise FusionError("moments must start with m_0 = 1")
-    return _mc_recursion(list(moments), forward=False)
-
-
-def free_cumulants_to_moments(cumulants: list[int], N: int | None = None) -> list[int]:
-    """Moments ``[m_0..m_N]`` from free cumulants ``k_1..k_N`` (index 0 unused)."""
-    kappa = list(cumulants)
-    if N is None:
-        N = len(kappa) - 1
-    if len(kappa) < N + 1:
-        raise FusionError("not enough cumulants")
-    moments = [1] + [0] * N
-    _mc_recursion(moments, forward=True, kappa=kappa)
-    return moments
-
-
-def _mc_recursion(moments: list[int], forward: bool, kappa: list[int] | None = None):
-    # P[s][t] = [z^t] M(z)^s, filled along diagonals s + t = n so each entry
-    # only ever consumes moments of lower order.
-    N = len(moments) - 1
-    if kappa is None:
-        kappa = [0] * (N + 1)
-    P: list[list[int]] = [[0] * (N + 1) for _ in range(N + 1)]
-    P[0][0] = 1
-    for n in range(1, N + 1):
-        for s in range(1, n + 1):
-            t = n - s
-            if s == 1:
-                P[s][t] = moments[t]
-            else:
-                # sum_j P[s-1][t-j] * moments[j], j = 0..t
-                P[s][t] = sum(map(mul, P[s - 1][t::-1], moments))
-        if forward:
-            moments[n] = sum(kappa[s] * P[s][n - s] for s in range(1, n + 1))
-        else:
-            kappa[n] = moments[n] - sum(kappa[s] * P[s][n - s] for s in range(1, n))
-    return moments if forward else kappa
-
-
-# ---------------------------------------------------------------------------
-# exact character moments
+# exact counts
 # ---------------------------------------------------------------------------
 
 def char_moments(sys: FusionSystem, x: FusionElement, N: int) -> list[int]:
-    """Exact moments ``m_j = multiplicity(unit, x^(x)j)`` for j = 0..N."""
-    sys.check_element(x)
-    # a declared chain walk is cheaper than the cumulant table
-    split = None if sys.radial_chains(x) is not None else _free_factor_split(sys, x)
-    if split is not None:
-        c0, parts = split
-        kappa = [0] * (N + 1)
-        # factors with the same moments (s + s^-1, t + t^-1 in F2) share cumulants
-        by_moments: dict[tuple[int, ...], list[int]] = {}
-        for part in parts:
-            m = tuple(sys.unit_moments(part, N))
-            if m not in by_moments:
-                by_moments[m] = moments_to_free_cumulants(list(m))
-            k = by_moments[m]
-            for j in range(1, N + 1):
-                kappa[j] += k[j]
-        kappa[1] += c0
-        return free_cumulants_to_moments(kappa, N)
+    """Exact moments ``m_j = multiplicity(unit, x^(x)j)``, j = 0..N; the same call as
+    ``sys.unit_moments(x, N)``."""
     return sys.unit_moments(x, N)
-
-
-def _free_factor_split(sys: FusionSystem, x: FusionElement):
-    """Split ``x = c0 * unit + sum of single-factor parts`` when possible.
-
-    Only duals of free products with at least two factors benefit; the
-    parts then live in distinct free factors and are free w.r.t. the
-    unit-multiplicity trace.  Returns None when some support word mixes
-    factors (fall back to direct expansion).
-    """
-    if not isinstance(sys, GroupDualSystem) or len(sys.factors) < 2:
-        return None
-    c0 = 0
-    per_factor: dict[int, dict] = {}
-    for lab, m in x.items():
-        w = lab.payload
-        if not w:
-            c0 = m
-        elif len(w) == 1:
-            per_factor.setdefault(w[0][0], {})[lab] = m
-        else:
-            return None
-    parts = [FusionElement(terms) for _, terms in sorted(per_factor.items())]
-    return c0, parts
 
 
 def kesten_counts(sys: FusionSystem, u: FusionElement, K: int) -> list[int]:
     """Exact counts ``c_{2k} = multiplicity(unit, (u + conj u)^(x)2k)``, k = 1..K."""
     if K < 1:
         raise FusionError(f"K must be >= 1, got {K}")
-    sys.check_element(u)
-    ubar = sys.conj_element(u)
-    if ubar == u:
-        return _four_power_scaled(_even_power_counts(sys, u, K))
-    return _even_power_counts(sys, u + ubar, K)
+    return sys.unit_moments(u + sys.conj_element(u), 2 * K)[2::2]
 
 
 def chi_chi_star_counts(sys: FusionSystem, u: FusionElement, K: int) -> list[int]:
     """Cross-check counts ``p_k = multiplicity(unit, (u (x) conj u)^(x)k)``, k = 1..K."""
     if K < 1:
         raise FusionError(f"K must be >= 1, got {K}")
-    sys.check_element(u)
     ubar = sys.conj_element(u)
     if ubar == u:
         # (u (x) u)^k is the 2k-th power of u
-        return _even_power_counts(sys, u, K)
+        return sys.unit_moments(u, 2 * K)[2::2]
     return sys.unit_moments(sys.tensor(u, ubar), K)[1:]
-
-
-def _even_power_counts(sys: FusionSystem, v: FusionElement, K: int) -> list[int]:
-    """``multiplicity(unit, v^(x)2k)`` for k = 1..K."""
-    return char_moments(sys, v, 2 * K)[2::2]
-
-
-def _four_power_scaled(p: list[int]) -> list[int]:
-    """``c_{2k} = 4^k p_k``: for self-conjugate ``u``, ``(u + conj u)^2k = 4^k u^2k``."""
-    return [4 ** k * pk for k, pk in enumerate(p, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +146,11 @@ class KestenReport:
     notes: str = field(default=_NOTE)
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "depth": self.depth,
-            "tolerance": self.tolerance,
-            "method": self.method,
-            "counts": [str(c) for c in self.counts],
-            "estimate": self.estimate,
-            "verdict": self.verdict,
-            "cross_counts": [str(p) for p in self.cross_counts],
-            "cross_estimate": self.cross_estimate,
-            "cross_verdict": self.cross_verdict,
-            "agree": self.agree,
-            "notes": self.notes,
-        }
+        """Every field, with the counts as decimal strings."""
+        data = asdict(self)
+        for key in ("counts", "cross_counts"):
+            data[key] = [str(c) for c in data[key]]
+        return data
 
 
 def _classify(estimate: float, n: int, tol: float, monotone: bool) -> str:
@@ -297,7 +173,7 @@ def amenability_verdict(sys: FusionSystem, u: FusionElement | None = None,
     element must agree, else the verdict degrades to inconclusive.
     """
     if u is None:
-        u = fundamental(sys)
+        u = sys.fundamental()
     sys.check_element(u)
     if K < 3:
         raise FusionError(f"depth K must be >= 3, got {K}")
@@ -308,7 +184,8 @@ def amenability_verdict(sys: FusionSystem, u: FusionElement | None = None,
     n = sys.dim(u)
     cross_counts = chi_chi_star_counts(sys, u, K)
     if sys.conj_element(u) == u:
-        counts = _four_power_scaled(cross_counts)
+        # (u + conj u)^2k = 4^k u^2k
+        counts = [4 ** k * p for k, p in enumerate(cross_counts, start=1)]
     else:
         counts = kesten_counts(sys, u, K)
     estimate = spectral_radius_estimate(counts, method)

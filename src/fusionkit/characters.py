@@ -7,8 +7,8 @@ reciprocity that multiplicity pairs the products of the two halves of the
 word, ``multiplicity(unit, A (x) B) = sum_c A_c B_{conj c}``, so a word of
 length ``L`` costs two products of length about ``L/2`` and the full
 product is never formed; moment sequences come from
-``amenability.char_moments``, the one dispatch that walks a declared
-chain, joins free factors by free cumulants or shares that kernel.
+``FusionSystem.unit_moments``, which walks declared chains, joins free
+parts by free cumulants or forms powers to half the depth.
 Noncrossing pairing enumeration and the Catalan recurrence provide
 independent cross-checks for these counts.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .amenability import char_moments
 from .core import FusionElement, FusionError, FusionSystem
 
 
@@ -95,7 +94,7 @@ def moment_sequence(sys: FusionSystem, u: FusionElement, K: int) -> list[int]:
     """
     if K < 1:
         raise FusionError(f"K must be >= 1, got {K}")
-    return char_moments(sys, u, K)[1:]
+    return sys.unit_moments(u, K)[1:]
 
 
 def noncrossing_pairing_count(w: StarWord | str, kind: str = "self-adjoint") -> int:

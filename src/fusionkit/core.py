@@ -14,6 +14,7 @@ memoized per system.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from itertools import repeat
 from math import comb
 from operator import mul
@@ -256,6 +257,17 @@ class FusionSystem(ABC):
         """
         return None
 
+    def free_parts(self, x: FusionElement) -> tuple[int, list[FusionElement]] | None:
+        """``x`` as ``c0`` units plus parts that are free, where proven.
+
+        ``(c0, parts)`` means ``x = c0 unit + x_1 + ... + x_k`` with
+        ``k >= 2``, where the ``x_i`` are free for the unit multiplicity:
+        an alternating product of polynomials in distinct neighbouring
+        ``x_i``, each with no unit term, holds no unit.  No part may split
+        again.  The default, None, keeps the expansion.
+        """
+        return None
+
     def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
         """Sizes of the spheres of radius ``0..rmax`` of the metric of ``v``, in closed form.
 
@@ -358,11 +370,19 @@ class FusionSystem(ABC):
     def unit_moments(self, x: FusionElement, N: int) -> list[int]:
         """``[multiplicity(unit, x^(x)j) for j = 0..N]``.
 
+        This is the one place that chooses how to count, in this order.
+
         When ``radial_chains(x)`` declares chains, no rule runs: each
         chain's level weights are walked for ``N`` steps, keeping at step
         ``j`` only the levels ``<= min(j, N - j)`` that can still return,
         and the return weights are joined with ``c0^j`` by binomial
         convolution (``_chain_moments``).
+
+        Else, when ``free_parts(x)`` splits ``x``, each part's moments are
+        counted by this method and the parts are joined by adding their
+        free cumulants (``_free_moments``).  These are the two joins of
+        independent parts: commuting parts convolve, free parts add
+        cumulants.
 
         Otherwise the powers are formed to half the depth:
         ``m_{2k-1} = unit_mult(x^k, x^(k-1))`` and ``m_{2k} = unit_mult(x^k, x^k)``,
@@ -376,6 +396,10 @@ class FusionSystem(ABC):
         chains = self.radial_chains(x)
         if chains is not None:
             return _chain_moments(*chains, N)
+        free = self.free_parts(x)
+        if free is not None:
+            c0, parts = free
+            return _free_moments(c0, [self.unit_moments(part, N) for part in parts], N)
         conj = self.conj_irr
         out = [1]
         powers = self.products(repeat(x, (N + 1) // 2))
@@ -424,3 +448,68 @@ def _chain_moments(c0: int, chains: tuple[Chain, ...], N: int) -> list[int]:
         out = [sum(comb(n, k) * out[n - k] * w for k, w in enumerate(walk[:n + 1]) if w)
                for n in range(N + 1)]
     return out
+
+
+def _free_moments(c0: int, part_moments: list[list[int]], N: int) -> list[int]:
+    """Unit multiplicities of ``(c0 unit + x_1 + ... + x_k)^(x)j``, j = 0..N, for free ``x_i``.
+
+    Free cumulants of free parts add (Speicher, *Math. Ann.* 298, 1994),
+    and ``c0`` units add ``c0`` to the first one only.  Parts with the same
+    moments (``s + s^-1`` and ``t + t^-1`` in F2) share one inversion.
+    """
+    kappa = [0, c0] + [0] * N  # one entry past N, so that kappa[1] exists at N = 0
+    for m, copies in Counter(map(tuple, part_moments)).items():
+        for j, k in enumerate(moments_to_free_cumulants(list(m))):
+            kappa[j] += copies * k
+    return free_cumulants_to_moments(kappa, N)
+
+
+# ---------------------------------------------------------------------------
+# free moment-cumulant recursions (exact integer arithmetic)
+# ---------------------------------------------------------------------------
+
+def moments_to_free_cumulants(moments: list[int]) -> list[int]:
+    """Free cumulants ``k_1..k_N`` from moments ``[m_0=1, m_1, ..., m_N]``.
+
+    Uses ``m_n = sum_s k_s * [z^(n-s)] M(z)^s`` with
+    ``M(z) = sum m_j z^j``; solving for ``k_n`` keeps everything integral.
+    """
+    N = len(moments) - 1
+    if N < 0 or moments[0] != 1:
+        raise FusionError("moments must start with m_0 = 1")
+    return _mc_recursion(list(moments), forward=False)
+
+
+def free_cumulants_to_moments(cumulants: list[int], N: int | None = None) -> list[int]:
+    """Moments ``[m_0..m_N]`` from free cumulants ``k_1..k_N`` (index 0 unused)."""
+    kappa = list(cumulants)
+    if N is None:
+        N = len(kappa) - 1
+    if len(kappa) < N + 1:
+        raise FusionError("not enough cumulants")
+    moments = [1] + [0] * N
+    _mc_recursion(moments, forward=True, kappa=kappa)
+    return moments
+
+
+def _mc_recursion(moments: list[int], forward: bool, kappa: list[int] | None = None):
+    # P[s][t] = [z^t] M(z)^s, filled along diagonals s + t = n so each entry
+    # only ever consumes moments of lower order.
+    N = len(moments) - 1
+    if kappa is None:
+        kappa = [0] * (N + 1)
+    P: list[list[int]] = [[0] * (N + 1) for _ in range(N + 1)]
+    P[0][0] = 1
+    for n in range(1, N + 1):
+        for s in range(1, n + 1):
+            t = n - s
+            if s == 1:
+                P[s][t] = moments[t]
+            else:
+                # sum_j P[s-1][t-j] * moments[j], j = 0..t
+                P[s][t] = sum(map(mul, P[s - 1][t::-1], moments))
+        if forward:
+            moments[n] = sum(kappa[s] * P[s][n - s] for s in range(1, n + 1))
+        else:
+            kappa[n] = moments[n] - sum(kappa[s] * P[s][n - s] for s in range(1, n))
+    return moments if forward else kappa

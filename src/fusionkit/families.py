@@ -271,6 +271,35 @@ class GroupDualSystem(GroupDualBase):
         n = len(self.factors)
         return x._terms.get(self._unit, 0), ((2 * n * w, (2 * n - 1) * w, w),)
 
+    def free_parts(self, x: FusionElement):
+        """``(c0, parts)``, one part per factor, if ``x`` holds only the unit
+        and single-syllable words, of at least two factors.
+
+        The irreducibles are the group elements, and the unit multiplicity
+        of ``sum_g a_g g`` is ``a_e``: the trace of the group algebra.  A
+        part ``x_i`` lives in the algebra of its factor ``G_i``.  Take a
+        product ``b_1 ... b_n`` with each ``b_j`` a polynomial in some
+        ``x_i`` with no unit term, neighbours in distinct factors.  Each
+        ``b_j`` is a combination of non-identity elements of its factor, so
+        the product is a combination of words of ``n`` syllables whose
+        neighbours lie in distinct factors.  Those words are reduced and
+        not the unit, so the product holds no unit: the parts are free.
+        A part holds one factor, so it does not split again.
+        """
+        c0 = 0
+        per_factor: dict[int, dict[IrrLabel, int]] = {}
+        for lab, m in x.items():
+            w = lab.payload
+            if not w:
+                c0 = m
+            elif len(w) == 1:
+                per_factor.setdefault(w[0][0], {})[lab] = m
+            else:
+                return None
+        if len(per_factor) < 2:
+            return None
+        return c0, [FusionElement._adopt(terms) for _, terms in sorted(per_factor.items())]
+
     # the metric of the standard generator ------------------------------------
 
     def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
@@ -324,9 +353,13 @@ class GroupDualSystem(GroupDualBase):
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, self.inverse_word(a.payload))
 
-    def sort_key(self, label: IrrLabel):
-        w = label.payload
+    def word_key(self, w: Word):
+        """The label order on reduced words, in which a word comes after its
+        prefixes (``WordSet.make`` relies on that)."""
         return (self.letter_length(w), len(w), w)
+
+    def sort_key(self, label: IrrLabel):
+        return self.word_key(label.payload)
 
 
 def _inverse_series(a: Sequence[int], n: int) -> list[int]:

@@ -323,10 +323,8 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList, depth: int
     lists by multiset subtraction.  Raises InconsistentListError when a
     subtraction is not contained or an ambiguous split has unequal parts.
     """
-    from .families import fundamental as _fundamental
-
     if fund is None:
-        fund = _fundamental(sys)
+        fund = sys.fundamental()
     sys.check_element(fund)
     if fund_list.size() != sys.dim(fund):
         raise FusionError(

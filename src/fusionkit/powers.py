@@ -55,10 +55,6 @@ class UnsupportedSetOperation(FusionError):
     """The requested set operation has no exact finite representation here."""
 
 
-def _word_key(sys: GroupDualSystem, w: Word):
-    return (sys.letter_length(w), len(w), w)
-
-
 # ---------------------------------------------------------------------------
 # the two set representations
 # ---------------------------------------------------------------------------
@@ -174,10 +170,10 @@ class WordSet:
     @classmethod
     def make(cls, sys: GroupDualSystem, cylinders: Iterable[Word] = (),
              includes: Iterable[Word] = (), excludes: Iterable[Word] = ()) -> "WordSet":
-        # in _word_key order a cylinder comes after every prefix it extends
+        # in word_key order a cylinder comes after every prefix it extends
         heads = _HeadIndex(sys.factors)
         cyls: list[Word] = []
-        for p in sorted(set(cylinders), key=lambda w: _word_key(sys, w)):
+        for p in sorted(set(cylinders), key=sys.word_key):
             if not heads.covers(p):
                 heads.add(p)
                 cyls.append(p)
@@ -288,12 +284,12 @@ class WordSet:
             return sys.format_label(sys.word(w))
 
         bits = [f"Cyl({fmt(p)})"
-                for p in sorted(self.cylinders, key=lambda w: _word_key(sys, w))]
-        bits += [fmt(w) for w in sorted(self.includes, key=lambda w: _word_key(sys, w))]
+                for p in sorted(self.cylinders, key=sys.word_key)]
+        bits += [fmt(w) for w in sorted(self.includes, key=sys.word_key)]
         body = " | ".join(bits) if bits else "{}"
         if self.excludes:
             body += " \\ {" + ", ".join(
-                fmt(w) for w in sorted(self.excludes, key=lambda w: _word_key(sys, w))) + "}"
+                fmt(w) for w in sorted(self.excludes, key=sys.word_key)) + "}"
         return f"WordSet({body})"
 
 
@@ -573,7 +569,8 @@ def check_witness(sys: FusionSystem, w: PowersWitness) -> WitnessCheck:
     coverage.  Families without a word tree have only finite sets, which
     can partition no more than the ball of radius ``truncation_radius``;
     those checks run the same product conditions there and are flagged
-    ``exact=False``.
+    ``exact=False``.  A radius given on a group dual goes unused, and every
+    detail says so.
     """
     for lab in w.F:
         sys.check_label(lab)
@@ -583,33 +580,37 @@ def check_witness(sys: FusionSystem, w: PowersWitness) -> WitnessCheck:
     exact = isinstance(sys, GroupDualSystem)
     if not exact and w.truncation_radius is None:
         raise FusionError("finite witnesses need a truncation_radius")
+    unused = ("" if not exact or w.truncation_radius is None
+              else f"; truncation_radius {w.truncation_radius} unused: the check is exact")
+
+    def verdict(holds: bool, detail: str) -> WitnessCheck:
+        return WitnessCheck(holds, exact, detail + unused)
+
     D, E = _as_set(sys, w.D), _as_set(sys, w.E)
     if not D.intersect(E).is_empty():
-        return WitnessCheck(False, exact, "D and E overlap")
+        return verdict(False, "D and E overlap")
     if exact:
         if not D.union(E).complement().is_empty():
-            return WitnessCheck(False, True, "D and E do not cover all irreducibles")
+            return verdict(False, "D and E do not cover all irreducibles")
     else:
-        from .families import fundamental
         from .geometry import ball
-        fund = fundamental(sys)
+        fund = sys.fundamental()
         gen = sys.unit_element() + fund + sys.conj_element(fund)
         universe = ball(sys, gen, sys.unit, w.truncation_radius)
         missing = universe - D.union(E).labels
         if missing:
-            return WitnessCheck(
-                False, False,
-                f"{len(missing)} irreducibles within radius {w.truncation_radius} uncovered")
+            return verdict(False, f"{len(missing)} irreducibles within radius "
+                                  f"{w.truncation_radius} uncovered")
         details.append(f"partition verified within radius {w.truncation_radius} only")
     for lab in w.F:
         if not set_product(sys, _finite_set(sys, [lab]), D).intersect(D).is_empty():
-            return WitnessCheck(False, exact, "F o D meets D")
+            return verdict(False, "F o D meets D")
     if not w.F:
         details.append("F empty: first condition vacuous")
     meet = _meeting_pair([set_product(sys, _finite_set(sys, [r]), E) for r in w.r_labels()])
     if meet is not None:
-        return WitnessCheck(False, exact, f"r{meet[0] + 1} o E meets r{meet[1] + 1} o E")
-    return WitnessCheck(True, exact, "; ".join(details) if details else "all conditions hold")
+        return verdict(False, f"r{meet[0] + 1} o E meets r{meet[1] + 1} o E")
+    return verdict(True, "; ".join(details) if details else "all conditions hold")
 
 
 def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
@@ -631,12 +632,12 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
         sys.check_label(lab)
         if lab == sys.unit:
             raise FusionError("F must avoid the unit class")
-    letters = sorted(sys.children(()), key=lambda w: _word_key(sys, w))
+    letters = sorted(sys.children(()), key=sys.word_key)
     r_pool, layer = [()], [()]
     for _ in range(budget):
         layer = [c for w in layer for c in sys.children(w)]
         r_pool += layer
-    r_pool.sort(key=lambda w: _word_key(sys, w))
+    r_pool.sort(key=sys.word_key)
     for mask in range(1, 2 ** len(letters) - 1):
         chosen = [letters[i] for i in range(len(letters)) if mask >> i & 1]
         for unit_in_d in (False, True):

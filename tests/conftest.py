@@ -97,3 +97,24 @@ def with_stack_margin(fn, *args, margin=40):
         return fn(*args)
     finally:
         _sys.setrecursionlimit(limit)
+
+
+def mc_recursion_reference(moments, forward, kappa=None):
+    """Oracle: the moment-cumulant recursion with a generator-expression inner sum."""
+    N = len(moments) - 1
+    if kappa is None:
+        kappa = [0] * (N + 1)
+    P = [[0] * (N + 1) for _ in range(N + 1)]
+    P[0][0] = 1
+    for n in range(1, N + 1):
+        for s in range(1, n + 1):
+            t = n - s
+            if s == 1:
+                P[s][t] = moments[t]
+            else:
+                P[s][t] = sum(P[s - 1][t - j] * moments[j] for j in range(t + 1))
+        if forward:
+            moments[n] = sum(kappa[s] * P[s][n - s] for s in range(1, n + 1))
+        else:
+            kappa[n] = moments[n] - sum(kappa[s] * P[s][n - s] for s in range(1, n))
+    return moments if forward else kappa

@@ -7,6 +7,8 @@ import fusionkit as fk
 from fusionkit import FusionElement
 from fusionkit.amenability import root_sequence_is_monotone
 
+from conftest import mc_recursion_reference
+
 
 def four_letter_generator(f2):
     out = FusionElement.zero()
@@ -70,16 +72,23 @@ def test_cumulants_once_per_distinct_factor_moments(family, u, inversions, reque
     sys = request.getfixturevalue(family)
     u = four_letter_generator(sys) if u is None else fk.parse_element(sys, u)
     calls = []
-    inverse = fk.amenability.moments_to_free_cumulants
+    inverse = fk.core.moments_to_free_cumulants
 
     def counted(moments):
         calls.append(tuple(moments))
         return inverse(moments)
 
-    monkeypatch.setattr(fk.amenability, "moments_to_free_cumulants", counted)
+    monkeypatch.setattr(fk.core, "moments_to_free_cumulants", counted)
     counts = fk.kesten_counts(sys, u, 4)
     assert len(calls) == inversions
     assert counts == counts_by_direct_expansion(sys, u, 4)
+
+
+def test_char_moments_at_depth_zero(zmod3):
+    # the free-cumulant join needs a first cumulant even at N = 0
+    x = fk.parse_element(zmod3, "2*e + g + h + h^2")
+    assert fk.char_moments(zmod3, x, 0) == [1]
+    assert fk.char_moments(zmod3, x, 1) == [1, 2]
 
 
 def test_char_moments_free_path(f2):
@@ -243,27 +252,6 @@ def test_report_serialization(ao2):
     assert "numerical" in data["notes"]
 
 
-def mc_recursion_reference(moments, forward, kappa=None):
-    """Oracle: the moment-cumulant recursion with a generator-expression inner sum."""
-    N = len(moments) - 1
-    if kappa is None:
-        kappa = [0] * (N + 1)
-    P = [[0] * (N + 1) for _ in range(N + 1)]
-    P[0][0] = 1
-    for n in range(1, N + 1):
-        for s in range(1, n + 1):
-            t = n - s
-            if s == 1:
-                P[s][t] = moments[t]
-            else:
-                P[s][t] = sum(P[s - 1][t - j] * moments[j] for j in range(t + 1))
-        if forward:
-            moments[n] = sum(kappa[s] * P[s][n - s] for s in range(1, n + 1))
-        else:
-            kappa[n] = moments[n] - sum(kappa[s] * P[s][n - s] for s in range(1, n))
-    return moments if forward else kappa
-
-
 def test_mc_recursion_matches_reference(rng):
     N = 40
     kappa = [0] + [rng.randint(-5, 5) for _ in range(N)]
@@ -281,13 +269,13 @@ def test_mc_recursion_matches_reference(rng):
 def test_self_conjugate_verdict_counts_once(make, K, monkeypatch):
     sys = make()
     calls = []
-    char_moments = fk.amenability.char_moments
+    unit_moments = fk.FusionSystem.unit_moments
 
-    def counted(*args):
-        calls.append(args[2])
-        return char_moments(*args)
+    def counted(self, x, N):
+        calls.append(N)
+        return unit_moments(self, x, N)
 
-    monkeypatch.setattr(fk.amenability, "char_moments", counted)
+    monkeypatch.setattr(fk.FusionSystem, "unit_moments", counted)
     report = fk.amenability_verdict(sys, K=K)
     assert calls == [2 * K]
     p = report.cross_counts
@@ -318,6 +306,7 @@ def test_verdict_rejects_bad_depth_and_tolerance_before_counting(ao3, K, tol, mo
 
     for name in ("kesten_counts", "chi_chi_star_counts", "char_moments"):
         monkeypatch.setattr(fk.amenability, name, no_counting)
+    monkeypatch.setattr(fk.FusionSystem, "unit_moments", no_counting)
     with pytest.raises(fk.FusionError):
         fk.amenability_verdict(ao3, K=K, tol=tol)
 

@@ -133,13 +133,13 @@ def test_moment_sequence(ao2, aut4):
 def test_moment_sequence_of_a_free_product_takes_the_cumulant_path(zmod3, monkeypatch):
     u = fk.parse_element(zmod3, "e + g + g^-1 + h + h^2")
     calls = []
-    inverse = fk.amenability.moments_to_free_cumulants
+    inverse = fk.core.moments_to_free_cumulants
 
     def counted(moments):
         calls.append(tuple(moments))
         return inverse(moments)
 
-    monkeypatch.setattr(fk.amenability, "moments_to_free_cumulants", counted)
+    monkeypatch.setattr(fk.core, "moments_to_free_cumulants", counted)
     seq = fk.moment_sequence(zmod3, u, 8)
     assert calls
     assert seq == [zmod3.power(u, n).mult(zmod3.unit) for n in range(1, 9)]

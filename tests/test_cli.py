@@ -556,9 +556,27 @@ def test_finite_group_dual_witness_is_checked_exactly(configs, capsys, tmp_path)
         checks.append(fk.check_witness(f2, fk.PowersWitness(
             [f2.parse_label("s")], d, e, *(f2.parse_label(t) for t in spec["r"]),
             truncation_radius=1)))
-    expect = fk.WitnessCheck(False, True, "D and E do not cover all irreducibles")
+    expect = fk.WitnessCheck(False, True, "D and E do not cover all irreducibles; "
+                                          "truncation_radius 1 unused: the check is exact")
     assert checks == [expect, expect]
     assert env["outputs"] == {"holds": False, "exact": True, "detail": expect.detail}
+
+
+def test_group_dual_witness_says_its_radius_went_unused(configs, capsys, tmp_path):
+    spec = {"F": ["s", "s^-1"], "D": {"type": "cylinder", "prefixes": ["t^-1"]},
+            "E": {"type": "cylinder", "prefixes": ["s", "s^-1", "t"], "include": ["e"]},
+            "r": ["t", "s^-1 t", "s t"]}
+    details = []
+    for extra in ({}, {"truncation_radius": 2}):
+        witness_file = tmp_path / "w.json"
+        witness_file.write_text(json.dumps({**spec, **extra}))
+        code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
+                            "--witness", str(witness_file))
+        assert code == 0
+        assert env["outputs"]["holds"] is True and env["outputs"]["exact"] is True
+        details.append(env["outputs"]["detail"])
+    assert details == ["all conditions hold",
+                       "all conditions hold; truncation_radius 2 unused: the check is exact"]
 
 
 def test_empty_parameter_entries_are_config_errors(configs, capsys, tmp_path):

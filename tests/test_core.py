@@ -6,7 +6,7 @@ import pytest
 import fusionkit as fk
 from fusionkit import FusionElement
 
-from conftest import label_pool, random_element
+from conftest import label_pool, mc_recursion_reference, random_element
 
 
 def test_zero_element():
@@ -338,6 +338,65 @@ NOT_RADIAL_CASES = _not_radial_cases()
 def test_radial_key_only_where_proven(name, sys, x):
     assert sys.radial_chains(x) is None
     assert sys.unit_moments(x, 6) == moments_by_full_powers(sys, x, 6)
+
+
+# -- unit multiplicities of free parts, against each part's expansion
+
+def free_join_reference(sys, x, N):
+    """Oracle: expand each factor's part of ``x`` in full and add the parts' free cumulants."""
+    c0, parts = 0, {}
+    for lab, m in x.items():
+        if not lab.payload:
+            c0 = m
+            continue
+        assert len(lab.payload) == 1
+        parts.setdefault(lab.payload[0][0], {})[lab] = m
+    kappa = [0, c0] + [0] * (N - 1)
+    for terms in parts.values():
+        moments = moments_by_full_powers(sys, FusionElement(terms), N)
+        kappa = [a + b for a, b in zip(kappa, mc_recursion_reference(moments, False))]
+    return mc_recursion_reference([1] + [0] * N, True, kappa)
+
+
+FREE_CASES = [
+    ("Z*Z/3", [None, 3], ["g", "h"], "e + g + g^-1 + h + h^2"),
+    ("Z/2*Z/3", [2, 3], ["a", "b"], "e + a + b + b^2"),
+    # unequal weights: no chain is declared, so the parts are joined
+    ("F2 unequal weights", [None, None], ["s", "t"], "2*e + s + s^-1 + 3*t + 3*t^-1"),
+]
+
+
+@pytest.mark.parametrize("name, factors, names, text", FREE_CASES,
+                         ids=[c[0] for c in FREE_CASES])
+def test_unit_moments_join_free_parts(name, factors, names, text, monkeypatch):
+    oracle = fk.GroupDualSystem(factors, names=names)
+    expected = free_join_reference(oracle, fk.parse_element(oracle, text), 40)
+    sys = fk.GroupDualSystem(factors, names=names)
+    x = fk.parse_element(sys, text)
+    assert sys.radial_chains(x) is None
+    rule, calls = sys._tensor_irr, []
+
+    def capped(a, b):
+        # the joint expansion grows exponentially; fail fast instead of hanging
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise AssertionError(f"{name}: more than 10000 rule calls")
+        return rule(a, b)
+
+    monkeypatch.setattr(sys, "_tensor_irr", capped)
+    assert sys.unit_moments(x, 40) == expected
+
+
+def test_free_parts_only_for_single_syllables_of_two_factors(f2, zmod3, zd2, ao3, aut4, au2):
+    assert f2.free_parts(fk.parse_element(f2, "e + s + s^-1")) is None  # one factor
+    assert f2.free_parts(fk.parse_element(f2, "e + s t + t")) is None  # a two-syllable word
+    assert zd2.free_parts(zd2.fundamental()) is None
+    for sys in (ao3, aut4, au2):
+        assert sys.free_parts(sys.fundamental()) is None
+    c0, parts = zmod3.free_parts(fk.parse_element(zmod3, "2*e + g + h + h^2"))
+    assert c0 == 2
+    assert parts == [fk.parse_element(zmod3, "g"), fk.parse_element(zmod3, "h + h^2")]
+    assert [zmod3.free_parts(part) for part in parts] == [None, None]
 
 
 def equitable_violation(sys, x, key, depth=5):

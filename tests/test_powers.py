@@ -544,6 +544,18 @@ def test_check_witness_bad_partition(f2):
     assert not verdict.holds and "cover" in verdict.detail
 
 
+def test_group_dual_witness_radius_unused_on_every_path(f2):
+    t = f2.parse_label("t")
+    D = WordSet.make(f2, cylinders=[t.payload])
+    cases = [([], D, "overlap"), ([], WordSet.finite(f2, [f2.unit]), "cover"),
+             ([t], D.complement(), "F o D meets D"), ([], D.complement(), "r1 o E meets r2 o E")]
+    for F, E, reason in cases:
+        verdict = fk.check_witness(f2, fk.PowersWitness(
+            F=F, D=D, E=E, r1=t, r2=t, r3=t, truncation_radius=3))
+        assert not verdict.holds and verdict.exact and reason in verdict.detail
+        assert verdict.detail.endswith("; truncation_radius 3 unused: the check is exact")
+
+
 def test_search_witness_f2(f2):
     F = [f2.parse_label("s"), f2.parse_label("s^-1")]
     w = fk.search_witness(f2, F, budget=2)
