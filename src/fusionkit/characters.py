@@ -4,9 +4,11 @@ The moment of a two-letter monomial ``M`` in ``X, X*`` against a pointed
 system ``(sys, u)`` is the multiplicity of the unit in the tensor word
 obtained by substituting ``X -> u`` and ``X* -> conj(u)``.  By Frobenius
 reciprocity that multiplicity pairs the products of the two halves of the
-word, ``multiplicity(unit, A (x) B) = sum_c A_c B_{conj c}``, so a word of
-length ``L`` costs two products of length about ``L/2`` and the full
-product is never formed; moment sequences come from
+word, ``multiplicity(unit, A (x) B) = sum_c A_c B_{conj c}``, so a mixed
+word of length ``L`` costs two products of length about ``L/2`` and the
+full product is never formed.  A word is a plain power when ``u`` is
+self-conjugate or every letter is the same (``mult(1, conj y) =
+mult(1, y)``); such words, and moment sequences, come from
 ``FusionSystem.unit_moments``, which walks declared chains, joins free
 parts by free cumulants or forms powers to half the depth.
 Noncrossing pairing enumeration and the Catalan recurrence provide
@@ -76,6 +78,8 @@ def moment(sys: FusionSystem, u: FusionElement, w: StarWord | str) -> int:
     w = as_star_word(w)
     sys.check_element(u)
     ubar = sys.conj_element(u)
+    if ubar == u or len(set(w.stars)) < 2:  # mult(1, conj y) = mult(1, y)
+        return sys.unit_moments(u, len(w))[-1]
     half = len(w) // 2
 
     def product(stars):

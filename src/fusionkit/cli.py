@@ -200,13 +200,16 @@ def make_envelope(command: str | None, inputs: dict, outputs, exact: bool = True
     return envelope
 
 
+def _internal_error(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}
+
+
 def emit(envelope: dict, code: int) -> int:
     """Print the envelope and return ``code``, or 1 if stdout's reader is gone."""
     try:
         text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)
     except (TypeError, ValueError, RecursionError) as exc:  # outputs JSON cannot hold
-        return emit({**envelope, "exact": True, "outputs": {
-            "error": f"{type(exc).__name__}: {exc}", "kind": "internal"}}, 1)
+        return emit({**envelope, "exact": True, "outputs": _internal_error(exc)}, 1)
     try:
         print(text, flush=True)
     except BrokenPipeError:
@@ -345,8 +348,7 @@ def _cmd_graph(args, cfg: FamilyConfig):
     diagram = towers.tower(sys_, u, args.depth)
     graph = towers.principal_graph(diagram)
     if cfg.fundamental_list is not None:
-        lists = params.derive_irreducible_lists(sys_, cfg.fundamental_list,
-                                                args.depth + 1, fund=None)
+        lists = params.derive_irreducible_lists(sys_, cfg.fundamental_list, args.depth + 1)
         towers.attach_qdim_weights(graph, lists, cfg.values or None)
     if args.dot:
         _write_output(args.dot, towers.export_dot(graph), "--dot")
@@ -545,9 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = _sys.argv[1:] if argv is None else list(argv)
     try:
+        parser = build_parser()
         args, extra = parser.parse_known_args(argv)
         if extra:
             parser.subcommands[args.command].error(
@@ -557,6 +559,8 @@ def run(argv: list[str] | None = None) -> int:
                                   {"error": str(exc), "kind": "config"}), 2)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except Exception as exc:  # a defect in the parser still ends in one envelope
+        return emit(make_envelope(None, {"argv": argv}, _internal_error(exc)), 1)
     started = time.perf_counter()
     # JSON has no NaN or infinity: echo such flag values as text
     inputs = {name: str(v) if isinstance(v, float) and not math.isfinite(v) else v
@@ -583,8 +587,7 @@ def run(argv: list[str] | None = None) -> int:
     except FusionError as exc:
         outputs, exact, code = {"error": str(exc), "kind": "computation"}, True, 1
     except Exception as exc:  # last resort: a defect still ends in one envelope
-        outputs, exact, code = {"error": f"{type(exc).__name__}: {exc}",
-                                "kind": "internal"}, True, 1
+        outputs, exact, code = _internal_error(exc), True, 1
     return emit(make_envelope(args.command, inputs, outputs, exact, elapsed_ms,
                               cache.degraded if cache else ()), code)
 

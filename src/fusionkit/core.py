@@ -18,7 +18,6 @@ from collections import Counter
 from itertools import repeat
 from math import comb
 from operator import mul
-from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 
@@ -106,12 +105,8 @@ class FusionElement:
         return cls()
 
     @classmethod
-    def from_label(cls, label: IrrLabel, mult: int = 1) -> "FusionElement":
-        return cls(((label, mult),))
-
-    @property
-    def terms(self) -> Mapping[IrrLabel, int]:
-        return MappingProxyType(self._terms)
+    def from_label(cls, label: IrrLabel) -> "FusionElement":
+        return cls(((label, 1),))
 
     @property
     def family(self) -> str | None:

@@ -237,6 +237,17 @@ class GroupDualSystem(GroupDualBase):
                 out.extend(w + ((i, e),) for e in range(1, m))
         return out
 
+    def tree_path(self, w: Word) -> list[Word]:
+        """The nodes from the root to ``w``, both included."""
+        out: list[Word] = [()]
+        for i, (f, e) in enumerate(w):
+            if self.factors[f] is None:
+                step = 1 if e > 0 else -1
+                out.extend(w[:i] + ((f, h),) for h in range(step, e + step, step))
+            else:
+                out.append(w[:i + 1])
+        return out
+
     # fusion rules ------------------------------------------------------------
 
     def validate_payload(self, payload) -> Word:

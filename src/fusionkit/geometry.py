@@ -9,11 +9,12 @@ that adjacency is symmetric.
 Where a family proves the metric of a generator in closed form
 (``FusionSystem.generator_distance`` and ``sphere_sizes``; the group duals
 do for the standard generator, whatever its weights), ``distance`` and
-``growth_table`` take it and call no rule.  Otherwise distances are
-computed by breadth-first search: distance queries run bidirectional BFS
-(meet in the middle), which matters for families with exponential growth.
-Balls and spheres list their elements, so they always search.  Frontiers
-store supports only; multiplicities are irrelevant to the metric.
+``growth_table`` take it and call no rule.  Otherwise every answer reads
+one breadth-first walk, ``_spheres``: balls and growth tables take its
+first spheres, and distance queries walk from both ends and meet in the
+middle, which matters for families with exponential growth.  Balls and
+spheres list their elements, so they always walk.  Spheres store
+supports only; multiplicities are irrelevant to the metric.
 
 Whether the coefficients of ``v`` generate the whole object is not
 decidable at this level; searches carry an explicit budget and failure to
@@ -30,7 +31,8 @@ re-reduction of the whole word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, islice, repeat
+from typing import Iterator
 
 from .core import (
     BudgetExceededError,
@@ -92,35 +94,47 @@ def distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
     return d
 
 
+def _spheres(sys: FusionSystem, v: FusionElement,
+             center: IrrLabel) -> Iterator[list[IrrLabel]]:
+    """Yield the spheres of radius 0, 1, 2, ... around ``center``, each label
+    once, and stop after the last non-empty one.  A sphere is formed only
+    when it is asked for, so a reader that stops at radius ``r`` expands
+    the spheres below ``r`` and no more.
+    """
+    neighbors = _neighbor_fn(sys, v)
+    seen = {center}
+    layer = [center]
+    while layer:
+        yield layer
+        nxt: list[IrrLabel] = []
+        for c in layer:
+            for nb in neighbors(c):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        layer = nxt
+
+
 def _bfs_distance(sys: FusionSystem, v: FusionElement, a: IrrLabel, b: IrrLabel,
                   budget: int) -> int | None:
-    """Bidirectional BFS from ``a != b``; None if the frontiers do not meet within ``budget``."""
-    neighbors = _neighbor_fn(sys, v)
-    visited_a, frontier_a = {a}, {a}
-    visited_b, frontier_b = {b}, {b}
-    steps = 0
-    while steps < budget:
-        if not frontier_a and not frontier_b:
-            break
-        # expand the smaller live frontier by one layer
-        from_a = frontier_a and (not frontier_b or len(frontier_a) <= len(frontier_b))
-        if from_a:
-            visited, frontier, other = visited_a, frontier_a, visited_b
-        else:
-            visited, frontier, other = visited_b, frontier_b, visited_a
-        nxt: set[IrrLabel] = set()
-        for c in frontier:
-            for nb in neighbors(c):
-                if nb not in visited:
-                    visited.add(nb)
-                    nxt.add(nb)
-        if from_a:
-            frontier_a = nxt
-        else:
-            frontier_b = nxt
-        steps += 1
-        if not nxt.isdisjoint(other):
+    """Bidirectional BFS from ``a != b``; None if the balls do not meet within ``budget`` steps.
+
+    Each step grows the side with the smaller last sphere (ties go to
+    ``a``).  Adjacency is symmetric, so a walk that ends has covered a
+    component that the other walk cannot enter.
+    """
+    walks = (_spheres(sys, v, a), _spheres(sys, v, b))
+    balls = (set(next(walks[0])), set(next(walks[1])))
+    sizes = [1, 1]
+    for steps in range(1, budget + 1):
+        i = int(sizes[1] < sizes[0])
+        layer = next(walks[i], None)
+        if layer is None:
+            return None
+        if not balls[1 - i].isdisjoint(layer):
             return steps
+        balls[i].update(layer)
+        sizes[i] = len(layer)
     return None
 
 
@@ -131,38 +145,18 @@ def _check_ball(sys: FusionSystem, v: FusionElement, center: IrrLabel, r: int) -
         raise FusionError(f"radius must be >= 0, got {r}")
 
 
-def _distances_up_to(sys: FusionSystem, v: FusionElement, center: IrrLabel,
-                     r: int) -> dict[IrrLabel, int]:
-    """BFS from the center to radius ``r``; the caller has run ``_check_ball``."""
-    neighbors = _neighbor_fn(sys, v)
-    dist = {center: 0}
-    frontier = [center]
-    for layer in range(1, r + 1):
-        nxt: list[IrrLabel] = []
-        for c in frontier:
-            for nb in neighbors(c):
-                if nb not in dist:
-                    dist[nb] = layer
-                    nxt.append(nb)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
-
-
 def ball(sys: FusionSystem, v: FusionElement, center: IrrLabel, r: int,
          ) -> frozenset[IrrLabel]:
     """All irreducibles at distance <= r from the center."""
     _check_ball(sys, v, center, r)
-    return frozenset(_distances_up_to(sys, v, center, r))
+    return frozenset(chain.from_iterable(islice(_spheres(sys, v, center), r + 1)))
 
 
 def sphere(sys: FusionSystem, v: FusionElement, center: IrrLabel, r: int,
            ) -> frozenset[IrrLabel]:
     """All irreducibles at distance exactly r from the center."""
     _check_ball(sys, v, center, r)
-    dist = _distances_up_to(sys, v, center, r)
-    return frozenset(lab for lab, d in dist.items() if d == r)
+    return frozenset(next(islice(_spheres(sys, v, center), r, None), ()))
 
 
 def growth_table(sys: FusionSystem, v: FusionElement, center: IrrLabel,
@@ -175,9 +169,8 @@ def growth_table(sys: FusionSystem, v: FusionElement, center: IrrLabel,
     _check_ball(sys, v, center, rmax)
     sizes = sys.sphere_sizes(v, rmax)
     if sizes is None:
-        sizes = [0] * (rmax + 1)
-        for d in _distances_up_to(sys, v, center, rmax).values():
-            sizes[d] += 1
+        sizes = [len(layer) for layer in islice(_spheres(sys, v, center), rmax + 1)]
+        sizes += [0] * (rmax + 1 - len(sizes))
     return list(enumerate(accumulate(sizes)))
 
 

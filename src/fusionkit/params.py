@@ -267,13 +267,12 @@ def is_kac(l: ParamList) -> bool:
     return all(p.is_one() for p in l.counts())
 
 
-def qdim(l: ParamList, values: Mapping[str, float | Fraction] | None = None,
-         rel_tol: float = 1e-9) -> float:
+def qdim(l: ParamList, values: Mapping[str, float | Fraction] | None = None) -> float:
     """``sum q^2`` over the list; requires the balance ``sum q^2 = sum q^-2``."""
     fwd = sum(m * (p.eval(values) ** 2) for p, m in l.counts().items())
     bwd = sum(m * (p.eval(values) ** -2) for p, m in l.counts().items())
     scale = max(abs(fwd), abs(bwd), 1.0)
-    if abs(fwd - bwd) > rel_tol * scale:
+    if abs(fwd - bwd) > 1e-9 * scale:
         raise FusionError(
             f"unbalanced list: sum q^2 = {fwd!r} but sum q^-2 = {bwd!r}")
     return fwd
@@ -313,19 +312,17 @@ def _divide(counts: Counter, k: int, what: str) -> Counter:
     return out
 
 
-def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList, depth: int,
-                             fund: FusionElement | None = None) -> dict[IrrLabel, ParamList]:
+def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
+                             depth: int) -> dict[IrrLabel, ParamList]:
     """Solve ``list(a) . list(fund) = union of component lists`` outward from the unit.
 
-    ``fund`` defaults to the family fundamental; its list is ``fund_list``
-    and must have size ``dim(fund)``.  Both the fundamental and its
-    conjugate drive the breadth-first derivation, peeling known component
-    lists by multiset subtraction.  Raises InconsistentListError when a
-    subtraction is not contained or an ambiguous split has unequal parts.
+    ``fund`` is the family fundamental; its list is ``fund_list`` and must
+    have size ``dim(fund)``.  Both the fundamental and its conjugate drive
+    the breadth-first derivation, peeling known component lists by multiset
+    subtraction.  Raises InconsistentListError when a subtraction is not
+    contained or an ambiguous split has unequal parts.
     """
-    if fund is None:
-        fund = sys.fundamental()
-    sys.check_element(fund)
+    fund = sys.fundamental()
     if fund_list.size() != sys.dim(fund):
         raise FusionError(
             f"fundamental list has size {fund_list.size()} but dim = {sys.dim(fund)}")

@@ -250,7 +250,7 @@ class WordSet:
         cyls_out: list[Word] = []
         words_out: list[Word] = []
         # an uncovered node on the path to a cylinder has some cylinder below it
-        paths = _tree_paths(sys, self.cylinders)
+        paths = {p for q in self.cylinders for p in sys.tree_path(q)}
         todo: list[Word] = [()]
         while todo:
             node = todo.pop()
@@ -291,20 +291,6 @@ class WordSet:
             body += " \\ {" + ", ".join(
                 fmt(w) for w in sorted(self.excludes, key=sys.word_key)) + "}"
         return f"WordSet({body})"
-
-
-def _tree_paths(sys: GroupDualSystem, cylinders: Iterable[Word]) -> set[Word]:
-    """Every node on the normal-form tree path from the root to some cylinder."""
-    out: set[Word] = set()
-    for q in cylinders:
-        out.add(())
-        for i, (f, e) in enumerate(q):
-            if sys.factors[f] is None:
-                step = 1 if e > 0 else -1
-                out.update(q[:i] + ((f, step * j),) for j in range(1, abs(e) + 1))
-            else:
-                out.add(q[:i + 1])
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,17 +388,6 @@ def _left_translate(sys: GroupDualSystem, x: Word, S: WordSet) -> WordSet:
                        lambda u: sys.mul_words(x_inv, u))
 
 
-def _tails(sys: GroupDualSystem, x: Word) -> list[Word]:
-    """Every suffix of ``x`` cut between tree letters, the empty one too
-    (``g^e`` in ``Z`` is ``|e|`` letters, a ``Z/m`` syllable one)."""
-    out: list[Word] = [()]
-    for i, (f, e) in enumerate(x):
-        step = 1 if e > 0 else -1
-        heads = range(step, e + step, step) if sys.factors[f] is None else (e,)
-        out.extend(((f, h),) + x[i + 1:] for h in heads)
-    return out
-
-
 def _right_translate(sys: GroupDualSystem, S: WordSet, x: Word) -> WordSet:
     """``S.x = {u : u x^-1 in S}``: ``S``'s cylinders, and candidate words.
 
@@ -421,8 +396,9 @@ def _right_translate(sys: GroupDualSystem, S: WordSet, x: Word) -> WordSet:
     ``u`` lies under ``q``, else where ``v`` leaves ``u``'s path (one step
     towards ``v`` if ``v x`` merges a ``Z/m`` syllable).
     """
-    tails = _tails(sys, x)
-    cands = {sys.mul_words(z, a) for z in _tree_paths(sys, S.cylinders) for a in tails}
+    tails = [sys.mul_words(sys.inverse_word(p), x) for p in sys.tree_path(x)]
+    paths = {p for q in S.cylinders for p in sys.tree_path(q)}
+    cands = {sys.mul_words(z, a) for z in paths for a in tails}
     x_inv = sys.inverse_word(x)
     return _translated(sys, S, S.cylinders, cands, lambda w: sys.mul_words(w, x),
                        lambda u: sys.mul_words(u, x_inv))

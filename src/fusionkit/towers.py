@@ -121,7 +121,7 @@ def principal_graph(d: BratteliDiagram) -> WeightedGraph:
     return WeightedGraph(system=sys, vertices=vertices, edges=edges)
 
 
-def attach_qdim_weights(g: WeightedGraph, lists, values=None, digits: int = 6) -> WeightedGraph:
+def attach_qdim_weights(g: WeightedGraph, lists, values=None) -> WeightedGraph:
     """Annotate vertices with quantum dimensions computed from parameter lists.
 
     ``lists`` maps labels to ParamList (as produced by the parameter
@@ -131,14 +131,14 @@ def attach_qdim_weights(g: WeightedGraph, lists, values=None, digits: int = 6) -
 
     for lab, _ in g.vertices:
         if lab in lists:
-            g.weights[lab] = round(qdim(lists[lab], values), digits)
+            g.weights[lab] = round(qdim(lists[lab], values), 6)
     return g
 
 
-def export_dot(g: WeightedGraph, name: str = "principal") -> str:
+def export_dot(g: WeightedGraph) -> str:
     """Graphviz text for the (undirected) principal graph."""
     sys = g.system
-    lines = [f"graph {name} {{"]
+    lines = ["graph principal {"]
     for lab, level in g.vertices:
         text = sys.format_label(lab)
         weight = g.weights.get(lab)

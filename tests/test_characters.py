@@ -234,3 +234,26 @@ def test_moment_matches_left_to_right_product(au2, aut4, rng):
         assert any(len(w) % 2 for w in words)
         for w in words:
             assert fk.moment(sys, u, w) == moment_left_to_right(sys, u, w), (sys, u, str(w))
+
+
+@pytest.mark.parametrize("family, u, words, want", [
+    ("f2", "e + s + s^-1 + t + t^-1", ("X*" * 40, "X" * 40, "XX*" * 20),
+     1033401306956713327750481),
+    ("zmod3", "e + g + g^-1 + h + h^2", ("X" * 40, "X*" * 40), 6165864081073485714595283),
+], ids=["f2", "zz3"])
+def test_plain_star_moments_are_unit_moments(family, u, words, want, request, monkeypatch):
+    # a self-conjugate u, or a word of one letter kind, is a plain power since
+    # mult(1, conj y) = mult(1, y); multiplying out its halves takes exponential time
+    sys_ = request.getfixturevalue(family)
+    calls = []
+    rule = sys_._tensor_irr
+
+    def capped(a, b):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise AssertionError("the word was multiplied out")
+        return rule(a, b)
+
+    monkeypatch.setattr(sys_, "_tensor_irr", capped)
+    x = fk.parse_element(sys_, u)
+    assert [fk.moment(sys_, x, w) for w in words] == [want] * len(words)

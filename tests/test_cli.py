@@ -201,6 +201,22 @@ def test_unexpected_exception_ends_in_one_internal_envelope(configs, capsys, mon
     assert "Traceback" not in out + err
 
 
+def test_parser_defect_ends_in_one_internal_envelope(capsys, monkeypatch):
+    def broken():
+        raise RuntimeError("parser defect")
+
+    monkeypatch.setattr(cli, "build_parser", broken)
+    argv = ["decompose", "--family", "ao3.json", "--x", "r2", "--y", "r3"]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    env = strict_loads(out)  # raises on a second document
+    assert code == 1
+    assert env["command"] is None
+    assert env["inputs"] == {"argv": argv}
+    assert env["outputs"] == {"error": "RuntimeError: parser defect", "kind": "internal"}
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("outputs", [
     {"estimate": float("nan")},
     {"estimate": float("inf")},

@@ -350,3 +350,15 @@ def test_system_from_config():
         fk.system_from_config({"family": "nope"})
     with pytest.raises(fk.FusionError):
         fk.system_from_config({"family": "aut", "n": 3})
+
+
+def test_tree_path_steps_from_parent_to_child(f2, zmod3):
+    # a Z syllable g^e is |e| steps along its ray, a Z/m syllable one step
+    for sys, text in ((f2, "s^3 t^-2 s"), (zmod3, "g^-2 h^2 g h")):
+        w = sys.parse_label(text).payload
+        path = sys.tree_path(w)
+        assert path[0] == () and path[-1] == w
+        assert len(path) == sys.letter_length(w) + 1
+        for parent, child in zip(path, path[1:]):
+            assert child in sys.children(parent)
+    assert f2.tree_path(()) == [()]

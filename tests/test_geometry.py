@@ -453,6 +453,36 @@ def test_other_supports_run_bfs(name, sys, vexpr, monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("name, sys, vexpr", BFS_CASES, ids=[c[0] for c in BFS_CASES])
+def test_balls_and_spheres_match_bfs(name, sys, vexpr):
+    v = fk.parse_element(sys, vexpr)
+    far = max(bfs_distances_up_to(sys, v, sys.unit, 2), key=sys.sort_key)
+    for center in (sys.unit, far):
+        dist = bfs_distances_up_to(sys, v, center, 4)
+        for r in range(5):
+            assert fk.ball(sys, v, center, r) == {lab for lab, d in dist.items() if d <= r}
+            assert fk.sphere(sys, v, center, r) == {lab for lab, d in dist.items() if d == r}
+
+
+def test_walks_end_with_a_finite_component(zmod3, monkeypatch):
+    # e + h + h^2 walks inside the cosets of Z/3: every component has three labels
+    v = fk.parse_element(zmod3, "e + h + h^2")
+    calls = []
+    rule = zmod3._tensor_irr
+
+    def counted(a, b):
+        calls.append(None)
+        return rule(a, b)
+
+    monkeypatch.setattr(zmod3, "_tensor_irr", counted)
+    with pytest.raises(BudgetExceededError):
+        fk.distance(zmod3, v, zmod3.unit, zmod3.parse_label("g"), budget=10**6)
+    assert len(calls) <= 18  # each walk expands its three labels once
+    assert fk.sphere(zmod3, v, zmod3.unit, 2) == frozenset()
+    assert fk.ball(zmod3, v, zmod3.unit, 5) == {zmod3.parse_label(t) for t in ("e", "h", "h^2")}
+    assert fk.growth_table(zmod3, v, zmod3.unit, 3) == [(0, 1), (1, 3), (2, 3), (3, 3)]
+
+
 def test_closed_forms_keep_the_checks_in_order(f2):
     v = std_generator(f2)
     bad = fk.AoSystem(3).r(2)
