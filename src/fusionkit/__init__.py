@@ -71,9 +71,6 @@ from .params import (
     derive_irreducible_lists,
     is_kac,
     lattice_membership,
-    list_dual,
-    list_sum,
-    list_tensor,
     modular_spectrum,
     qdim,
     trig_eval,

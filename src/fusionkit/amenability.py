@@ -107,12 +107,6 @@ def spectral_radius_estimate(counts: list[int], method: str = "extrapolated-rati
     return (K - 1) * r1 - (K - 2) * r0
 
 
-def root_sequence(counts: list[int]) -> list[float]:
-    """The lower-bound sequence ``(4^-k c_{2k})^{1/2k}`` (monotone when tracial)."""
-    return [math.exp((math.log(c) - k * math.log(4)) / (2 * k))
-            for k, c in enumerate(counts, start=1)]
-
-
 def root_sequence_is_monotone(counts: list[int]) -> bool:
     """Exact check that ``(4^-k c_{2k})^{1/2k}`` is non-decreasing."""
     for k in range(1, len(counts)):

@@ -58,10 +58,6 @@ class StarWord:
         """The word ``X^k``."""
         return cls((False,) * k)
 
-    def reversed_star(self) -> "StarWord":
-        """Reverse the word and star every letter (the adjoint monomial)."""
-        return StarWord(tuple(not s for s in reversed(self.stars)))
-
     def __len__(self) -> int:
         return len(self.stars)
 

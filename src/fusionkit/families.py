@@ -3,7 +3,7 @@
 Four families are provided:
 
 * duals of discrete groups (free products of ``Z`` and ``Z/m`` factors, or
-  ``Z^d``): fusion is group multiplication on reduced words;
+  ``Z^d``): fusion is the group product, stated once in ``GroupDualBase``;
 * interval-rule families (``IntervalSystem``, parameterised by label
   prefix, first index, step, dimension recursion and fundamental):
   ``AoSystem`` (free orthogonal type) has integer labels ``r_k`` with the
@@ -45,13 +45,16 @@ Word = tuple[Letter, ...]
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _SYLLABLE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_EMPTY_LABEL = "empty label; the unit is spelled e"
 
 
 class GroupDualBase(FusionSystem):
-    """What the group duals share: named generators, dimension 1, the
-    ``g1 g2^-1`` syllable wire format and the symmetric fundamental.
+    """The dual of a discrete group: the irreducibles are its elements, of
+    dimension 1, ``(x)`` is the group product and conjugation the inverse.
 
-    Subclasses fix the payload and how it reads as syllables.
+    The base states that law once, from the payload product ``_mul`` and
+    inverse ``_inv``.  Subclasses supply those, the payload's syllables and
+    ``factors``, one per generator: ``None`` for ``Z``, ``m`` for ``Z/m``.
     """
 
     def __init__(self, desc: str, count: int, names: Sequence[str] | None):
@@ -71,6 +74,14 @@ class GroupDualBase(FusionSystem):
         self._index = {nm: i for i, nm in enumerate(names)}
 
     @abstractmethod
+    def _mul(self, u, v):
+        """The payload of the product of two group elements."""
+
+    @abstractmethod
+    def _inv(self, u):
+        """The payload of the inverse of a group element."""
+
+    @abstractmethod
     def _syllables(self, payload) -> Iterable[Letter]:
         """The payload as ``(generator index, nonzero exponent)`` pairs."""
 
@@ -78,24 +89,25 @@ class GroupDualBase(FusionSystem):
     def _from_syllables(self, letters: Iterable[Letter]) -> IrrLabel:
         """The label of the product of ``(generator index, exponent)`` pairs."""
 
+    def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
+        return FusionElement._adopt({IrrLabel(self.family_id, self._mul(a.payload, b.payload)): 1})
+
+    def conj_irr(self, a: IrrLabel) -> IrrLabel:
+        return IrrLabel(self.family_id, self._inv(a.payload))
+
     def generators(self) -> list[IrrLabel]:
         return [self._from_syllables([(i, 1)]) for i in range(len(self.names))]
 
-    def _letters(self, generators: Iterable[IrrLabel] | None = None) -> list[IrrLabel]:
-        """``g`` and ``g^-1`` for the standard or the given generators, each label once.
+    def _letters(self) -> list[IrrLabel]:
+        """``g`` and ``g^-1`` for the standard generators, each label once.
 
         A generator of order 2 is its own inverse and is listed once.
         """
-        gens = list(generators) if generators is not None else self.generators()
-        for g in gens:
-            self.check_label(g)
-        return list(dict.fromkeys(lab for g in gens for lab in (g, self.conj_irr(g))))
+        return list(dict.fromkeys(lab for g in self.generators() for lab in (g, self.conj_irr(g))))
 
-    def fundamental(self, generators: Iterable[IrrLabel] | None = None) -> FusionElement:
-        """``1 + sum over g, g^-1`` for the standard or the given generators."""
-        seen = {self.unit: 1}
-        seen.update(dict.fromkeys(self._letters(generators), 1))
-        return FusionElement._adopt(seen)
+    def fundamental(self) -> FusionElement:
+        """``1 + sum over g, g^-1`` for the standard generators."""
+        return FusionElement._adopt(dict.fromkeys([self._unit, *self._letters()], 1))
 
     def _standard_support(self, v: FusionElement) -> bool:
         """Whether ``v`` holds the unit and the standard letters, whatever the weights, and nothing else."""
@@ -109,6 +121,29 @@ class GroupDualBase(FusionSystem):
         return w if (all(terms.get(g) == w for g in letters)
                      and len(terms) == len(letters) + (self._unit in terms)) else 0
 
+    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
+        """``|b a^-1|``, the summed syllable costs of its normal form, if ``v`` has the standard support.
+
+        Tensoring by ``v`` on the left sends ``c`` to ``g c`` for the letters
+        ``g`` of ``v`` and ``c`` itself, so ``d(a, b)`` is the least ``n``
+        with ``b a^-1`` a product of ``n`` letters (not ``a^-1 b``: from
+        ``s`` to ``t s`` is one step).  A syllable ``g_f^e`` costs the
+        fewest letters ``g_f^{+-1}`` with that product: ``|e|`` in ``Z``,
+        ``min(e, m - e)`` in ``Z/m``.  A product of letters reduces by
+        merging neighbours of one factor, so each syllable ``(f, e)`` of
+        its normal form is the product of letters of factor ``f`` that no
+        other syllable uses, at least its cost of them; writing each
+        syllable out with that many letters attains the sum.  For ``Z^d``
+        the ``d`` factors commute, the normal form holds one syllable per
+        nonzero coordinate of ``b - a``, and the sum is its l1 norm.
+        The weights of ``v`` do not matter, only its support.
+        """
+        if not self._standard_support(v):
+            return None
+        factors = self.factors
+        return sum(abs(e) if factors[f] is None else min(e, factors[f] - e)
+                   for f, e in self._syllables(self._mul(b.payload, self._inv(a.payload))))
+
     def dim_irr(self, a: IrrLabel) -> int:
         return 1
 
@@ -118,6 +153,8 @@ class GroupDualBase(FusionSystem):
 
     def parse_label(self, text: str) -> IrrLabel:
         text = text.strip()
+        if not text:
+            raise InvalidLabelError(_EMPTY_LABEL)
         letters: list[Letter] = []
         for tok in ([] if text == "e" else text.split()):
             m = _SYLLABLE_RE.match(tok)
@@ -134,10 +171,9 @@ class GroupDualSystem(GroupDualBase):
     ``Z`` and an integer ``m >= 2`` for ``Z/m``.  Labels are reduced words,
     stored as tuples of ``(factor, exponent)`` syllables with nonzero
     exponents (``1..m-1`` for finite factors) and no two consecutive
-    syllables in the same factor.  All irreducibles have dimension 1 and
-    fusion is group multiplication: two reduced words cancel only where
-    they meet, so the product walks inward from the seam
-    (``mul_words``); ``reduce_word`` normalises untrusted input.
+    syllables in the same factor.  Two reduced words cancel only where
+    they meet, so the product walks inward from the seam (``mul_words``,
+    the base's ``_mul``); ``reduce_word`` normalises untrusted input.
     """
 
     def __init__(self, factors: Sequence[int | None], names: Sequence[str] | None = None):
@@ -203,6 +239,9 @@ class GroupDualSystem(GroupDualBase):
         return tuple((f, -e if factors[f] is None else -e % factors[f])
                      for f, e in reversed(w))
 
+    _mul = mul_words
+    _inv = inverse_word
+
     def word(self, letters: Iterable[Letter]) -> IrrLabel:
         return IrrLabel(self.family_id, self.reduce_word(letters))
 
@@ -264,10 +303,6 @@ class GroupDualSystem(GroupDualBase):
             raise InvalidLabelError(f"group word {payload!r} is not reduced")
         return payload
 
-    def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
-        return FusionElement._adopt({IrrLabel(self.family_id,
-                                              self.mul_words(a.payload, b.payload)): 1})
-
     def radial_chains(self, x: FusionElement):
         """``(c0, ((2n w, (2n - 1) w, w),))`` for ``c0 e + w * sum (g + g^-1)``, n free ``Z``s.
 
@@ -311,29 +346,6 @@ class GroupDualSystem(GroupDualBase):
             return None
         return c0, [FusionElement._adopt(terms) for _, terms in sorted(per_factor.items())]
 
-    # the metric of the standard generator ------------------------------------
-
-    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
-        """``|b a^-1|``, the summed syllable costs of its reduced word, if ``v`` has the standard support.
-
-        Tensoring by ``v`` on the left sends ``c`` to ``g c`` for the letters
-        ``g`` of ``v`` and ``c`` itself, so ``d(a, b)`` is the least ``n``
-        with ``b a^-1`` a product of ``n`` letters (not ``a^-1 b``: from
-        ``s`` to ``t s`` is one step).  A syllable ``g_f^e`` costs the
-        fewest letters ``g_f^{+-1}`` with that product: ``|e|`` in ``Z``,
-        ``min(e, m - e)`` in ``Z/m``.  A product of letters reduces by
-        merging neighbours of one factor, so each syllable ``(f, e)`` of
-        its normal form is the product of letters of factor ``f`` that no
-        other syllable uses, at least its cost of them; writing each
-        syllable out with that many letters attains the sum.
-        The weights of ``v`` do not matter, only its support.
-        """
-        if not self._standard_support(v):
-            return None
-        factors = self.factors
-        return sum(abs(e) if factors[f] is None else min(e, factors[f] - e)
-                   for f, e in self.mul_words(b.payload, self.inverse_word(a.payload)))
-
     def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
         """The growth series of the free product to ``z^rmax``, if ``v`` has the standard support.
 
@@ -361,9 +373,6 @@ class GroupDualSystem(GroupDualBase):
             inv = list(map(add, inv, _inverse_series(s, n)))
         return _inverse_series(inv, n)
 
-    def conj_irr(self, a: IrrLabel) -> IrrLabel:
-        return IrrLabel(self.family_id, self.inverse_word(a.payload))
-
     def word_key(self, w: Word):
         """The label order on reduced words, in which a word comes after its
         prefixes (``WordSet.make`` relies on that)."""
@@ -382,13 +391,14 @@ def _inverse_series(a: Sequence[int], n: int) -> list[int]:
 
 
 class ZdDualSystem(GroupDualBase):
-    """Dual of ``Z^d``: labels are integer vectors, fusion is addition."""
+    """Dual of ``Z^d``: labels are integer vectors, added by ``_mul``."""
 
     def __init__(self, d: int, names: Sequence[str] | None = None):
         if not isinstance(d, int) or d < 1:
             raise FusionError(f"rank must be a positive integer, got {d!r}")
         super().__init__(f"Z^{d}", d, names)
         self.d = d
+        self.factors = (None,) * d
         self._unit = IrrLabel(self.family_id, (0,) * d)
 
     def vector(self, v: Sequence[int]) -> IrrLabel:
@@ -409,9 +419,11 @@ class ZdDualSystem(GroupDualBase):
             raise InvalidLabelError(f"payload must be a tuple of {self.d} ints, got {payload!r}")
         return payload
 
-    def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
-        return FusionElement._adopt(
-            {IrrLabel(self.family_id, tuple(map(add, a.payload, b.payload))): 1})
+    def _mul(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(add, u, v))
+
+    def _inv(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(-c for c in v)
 
     def radial_chains(self, x: FusionElement):
         """``(c0, ((2w, w, w),) * d)`` for ``c0 e + w * sum (e_i + (-e_i))``.
@@ -424,17 +436,6 @@ class ZdDualSystem(GroupDualBase):
         """
         w = self._uniform_letters(x)
         return (x._terms.get(self._unit, 0), ((2 * w, w, w),) * self.d) if w else None
-
-    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
-        """The l1 norm of ``b - a``, if ``v`` has the standard support.
-
-        Tensoring by ``v`` moves one coordinate by one or stays, and
-        ``b - a`` needs ``|b_i - a_i|`` moves in coordinate ``i``, which
-        suffice.  The weights of ``v`` do not matter, only its support.
-        """
-        if not self._standard_support(v):
-            return None
-        return sum(abs(y - x) for x, y in zip(a.payload, b.payload))
 
     def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
         """The coefficients of ``((1 + z)/(1 - z))^d`` to ``z^rmax``, if ``v`` has the standard support.
@@ -451,9 +452,6 @@ class ZdDualSystem(GroupDualBase):
         d = self.d
         return [1] + [sum(comb(d, k) * 2 ** k * comb(r - 1, k - 1) for k in range(1, d + 1))
                       for r in range(1, rmax + 1)]
-
-    def conj_irr(self, a: IrrLabel) -> IrrLabel:
-        return IrrLabel(self.family_id, tuple(-x for x in a.payload))
 
     def sort_key(self, label: IrrLabel):
         v = label.payload
@@ -658,6 +656,8 @@ class AuSystem(FusionSystem):
 
     def parse_label(self, text: str) -> IrrLabel:
         text = text.strip()
+        if not text:
+            raise InvalidLabelError(_EMPTY_LABEL)
         return self.word("" if text == "e" else text)
 
 
@@ -665,19 +665,10 @@ class AuSystem(FusionSystem):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def fundamental(sys: FusionSystem, generators: Iterable[IrrLabel] | None = None) -> FusionElement:
-    """The canonical generating element of a family.
-
-    Interval families and the free unitary family have a distinguished
-    fundamental.  For group duals the generating set is the caller's
-    choice; by default the full symmetric standard set is used and the
-    unit is included, i.e. ``1 + sum over g, g^-1``.
-    """
-    if generators is None:
-        return sys.fundamental()
-    if not isinstance(sys, GroupDualBase):
-        raise FusionError("explicit generators are only meaningful for group duals")
-    return sys.fundamental(generators)
+def fundamental(sys: FusionSystem) -> FusionElement:
+    """The canonical generating element of a family; a group dual's is
+    ``1 + sum over g, g^-1`` for its standard generators."""
+    return sys.fundamental()
 
 
 # ---------------------------------------------------------------------------

@@ -250,18 +250,6 @@ class ParamList:
         return sq == inv_sq
 
 
-def list_sum(l1: ParamList, l2: ParamList) -> ParamList:
-    return l1.union(l2)
-
-
-def list_tensor(l1: ParamList, l2: ParamList) -> ParamList:
-    return l1.product(l2)
-
-
-def list_dual(l: ParamList) -> ParamList:
-    return l.inverse()
-
-
 def is_kac(l: ParamList) -> bool:
     """True iff every entry is the trivial parameter (``there are no q's``)."""
     return all(p.is_one() for p in l.counts())
@@ -471,9 +459,6 @@ class ExponentLattice:
         bases = tuple(bases[i] for i in keep)
         hnf = [[r[i] for i in keep] for r in hnf]
         return cls(tuple(bases), denom, tuple(tuple(r) for r in hnf))
-
-    def is_trivial(self) -> bool:
-        return not self.rows
 
     def contains(self, p: Param) -> bool:
         exps = p.exponent_map()

@@ -218,11 +218,6 @@ class WordSet:
     def is_finite(self) -> bool:
         return not self.cylinders
 
-    def finite_words(self) -> frozenset[Word]:
-        if not self.is_finite():
-            raise UnsupportedSetOperation("set is infinite")
-        return self.includes
-
     # boolean algebra --------------------------------------------------------
 
     def union(self, other: "WordSet") -> "WordSet":

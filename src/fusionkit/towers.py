@@ -5,7 +5,7 @@ The tower of a class ``u`` is built from the alternating words
 records the irreducible decomposition of the k-letter word, level 0 being
 the unit.  Level ``k+1`` is ``sum_a m_a (a (x) letter)``; each product
 ``a (x) letter`` is formed once and kept as the sparse inclusion row of
-``a``.  The squared multiplicities at level ``k`` sum to the endomorphism
+``a``, the one form the inclusions take.  The squared multiplicities at level ``k`` sum to the endomorphism
 dimension of the word.
 
 The principal graph keeps each irreducible at its level of first
@@ -44,10 +44,6 @@ class BratteliDiagram:
         """``sum m^2`` per level: the endomorphism algebra dimensions."""
         return [sum(m * m for _, m in level) for level in self.levels]
 
-    def inclusion_matrix(self, k: int) -> list[list[int]]:
-        """Dense integer view of ``inclusions[k]``, indexed by the level orderings."""
-        return [[row.mult(c) for c, _ in self.levels[k + 1]] for row in self.inclusions[k]]
-
 
 @dataclass(slots=True)
 class WeightedGraph:
@@ -57,32 +53,6 @@ class WeightedGraph:
     vertices: list[tuple[IrrLabel, int]]
     edges: list[tuple[IrrLabel, IrrLabel, int]]
     weights: dict[IrrLabel, object] = field(default_factory=dict)
-
-    def vertex_levels(self) -> dict[IrrLabel, int]:
-        return dict(self.vertices)
-
-    def degree(self, v: IrrLabel) -> int:
-        return sum(m for a, b, m in self.edges if v in (a, b))
-
-    def is_bipartite_by_level(self) -> bool:
-        lev = self.vertex_levels()
-        return all((lev[a] - lev[b]) % 2 for a, b, _ in self.edges)
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[IrrLabel, set[IrrLabel]] = {v: set() for v, _ in self.vertices}
-        for a, b, _ in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.vertices[0][0]}
-        stack = [self.vertices[0][0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.vertices)
 
 
 def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:

@@ -211,7 +211,8 @@ def test_moment_reverse_star_symmetry(ao3, aut4, rng):
         for _ in range(30):
             bits = tuple(rng.random() < 0.5 for _ in range(rng.randint(1, 7)))
             w = StarWord(bits)
-            assert fk.moment(sys, u, w) == fk.moment(sys, u, w.reversed_star())
+            adjoint = StarWord(tuple(not s for s in reversed(bits)))
+            assert fk.moment(sys, u, w) == fk.moment(sys, u, adjoint)
 
 
 def moment_left_to_right(sys, u, w):

@@ -252,6 +252,14 @@ def test_computation_error_exit_code(configs, capsys):
     assert env["outputs"]["error"].endswith("d(e, s t s)")
 
 
+def test_empty_label_is_a_computation_error(configs, capsys):
+    code, env = run_cli(capsys, "distance", "--family", configs["f2"],
+                        "--v", "e + s + s^-1 + t + t^-1", "--a", "", "--b", "s t")
+    assert code == 1
+    assert env["outputs"] == {"error": "empty label; the unit is spelled e",
+                              "kind": "computation"}
+
+
 @pytest.mark.parametrize("command, flags", [
     ("amenable", ["--depth", "2"]),
     ("amenable", ["--depth", "0"]),

@@ -273,6 +273,27 @@ def test_zd_dual(zd2):
     assert zd2.parse_label("g1^2 g2^-1") == zd2.vector((2, -1))
 
 
+def test_z_as_zd_and_as_free_product_agree(rng):
+    """``Z`` built as ``Z^1`` and as a one-factor free product: the two
+    payload bindings of the shared group law give the same label text."""
+    texts = ["e"] + [f"g^{k}" if k != 1 else "g" for k in range(-6, 7) if k]
+    cases = [(rng.randint(1, 3), rng.randint(1, 3), rng.choice(texts), rng.choice(texts))
+             for _ in range(20)]
+
+    def readings(s):
+        lab = s.parse_label
+        out = [s.format_label(s.conj_irr(lab(a))) for a in texts]
+        out += [fk.format_element(s, s.tensor_pair(lab(a), lab(b))) for a in texts for b in texts]
+        for c0, w, a, b in cases:
+            v = fk.parse_element(s, f"{c0}*e + {w}*g + {w}*g^-1")
+            out += [s.radial_chains(v), s.unit_moments(v, 12),
+                    fk.distance(s, v, lab(a), lab(b)), fk.growth_table(s, v, lab(a), 6)]
+        return out
+
+    zd, fp = fk.ZdDualSystem(1, names=["g"]), fk.GroupDualSystem([None], names=["g"])
+    assert readings(zd) == readings(fp)
+
+
 def test_fundamental(ao3, aut4, au2, f2):
     assert fk.fundamental(ao3) == FusionElement({ao3.r(2): 1})
     assert ao3.dim(fk.fundamental(ao3)) == 3
@@ -282,9 +303,6 @@ def test_fundamental(ao3, aut4, au2, f2):
     v = fk.fundamental(f2)
     want = fk.parse_element(f2, "e + s + s^-1 + t + t^-1")
     assert v == want
-    # caller-supplied generating set
-    partial = fk.fundamental(f2, [f2.parse_label("s")])
-    assert partial == fk.parse_element(f2, "e + s + s^-1")
 
 
 def test_an_involution_is_one_letter():
@@ -321,6 +339,16 @@ def test_invalid_labels(ao3, au2, f2):
         f2.parse_label("x")
     with pytest.raises(fk.InvalidLabelError):
         f2.label(((0, 1), (0, 1)))  # not reduced
+
+
+@pytest.mark.parametrize("fixture", ["ao3", "aut4", "au2", "f2", "zd2"])
+def test_empty_label_text_is_not_the_unit(request, fixture):
+    sys = request.getfixturevalue(fixture)
+    for text in ("", "  "):
+        with pytest.raises(fk.InvalidLabelError):
+            sys.parse_label(text)
+    with pytest.raises(fk.InvalidLabelError):
+        fk.parse_element(sys, "2*")
 
 
 def test_element_parse_format_roundtrip(ao3, f2):
