@@ -18,12 +18,13 @@ Counting: every count is a unit multiplicity of a tensor power, and
 ``FusionSystem.unit_moments`` chooses how to count it.  It walks the
 birth-death chains a family declares (``radial_chains``; Kesten, *Trans.
 AMS* 92, 1959; Woess, *Random Walks on Infinite Graphs and Groups*, 2000),
-joins the free parts a family declares (``free_parts``) by adding free
-cumulants, or forms powers to half the depth; ``char_moments`` is the
-same call.  For a self-conjugate generator ``u + conj u = 2u``, so
-``c_{2k} = 4^k p_k`` exactly and a verdict counts one sequence, shared by
-the estimate and the cross-check.  Every path is cross-checked against
-direct expansion in the tests.
+with the unit terms as holding on the first chain and a binomial
+convolution only between chains; it joins the free parts a family
+declares (``free_parts``) by adding free cumulants, or forms powers to
+half the depth; ``char_moments`` is the same call.  For a self-conjugate
+generator ``u + conj u = 2u``, so ``c_{2k} = 4^k p_k`` exactly and a
+verdict counts one sequence, shared by the estimate and the cross-check.
+Every path is cross-checked against direct expansion in the tests.
 """
 
 from __future__ import annotations
@@ -108,13 +109,33 @@ def spectral_radius_estimate(counts: list[int], method: str = "extrapolated-rati
 
 
 def root_sequence_is_monotone(counts: list[int]) -> bool:
-    """Exact check that ``(4^-k c_{2k})^{1/2k}`` is non-decreasing."""
+    """Exact check that ``(4^-k c_{2k})^{1/2k}`` is non-decreasing.
+
+    Raised to the power ``2k(k+1)``, step ``k`` is ``c_{2k}^{k+1} <= c_{2k+2}^k``
+    (the ``4^k`` cancel).  For positive counts it is first decided by the
+    sign of ``lhs - rhs``, with ``lhs = (k+1) log2 c_{2k}`` and
+    ``rhs = k log2 c_{2k+2}`` in floats, when the gap exceeds
+    ``2^-30 (lhs + rhs + 1)``.  That margin is safe: ``math.log2`` of an
+    int rounds it to a double (a large one to a mantissa in ``[1/2, 1)``
+    and an exact power of two) and calls libm ``log2``, so even if libm is
+    off by a few ulps the result for ``c >= 2`` is within
+    ``2^-49 log2 c`` of the truth, and ``log2 1 = 0`` exactly.  Then
+    ``lhs`` and ``rhs`` are each within ``2^-48`` of their size, and a gap
+    above the margin has the true sign.  Smaller gaps, and counts <= 0,
+    fall back to exact integer powers.
+    """
     for k in range(1, len(counts)):
-        # M_k^{1/2k} <= M_{k+1}^{1/(2k+2)}, M_k = c_{2k}/4^k, raised to the power
-        # 2k(k+1) is c_{2k}^{k+1} <= c_{2k+2}^k.  The counts of a self-conjugate
-        # u carry 4^k, so powers of two enter as one shift; odd parts are raised.
-        ta, tb = ((c & -c).bit_length() - 1 if c else 0 for c in counts[k - 1:k + 1])
-        lhs, rhs = (counts[k - 1] >> ta) ** (k + 1), (counts[k] >> tb) ** k
+        a, b = counts[k - 1], counts[k]
+        if a > 0 and b > 0:
+            lhs, rhs = (k + 1) * math.log2(a), k * math.log2(b)
+            if abs(lhs - rhs) > 2.0 ** -30 * (lhs + rhs + 1):
+                if lhs > rhs:
+                    return False
+                continue
+        # the counts of a self-conjugate u carry 4^k, so powers of two enter
+        # as one shift; odd parts are raised
+        ta, tb = ((c & -c).bit_length() - 1 if c else 0 for c in (a, b))
+        lhs, rhs = (a >> ta) ** (k + 1), (b >> tb) ** k
         shift = ta * (k + 1) - tb * k
         if (lhs << shift > rhs) if shift >= 0 else (lhs > rhs << -shift):
             return False

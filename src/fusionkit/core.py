@@ -106,7 +106,9 @@ class FusionElement:
 
     @classmethod
     def from_label(cls, label: IrrLabel) -> "FusionElement":
-        return cls(((label, 1),))
+        if not isinstance(label, IrrLabel):
+            raise InvalidLabelError(f"not an IrrLabel: {label!r}")
+        return cls._adopt({label: 1})
 
     @property
     def family(self) -> str | None:
@@ -188,7 +190,7 @@ class FusionElement:
         return "FusionElement(" + " + ".join(bits) + ")"
 
 
-Chain = tuple[int, int, int]  # (p0, p, q), as FusionSystem.radial_chains declares them
+Chain = tuple[int, int, int, int]  # (p0, p, q, c), as FusionSystem.radial_chains declares them
 
 
 class FusionSystem(ABC):
@@ -242,13 +244,13 @@ class FusionSystem(ABC):
     def radial_chains(self, x: FusionElement) -> tuple[int, tuple[Chain, ...]] | None:
         """``x`` as ``c0`` units plus independent birth-death steps, where proven.
 
-        ``(c0, chains)`` means ``x = c0 unit + y_1 + ... + y_d``, where the
-        ``y_i`` commute and the unit multiplicity of a product of their
-        powers is the product of theirs.  Each ``y_i`` steps on levels by
-        its chain ``(p0, p, q)``: up ``p0`` from level 0, which holds the
-        unit alone, and up ``p`` or down ``q`` from every level >= 1, with
-        no holding.  Families declare chains only for the generators where
-        they prove them; the default, None, keeps the expansion.
+        ``(c0, chains)`` means ``x = c0 unit + y_1 + ... + y_d``, ``d >= 1``,
+        where the ``y_i`` commute and the unit multiplicity of a product of
+        their powers is the product of theirs.  Each ``y_i`` steps on levels
+        by its chain ``(p0, p, q, c)``: up ``p0`` from level 0, which holds
+        the unit alone, and from every level >= 1 up ``p``, down ``q`` or
+        stay ``c``.  Families declare chains only for the generators where they
+        prove them; the default, None, keeps the expansion.
         """
         return None
 
@@ -369,9 +371,10 @@ class FusionSystem(ABC):
 
         When ``radial_chains(x)`` declares chains, no rule runs: each
         chain's level weights are walked for ``N`` steps, keeping at step
-        ``j`` only the levels ``<= min(j, N - j)`` that can still return,
-        and the return weights are joined with ``c0^j`` by binomial
-        convolution (``_chain_moments``).
+        ``j`` only the levels ``<= min(j, N - j)`` that can still return.
+        The ``c0`` units hold the first chain's walk at every level, and
+        each later chain is joined by binomial convolution
+        (``_chain_moments``).
 
         Else, when ``free_parts(x)`` splits ``x``, each part's moments are
         counted by this method and the parts are joined by adding their
@@ -429,19 +432,28 @@ class FusionSystem(ABC):
 
 
 def _chain_moments(c0: int, chains: tuple[Chain, ...], N: int) -> list[int]:
-    """Unit multiplicities of ``(c0 unit + y_1 + ... + y_d)^(x)j``, j = 0..N."""
-    out = [c0 ** j for j in range(N + 1)]
-    for p0, p, q in chains:
+    """Unit multiplicities of ``(c0 unit + y_1 + ... + y_d)^(x)j``, j = 0..N, d >= 1.
+
+    The ``c0`` units hold the walk of ``y_1`` at level 0 and above, so a
+    one-chain generator needs no join; each later chain is joined by
+    binomial convolution.
+    """
+    out, hold = None, c0
+    for p0, p, q, c in chains:
         levels, walk = [1], [1]
         for j in range(1, N + 1):
             up = [0, p0 * levels[0], *(p * w for w in levels[1:])]
-            down = [*levels[1:], 0, 0]
+            stay = [hold * levels[0], *((hold + c) * w for w in levels[1:]), 0]
+            down = [*(q * w for w in levels[1:]), 0, 0]
             # a walk above level N - j cannot be back at 0 by step N
-            levels = [u + q * d for u, d in zip(up[:min(j, N - j) + 1], down)]
+            levels = [a + b + d for a, b, d in zip(up[:min(j, N - j) + 1], stay, down)]
             walk.append(levels[0])
         # the parts commute: (rest + y)^n = sum over k of C(n, k) rest^(n-k) y^k
-        out = [sum(comb(n, k) * out[n - k] * w for k, w in enumerate(walk[:n + 1]) if w)
-               for n in range(N + 1)]
+        out = walk if out is None else [
+            sum(comb(n, k) * out[n - k] * w
+                for k, w in enumerate(walk[:n + 1]) if w and out[n - k])
+            for n in range(N + 1)]
+        hold = 0
     return out
 
 

@@ -304,7 +304,7 @@ class GroupDualSystem(GroupDualBase):
         return payload
 
     def radial_chains(self, x: FusionElement):
-        """``(c0, ((2n w, (2n - 1) w, w),))`` for ``c0 e + w * sum (g + g^-1)``, n free ``Z``s.
+        """``(c0, ((2n w, (2n - 1) w, w, 0),))`` for ``c0 e + w * sum (g + g^-1)``, n free ``Z``s.
 
         Right multiplication by ``x - c0 e`` is ``w`` times the adjacency of
         the ``2n``-regular tree, and the level is the letter length: the
@@ -315,7 +315,7 @@ class GroupDualSystem(GroupDualBase):
         if not w or any(m is not None for m in self.factors):
             return None
         n = len(self.factors)
-        return x._terms.get(self._unit, 0), ((2 * n * w, (2 * n - 1) * w, w),)
+        return x._terms.get(self._unit, 0), ((2 * n * w, (2 * n - 1) * w, w, 0),)
 
     def free_parts(self, x: FusionElement):
         """``(c0, parts)``, one part per factor, if ``x`` holds only the unit
@@ -426,7 +426,7 @@ class ZdDualSystem(GroupDualBase):
         return tuple(-c for c in v)
 
     def radial_chains(self, x: FusionElement):
-        """``(c0, ((2w, w, w),) * d)`` for ``c0 e + w * sum (e_i + (-e_i))``.
+        """``(c0, ((2w, w, w, 0),) * d)`` for ``c0 e + w * sum (e_i + (-e_i))``.
 
         ``y_i = w (e_i + (-e_i))`` moves coordinate ``i`` alone, so the
         ``y_i`` commute and a product of their powers holds the unit as
@@ -435,7 +435,7 @@ class ZdDualSystem(GroupDualBase):
         value one raises it and the other lowers it.
         """
         w = self._uniform_letters(x)
-        return (x._terms.get(self._unit, 0), ((2 * w, w, w),) * self.d) if w else None
+        return (x._terms.get(self._unit, 0), ((2 * w, w, w, 0),) * self.d) if w else None
 
     def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
         """The coefficients of ``((1 + z)/(1 - z))^d`` to ``z^rmax``, if ``v`` has the standard support.
@@ -508,6 +508,24 @@ class IntervalSystem(FusionSystem):
         while len(self._dims) <= i:
             self._dims.append(self.coeff * self._dims[-1] - self._dims[-2])
         return self._dims[i]
+
+    def radial_chains(self, x: FusionElement):
+        """``(c0, ((w, w, w, w if step == 1 else 0),))`` for ``c0 x_first + w x_{first+1}``.
+
+        The level of ``x_k`` is ``k - first``.  The interval rule with
+        ``b = first + 1`` runs from ``x_{|k-first-1|+first}`` to
+        ``x_{k+1}`` in steps of ``step``.  At the unit, ``k = first``, that
+        is ``x_{first+1}`` alone: one step up.  At every ``k > first`` it
+        runs from ``x_{k-1}`` to ``x_{k+1}``, whatever ``k``: one step down,
+        one up, and for ``step == 1`` one hold at ``x_k`` (``step == 2``
+        skips it).  So the tail rates are the same at every level >= 1.
+        """
+        terms = x._terms
+        one = IrrLabel(self.family_id, self.first + 1)
+        if terms.keys() - {self._unit, one}:
+            return None
+        w = terms.get(one, 0)
+        return terms.get(self._unit, 0), ((w, w, w, w if self.step == 1 else 0),)
 
     def sort_key(self, label: IrrLabel):
         return label.payload
@@ -634,7 +652,7 @@ class AuSystem(FusionSystem):
         return d
 
     def radial_chains(self, x: FusionElement):
-        """``(c0, ((2w, 2w, w),))`` for ``c0 e + w (a + b)``, with the word length as level.
+        """``(c0, ((2w, 2w, w, 0),))`` for ``c0 e + w (a + b)``, with the word length as level.
 
         ``r_v (x) a = r_{va} + [v ends with b] r_{v[:-1]}`` and likewise for
         ``b``, so the unit leads to two children, and a non-empty word to
@@ -646,7 +664,7 @@ class AuSystem(FusionSystem):
         w = terms.get(a, 0)
         if terms.keys() - {self._unit, a, b} or terms.get(b, 0) != w:
             return None
-        return terms.get(self._unit, 0), ((2 * w, 2 * w, w),)
+        return terms.get(self._unit, 0), ((2 * w, 2 * w, w, 0),)
 
     def sort_key(self, label: IrrLabel):
         return (len(label.payload), label.payload)

@@ -173,6 +173,33 @@ def test_root_sequence_monotone_matches_fraction_oracle(rng):
         assert root_sequence_is_monotone(counts) == monotone_by_fractions(counts), counts
 
 
+def monotone_by_integer_powers(counts):
+    """Oracle: ``c_{2k}^{k+1} <= c_{2k+2}^k`` for each k, in plain integers."""
+    return all(counts[k - 1] ** (k + 1) <= counts[k] ** k for k in range(1, len(counts)))
+
+
+def test_root_sequence_monotone_filter_matches_integer_powers():
+    cases = [fk.kesten_counts(fk.AoSystem(3), fk.AoSystem(3).fundamental(), 200),
+             fk.kesten_counts(fk.AutSystem(5), fk.AutSystem(5).fundamental(), 100)]
+    for b in (1, 2, 3):
+        # equal roots: the float gap is 0, so only the exact fallback decides
+        equal = [b ** (2 * k) for k in range(1, 201)]
+        cases.append(equal)
+        for i in (100, 199):
+            for delta in (-1, 1):
+                nudged = list(equal)
+                nudged[i] += delta
+                cases.append(nudged)
+            zeroed = list(equal)
+            zeroed[i] = 0
+            cases.append(zeroed)
+    verdicts = []
+    for counts in cases:
+        verdicts.append(root_sequence_is_monotone(counts))
+        assert verdicts[-1] == monotone_by_integer_powers(counts), counts[:3]
+    assert verdicts[:2] == [True, True] and False in verdicts
+
+
 def test_estimates_bounded_by_dimension(ao2, ao3, aut4, f2):
     for sys, u in [(ao2, ao2.fundamental()), (ao3, ao3.fundamental()),
                    (aut4, fk.fundamental(aut4)), (f2, four_letter_generator(f2))]:

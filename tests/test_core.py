@@ -224,9 +224,12 @@ def moments_by_half_powers(sys, x, N):
 
 
 def letter_sum(sys, c0, w):
-    """``c0 e + w (a + b)`` for ``a_u``; ``c0 e + w * sum (g + g^-1)`` for group duals."""
+    """``c0 e + w (a + b)`` for ``a_u``; ``c0 x_first + w x_{first+1}`` for
+    ``a_o`` and ``aut``; ``c0 e + w * sum (g + g^-1)`` for group duals."""
     if isinstance(sys, fk.AuSystem):
         letters = [sys.word("a"), sys.word("b")]
+    elif isinstance(sys, fk.IntervalSystem):
+        letters = [sys.label(sys.first + 1)]
     else:
         letters = [h for g in sys.generators() for h in (g, sys.conj_irr(g))]
     return FusionElement({sys.unit: c0, **dict.fromkeys(letters, w)})
@@ -237,6 +240,10 @@ def letter_sum(sys, c0, w):
 RADIAL_CASES = [
     ("a_u(2)", fk.AuSystem(2), 12),
     ("a_u(3)", fk.AuSystem(3), 12),
+    ("a_o(2)", fk.AoSystem(2), 12),
+    ("a_o(3)", fk.AoSystem(3), 12),
+    ("aut(4)", fk.AutSystem(4), 12),
+    ("aut(5)", fk.AutSystem(5), 12),
     ("F2", fk.GroupDualSystem([None, None], names=["s", "t"]), 8),
     ("F3", fk.GroupDualSystem([None, None, None]), 6),
     ("Z^2", fk.ZdDualSystem(2), 12),
@@ -245,10 +252,13 @@ RADIAL_CASES = [
 
 
 def radial_key(sys):
-    """The level classes of ``letter_sum``: word length for ``a_u``, letter
-    length for free groups, sorted absolute coordinates for ``Z^d``."""
+    """The level classes of ``letter_sum``: word length for ``a_u``, ``k - first``
+    for ``a_o`` and ``aut``, letter length for free groups, sorted absolute
+    coordinates for ``Z^d``."""
     if isinstance(sys, fk.AuSystem):
         return lambda a: len(a.payload)
+    if isinstance(sys, fk.IntervalSystem):
+        return lambda a: a.payload - sys.first
     if isinstance(sys, fk.ZdDualSystem):
         return lambda a: tuple(sorted(map(abs, a.payload)))
     return lambda a: sys.letter_length(a.payload)
@@ -307,6 +317,20 @@ def test_chain_walk_matches_class_walk(name, sys, full_N, c0, w):
     assert sys.unit_moments(x, 16) == class_walk_reference(sys, x, radial_key(sys), 16)
 
 
+@pytest.mark.parametrize("name, sys, full_N", RADIAL_CASES, ids=[c[0] for c in RADIAL_CASES])
+def test_declared_chains_call_no_rule(name, sys, full_N, monkeypatch):
+    x = letter_sum(sys, 1, 2)
+    expected = class_walk_reference(sys, x, radial_key(sys), 16)
+
+    def no_rule(a, b):
+        raise AssertionError(f"{name}: the rule ran on a declared chain")
+
+    monkeypatch.setattr(sys, "_tensor_irr", no_rule)
+    monkeypatch.setattr(sys, "_pair_cache", {})
+    moments = sys.unit_moments(x, 40)
+    assert len(moments) == 41 and moments[:17] == expected
+
+
 def test_chains_of_the_unit_alone(au2):
     for c0 in (0, 1, 3):
         x = FusionElement({au2.unit: c0})
@@ -315,7 +339,7 @@ def test_chains_of_the_unit_alone(au2):
 
 
 def _not_radial_cases():
-    au2, zd2 = fk.AuSystem(2), fk.ZdDualSystem(2)
+    au2, zd2, ao3, aut4 = fk.AuSystem(2), fk.ZdDualSystem(2), fk.AoSystem(3), fk.AutSystem(4)
     f2 = fk.GroupDualSystem([None, None], names=["s", "t"])
     zz3 = fk.GroupDualSystem([None, 3], names=["g", "h"])
     u = au2.fundamental()
@@ -328,6 +352,10 @@ def _not_radial_cases():
         ("F2 squares", f2, fk.parse_element(f2, "s^2 + s^-2 + t^2 + t^-2")),
         ("Z*Z/3 g + h", zz3, fk.parse_element(zz3, "g + h")),
         ("Z^2 without -e_2", zd2, fk.parse_element(zd2, "e + g1 + g1^-1 + g2")),
+        ("a_o r3", ao3, fk.parse_element(ao3, "r3")),
+        ("a_o r2 + r3", ao3, fk.parse_element(ao3, "r2 + r3")),
+        ("aut s2", aut4, fk.parse_element(aut4, "s2")),
+        ("aut s1 + s2", aut4, fk.parse_element(aut4, "s1 + s2")),
     ]
 
 
