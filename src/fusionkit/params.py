@@ -3,8 +3,9 @@
 A parameter is an exact monomial ``prod base^exponent`` in positive
 generators with rational exponents.  Bases are either named formal
 generators (assumed multiplicatively independent) or prime numbers:
-positive rational constants are factored into primes on construction, so
-statements like ``2 in 4^Z`` are decided exactly.  Floats never enter the
+positive rational constants are factored into primes on construction (by
+trial division up to ``TRIAL_DIVISION_LIMIT``), so statements like
+``2 in 4^Z`` are decided exactly.  Floats never enter the
 algebra; numeric evaluation is a separate explicit step.
 
 Lists are finite multisets of parameters.  They add by multiset union,
@@ -15,8 +16,10 @@ components off tensor products (multiset subtraction).
 
 The modular spectrum of a list is the subgroup of the positive reals
 generated by all products ``p^2 q^2``; it is represented as an integer
-lattice of exponent vectors over a common denominator, reduced to Hermite
-normal form, with exact membership tests.
+lattice of exponent vectors over a common denominator, in the canonical
+Hermite normal form (entries above each pivot reduced top-down into
+``[0, pivot)``), so equal lattices have equal forms and membership is a test
+of whether adding the member changes the form.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import FusionElement, FusionError, FusionSystem, IrrLabel
+from .core import BudgetExceededError, FusionElement, FusionError, FusionSystem, IrrLabel
 
 
 class InconsistentListError(FusionError):
@@ -40,7 +43,14 @@ class InconsistentListError(FusionError):
 # parameters
 # ---------------------------------------------------------------------------
 
+TRIAL_DIVISION_LIMIT = 10 ** 6
+
+
 def _factor_positive_rational(q: Fraction) -> dict[int, Fraction]:
+    """Prime exponents of ``q``.  Every integer below ``TRIAL_DIVISION_LIMIT**2``
+    factors; BudgetExceededError is raised when what is left after dividing out
+    the primes up to the limit is at least ``(TRIAL_DIVISION_LIMIT + 1)**2``
+    (a large prime, or a product of large primes)."""
     if q <= 0:
         raise FusionError(f"parameters must be positive, got {q}")
     out: dict[int, Fraction] = {}
@@ -48,6 +58,9 @@ def _factor_positive_rational(q: Fraction) -> dict[int, Fraction]:
         n = value
         p = 2
         while p * p <= n:
+            if p > TRIAL_DIVISION_LIMIT:
+                raise BudgetExceededError(
+                    f"cannot factor {value}: trial division stops at {TRIAL_DIVISION_LIMIT}")
             while n % p == 0:
                 out[p] = out.get(p, Fraction(0)) + sign
                 n //= p
@@ -237,12 +250,6 @@ class ParamList:
     def inverse(self) -> "ParamList":
         return ParamList.from_counts(Counter({p.inv(): m for p, m in self._counts.items()}))
 
-    def power(self, k: int) -> "ParamList":
-        acc = ParamList([Param.one()])
-        for _ in range(k):
-            acc = acc.product(self)
-        return acc
-
     def is_balanced_formal(self) -> bool:
         """Whether ``sum q^2 = sum q^-2`` holds identically (as formal monomials)."""
         sq = Counter({p ** 2: m for p, m in self._counts.items()})
@@ -380,7 +387,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style HNF: echelon, positive pivots, entries above reduced."""
+    """Row-style HNF: echelon with positive pivots, and every entry above a
+    pivot reduced into ``[0, pivot)``.  The reduction runs top-down, so a row
+    is reduced by a pivot only after every earlier pivot's column is final;
+    the form is then unique for the lattice the rows span (Cohen 1993, 2.4.2)."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -405,7 +415,7 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
         basis.append(piv)
         work = rest
     # reduce entries above each pivot
-    for i in reversed(range(len(basis))):
+    for i in range(len(basis)):
         pcol = next(c for c, u in enumerate(basis[i]) if u)
         for j in range(i):
             q = basis[j][pcol] // basis[i][pcol]
@@ -414,28 +424,26 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
+@dataclass(frozen=True, slots=True)
 class ExponentLattice:
     """A finitely generated subgroup of the positive reals.
 
     Stored as exponent vectors over an ordered base tuple (primes then
-    named generators), scaled by a common denominator, with rows in HNF.
-    Membership of a parameter is exact integer solvability.
+    named generators), scaled by the least common denominator, with rows in
+    the canonical Hermite normal form (entries above each pivot in
+    ``[0, pivot)``), so the fields decide equality and hashing.
     """
 
-    __slots__ = ("bases", "denominator", "rows")
-
-    def __init__(self, bases: tuple, denominator: int, rows: tuple):
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentLattice is immutable")
+    bases: tuple = ()
+    denominator: int = 1
+    rows: tuple = ()
 
     @classmethod
     def from_params(cls, params: Iterable[Param]) -> "ExponentLattice":
         params = list(params)
         bases = sorted({b for p in params for b, _ in p.exponents}, key=_base_key)
+        # the lcm of the generators' denominators is the least one that makes
+        # the lattice integral, so the rows share no factor with it
         denom = 1
         for p in params:
             for _, e in p.exponents:
@@ -445,51 +453,22 @@ class ExponentLattice:
             exps = p.exponent_map()
             rows.append([int(exps.get(b, Fraction(0)) * denom) for b in bases])
         hnf = hermite_normal_form(rows)
-        # canonical scale: divide out a common content shared with the denominator
-        content = denom
-        for r in hnf:
-            for u in r:
-                content = math.gcd(content, u)
-        if hnf and content > 1:
-            denom //= content
-            hnf = [[u // content for u in r] for r in hnf]
         if not hnf:
-            return cls((), 1, ())
-        keep = [i for i, b in enumerate(bases) if any(r[i] for r in hnf)]
-        bases = tuple(bases[i] for i in keep)
-        hnf = [[r[i] for i in keep] for r in hnf]
-        return cls(tuple(bases), denom, tuple(tuple(r) for r in hnf))
+            return cls()
+        keep = [i for i in range(len(bases)) if any(r[i] for r in hnf)]
+        return cls(tuple(bases[i] for i in keep), denom,
+                   tuple(tuple(r[i] for i in keep) for r in hnf))
 
     def contains(self, p: Param) -> bool:
+        """Whether ``p`` is in the lattice: adding it leaves the canonical form unchanged."""
         exps = p.exponent_map()
-        for b in exps:
-            if b not in self.bases:
-                return False
-        target = []
-        for b in self.bases:
-            scaled = exps.get(b, Fraction(0)) * self.denominator
-            if scaled.denominator != 1:
-                return False
-            target.append(int(scaled))
-        # reduce against the echelon rows
-        vec = list(target)
-        for row in self.rows:
-            pcol = next(c for c, u in enumerate(row) if u)
-            if vec[pcol]:
-                q, r = divmod(vec[pcol], row[pcol])
-                if r:
-                    return False
-                vec = [u - q * v for u, v in zip(vec, row)]
-        return not any(vec)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExponentLattice):
-            return (self.bases, self.denominator, self.rows) == (
-                other.bases, other.denominator, other.rows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.bases, self.denominator, self.rows))
+        if any(b not in self.bases for b in exps):
+            return False
+        target = [exps.get(b, Fraction(0)) * self.denominator for b in self.bases]
+        if any(u.denominator != 1 for u in target):
+            return False
+        hnf = hermite_normal_form([*self.rows, [int(u) for u in target]])
+        return tuple(map(tuple, hnf)) == self.rows
 
     def __repr__(self) -> str:
         if not self.rows:

@@ -150,6 +150,25 @@ def test_modular_spectrum(configs, capsys):
     assert out["membership"] == {"16": True, "2": False, "1": True}
 
 
+def test_modular_spectrum_ignores_list_order(configs, capsys):
+    rows = []
+    for text in ("b,a^-2,b^-2*c^3", "b^-2*c^3,a^-2,b"):
+        code, env = run_cli(capsys, "modular-spectrum", "--family", configs["ao2"],
+                            "--list", text)
+        assert code == 0
+        rows.append(env["outputs"]["hnf_rows"])
+    assert rows == [[[4, 0, 6], [0, 2, 6], [0, 0, 12]]] * 2
+
+
+def test_modular_spectrum_large_prime_is_a_config_error(configs, capsys):
+    big = "1000000000000000003"
+    code, env = run_cli(capsys, "modular-spectrum", "--family", configs["ao2"],
+                        "--list", f"{big}^1/2,{big}^-1/2")
+    assert code == 2
+    assert env["outputs"]["kind"] == "config"
+    assert big in env["outputs"]["error"]
+
+
 def test_graph(configs, capsys, tmp_path):
     dot = tmp_path / "g.dot"
     code, env = run_cli(capsys, "graph", "--family", configs["ao2"],

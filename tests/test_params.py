@@ -5,6 +5,7 @@ import pytest
 
 import fusionkit as fk
 from fusionkit import ExponentLattice, Param, ParamList
+from fusionkit.params import hermite_normal_form
 
 
 def test_param_algebra():
@@ -35,6 +36,20 @@ def test_param_parse_rejects_empty_text(text):
         Param.parse(text)
     with pytest.raises(fk.FusionError, match="empty parameter"):
         ParamList.parse(["2^1/2", "2^-1/2", text])
+
+
+def test_large_prime_factors_raise_a_budget_error():
+    # trial division stops at 10^6: a cofactor beyond it that is not yet
+    # known to be prime would otherwise take up to sqrt(n) steps
+    for text in ("1000000000000000003", str(1000003 * 1000033), "2^1/2*1000000000000000003^-1"):
+        with pytest.raises(fk.BudgetExceededError, match="trial division"):
+            Param.parse(text)
+
+
+@pytest.mark.parametrize("prime", [999999999989, 1000003])
+def test_primes_below_the_trial_division_square_still_factor(prime):
+    assert Param.parse(str(prime)).exponents == ((prime, 1),)
+    assert Param.parse(f"{2 * prime}/3").exponent_map() == {2: 1, 3: -1, prime: 1}
 
 
 def test_param_eval():
@@ -147,6 +162,24 @@ def test_qdim_multiplicative_on_derived_lists(ao2, rng):
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def test_derive_splits_an_all_equal_remainder_over_several_unknowns(f2):
+    lists = fk.derive_irreducible_lists(f2, ParamList.kac(5), depth=2)
+    assert len(lists) == 17  # the ball of radius 2 in F2
+    assert all(lst == ParamList([Param.one()]) for lst in lists.values())
+
+
+def test_derive_rejects_a_non_constant_split(f2):
+    with pytest.raises(fk.InconsistentListError, match="non-constant remainder"):
+        fk.derive_irreducible_lists(f2, ParamList.parse(["1", "q", "q^-1", "q", "q^-1"]), depth=2)
+
+
+def test_derive_stops_when_no_new_label_appears():
+    z3 = fk.GroupDualSystem([3])
+    lists = fk.derive_irreducible_lists(z3, ParamList.kac(3), depth=10)
+    assert len(lists) == 3
+    assert all(fk.is_kac(lst) for lst in lists.values())
+
+
 def test_kac_implies_trivial_spectrum_and_qdim_dim(aut4):
     lists = fk.derive_irreducible_lists(aut4, ParamList.kac(4), depth=5)
     for lab, lst in lists.items():
@@ -163,6 +196,14 @@ def test_modular_spectrum_sqrt2():
     assert fk.lattice_membership(lat, Param.one())
 
 
+def test_modular_spectrum_ignores_list_order():
+    # the entry above the last pivot must land in [0, 12) for either order
+    forward = fk.modular_spectrum(ParamList.parse(["b", "a^-2", "b^-2*c^3"]))
+    backward = fk.modular_spectrum(ParamList.parse(["b^-2*c^3", "a^-2", "b"]))
+    assert forward == backward
+    assert forward.rows == ((4, 0, 6), (0, 2, 6), (0, 0, 12))
+
+
 def test_modular_spectrum_two_rationals():
     # entries sqrt(x) for x = (2, 1/2): squared pair products are {4, 1, 1/4}
     lst = ParamList([Param.from_rational(2, Fraction(1, 2)),
@@ -177,6 +218,7 @@ def test_modular_spectrum_formal_mu():
     assert lat == ExponentLattice.from_params([mu ** 2])
     assert fk.lattice_membership(lat, mu ** 4)
     assert not fk.lattice_membership(lat, mu ** 3)
+    assert not fk.lattice_membership(lat, mu ** Fraction(1, 2))
     assert not fk.lattice_membership(lat, Param.generator("nu", 2))
 
 
@@ -205,3 +247,28 @@ def test_hnf_canonical():
     assert fk.lattice_membership(big, Param.generator("x", 4))
     assert not fk.lattice_membership(big, Param.generator("x", 2))
     assert fk.lattice_membership(big, Param.generator("x", 4) * Param.generator("y", -6))
+
+
+def test_hnf_is_canonical_under_shuffling_and_padding(rng):
+    for _ in range(300):
+        ncols = rng.randint(1, 4)
+        gens = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        hnf = hermite_normal_form(gens)
+        pcols = [next(c for c, u in enumerate(row) if u) for row in hnf]
+        assert pcols == sorted(set(pcols))  # echelon
+        for i, (row, pcol) in enumerate(zip(hnf, pcols)):
+            assert row[pcol] > 0
+            assert all(0 <= above[pcol] < row[pcol] for above in hnf[:i])
+        padded = list(gens)
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            padded.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)])
+        rng.shuffle(padded)
+        assert hermite_normal_form(padded) == hnf, (gens, padded)
+
+
+def test_lattice_is_immutable():
+    lat = fk.modular_spectrum(ParamList.parse(["2^1/2", "2^-1/2"]))
+    with pytest.raises(AttributeError):  # a dataclass's FrozenInstanceError
+        lat.rows = ()
+    assert hash(lat) == hash(ExponentLattice.from_params([Param.from_rational(4)]))
