@@ -9,8 +9,9 @@ word of length ``L`` costs two products of length about ``L/2`` and the
 full product is never formed.  A word is a plain power when ``u`` is
 self-conjugate or every letter is the same (``mult(1, conj y) =
 mult(1, y)``); such words, and moment sequences, come from
-``FusionSystem.unit_moments``, which walks declared chains, joins free
-parts by free cumulants or forms powers to half the depth.
+``FusionSystem.unit_moments``, which counts the closed walks of declared
+chains, joins free parts by free cumulants or forms powers to half the
+depth.
 Noncrossing pairing enumeration and the Catalan recurrence provide
 independent cross-checks for these counts.
 """

@@ -370,11 +370,10 @@ class FusionSystem(ABC):
         This is the one place that chooses how to count, in this order.
 
         When ``radial_chains(x)`` declares chains, no rule runs: each
-        chain's level weights are walked for ``N`` steps, keeping at step
-        ``j`` only the levels ``<= min(j, N - j)`` that can still return.
-        The ``c0`` units hold the first chain's walk at every level, and
-        each later chain is joined by binomial convolution
-        (``_chain_moments``).
+        chain's closed walks are read off its algebraic generating
+        function in O(N) exact operations (``_chain_walks``).  The ``c0``
+        units hold the first chain's walk at every level, and each later
+        chain is joined by binomial convolution (``_chain_moments``).
 
         Else, when ``free_parts(x)`` splits ``x``, each part's moments are
         counted by this method and the parts are joined by adding their
@@ -436,18 +435,12 @@ def _chain_moments(c0: int, chains: tuple[Chain, ...], N: int) -> list[int]:
 
     The ``c0`` units hold the walk of ``y_1`` at level 0 and above, so a
     one-chain generator needs no join; each later chain is joined by
-    binomial convolution.
+    binomial convolution.  Each chain's closed walks are the coefficients
+    of its generating function (``_chain_walks``), O(N) exact operations.
     """
     out, hold = None, c0
-    for p0, p, q, c in chains:
-        levels, walk = [1], [1]
-        for j in range(1, N + 1):
-            up = [0, p0 * levels[0], *(p * w for w in levels[1:])]
-            stay = [hold * levels[0], *((hold + c) * w for w in levels[1:]), 0]
-            down = [*(q * w for w in levels[1:]), 0, 0]
-            # a walk above level N - j cannot be back at 0 by step N
-            levels = [a + b + d for a, b, d in zip(up[:min(j, N - j) + 1], stay, down)]
-            walk.append(levels[0])
+    for chain in chains:
+        walk = _chain_walks(hold, *chain, N)
         # the parts commute: (rest + y)^n = sum over k of C(n, k) rest^(n-k) y^k
         out = walk if out is None else [
             sum(comb(n, k) * out[n - k] * w
@@ -455,6 +448,70 @@ def _chain_moments(c0: int, chains: tuple[Chain, ...], N: int) -> list[int]:
             for n in range(N + 1)]
         hold = 0
     return out
+
+
+def _exact_div(a: int, b: int) -> int:
+    quo, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return quo
+
+
+def _chain_walks(h: int, p0: int, p: int, q: int, c: int, N: int) -> list[int]:
+    """Weighted closed walks at level 0 of length 0..N: hold ``h`` at level 0,
+    up ``p0`` from it; from every level >= 1 up ``p``, down ``q``, stay ``a = h + c``.
+
+    Let ``b = p q``.  A walk from level 1 back to level 1 that stays
+    above 0 is empty, or starts with a hold (``a z``) or with a climb, a
+    walk of that kind one level up and a descent (``b z^2 M``), so its
+    series is ``M = 1/(1 - a z - b z^2 M)``.  A closed walk at 0 is a
+    sequence of holds and of excursions ``p0 q z^2 M``, so
+    ``F = 1/(1 - h z - p0 q z^2 M)``.
+
+    When ``p0 q = 0`` no closed walk leaves level 0, and when ``p = 0``
+    none climbs past level 1, where ``M = 1/(1 - a z)``; either way
+    ``F = (1 - a z)/((1 - h z)(1 - a z) - p0 q z^2)``.  Otherwise
+    ``M = (1 - a z - S)/(2 b z^2)`` with ``S = sqrt((1 - a z)^2 - 4 b z^2)``,
+    so ``F = 2p/(alpha + p0 S)`` with
+    ``alpha = (2p - p0) + (p0 a - 2 p h) z``, and
+    ``F = 2p (alpha - p0 S)/D`` with ``D = alpha^2 - p0^2 S^2``, a
+    polynomial of degree <= 2, since ``S^2`` is one.  ``D`` is not 0:
+    with ``b > 0``, ``S^2`` has two distinct roots, so ``S`` is no
+    polynomial while ``alpha`` is.
+
+    Every division is exact, and a remainder raises ``ArithmeticError``
+    (``_exact_div``), never a silently wrong count.
+    ``S = 1 - a z - 2 b z^2 M`` has integer coefficients, and
+    ``2 P S' = P' S`` with ``P = S^2`` gives
+    ``n s_n = a (2n - 3) s_{n-1} + (a^2 - 4b)(3 - n) s_{n-2}``, so the
+    division by ``n`` is exact.  ``F`` counts walks, so its coefficients
+    are integers, and ``F D`` is the numerator ``T``.  When ``D`` starts
+    with ``k`` zero coefficients ``T`` does too (``p0 = p`` gives
+    ``D(0) = 4p (p - p0) = 0``), and both are stripped; then
+    ``f_n = (t_n - d_1 f_{n-1} - d_2 f_{n-2}) / d_0`` is an integer.
+    """
+    a = h + c
+    if p0 * q == 0 or p == 0:
+        num = [1, -a]
+        den = [1, -(h + a), h * a - p0 * q]
+    else:
+        disc = a * a - 4 * p * q
+        s = [1, -a]
+        for n in range(2, N + 3):
+            s.append(_exact_div(a * (2 * n - 3) * s[-1] + disc * (3 - n) * s[-2], n))
+        al0, al1 = 2 * p - p0, p0 * a - 2 * p * h
+        num = [2 * p * (al0 - p0), 2 * p * (al1 + p0 * a), *(-2 * p * p0 * sn for sn in s[2:])]
+        den = [al0 * al0 - p0 * p0, 2 * (al0 * al1 + a * p0 * p0), al1 * al1 - p0 * p0 * disc]
+    while not den[0]:
+        if num[0]:
+            raise ArithmeticError(f"the walks of {(h, p0, p, q, c)} have a pole at 0")
+        del den[0], num[0]
+    num += [0] * (N + 1 - len(num))
+    d0, d1, d2 = den + [0] * (3 - len(den))
+    f = [0, 0]  # f_{-2} and f_{-1}
+    for n in range(N + 1):
+        f.append(_exact_div(num[n] - d1 * f[-1] - d2 * f[-2], d0))
+    return f[2:]
 
 
 def _free_moments(c0: int, part_moments: list[list[int]], N: int) -> list[int]:

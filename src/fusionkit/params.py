@@ -64,7 +64,7 @@ def _factor_positive_rational(q: Fraction) -> dict[int, Fraction]:
             while n % p == 0:
                 out[p] = out.get(p, Fraction(0)) + sign
                 n //= p
-            p += 1
+            p += 1 if p == 2 else 2  # 2, then odd divisors only
         if n > 1:
             out[n] = out.get(n, Fraction(0)) + sign
     return {p: e for p, e in out.items() if e}
@@ -150,7 +150,11 @@ class Param:
         return Param(tuple((b, e * k) for b, e in self.exponents))
 
     def eval(self, values: Mapping[str, float | Fraction] | None = None) -> float:
-        """Numeric value given positive values for the named generators."""
+        """Numeric value given positive values for the named generators.
+
+        A value that leaves the float range raises a FusionError naming
+        the parameter.
+        """
         values = values or {}
         out = 1.0
         for b, e in self.exponents:
@@ -162,7 +166,12 @@ class Param:
                 base = float(values[b])
                 if base <= 0:
                     raise FusionError(f"generator {b!r} must be positive, got {base}")
-            out *= base ** float(e)
+            try:
+                out *= base ** float(e)
+            except OverflowError:
+                out = math.inf
+        if not 0.0 < out < math.inf:
+            raise FusionError(f"parameter {self} leaves the float range")
         return out
 
     def __str__(self) -> str:
@@ -262,10 +271,19 @@ def is_kac(l: ParamList) -> bool:
     return all(p.is_one() for p in l.counts())
 
 
+def _float_power(p: Param, values: Mapping[str, float | Fraction] | None, k: int) -> float:
+    try:
+        return p.eval(values) ** k
+    except OverflowError:
+        raise FusionError(f"parameter {p} to the power {k} leaves the float range") from None
+
+
 def qdim(l: ParamList, values: Mapping[str, float | Fraction] | None = None) -> float:
     """``sum q^2`` over the list; requires the balance ``sum q^2 = sum q^-2``."""
-    fwd = sum(m * (p.eval(values) ** 2) for p, m in l.counts().items())
-    bwd = sum(m * (p.eval(values) ** -2) for p, m in l.counts().items())
+    fwd = sum(m * _float_power(p, values, 2) for p, m in l.counts().items())
+    bwd = sum(m * _float_power(p, values, -2) for p, m in l.counts().items())
+    if not math.isfinite(fwd + bwd):
+        raise FusionError(f"the quantum dimension of {l!r} leaves the float range")
     scale = max(abs(fwd), abs(bwd), 1.0)
     if abs(fwd - bwd) > 1e-9 * scale:
         raise FusionError(

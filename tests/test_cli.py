@@ -179,6 +179,17 @@ def test_graph(configs, capsys, tmp_path):
     assert dot.read_text().startswith("graph principal {")
 
 
+def test_quantum_dimension_overflow_is_a_computation_error(capsys, tmp_path):
+    family = tmp_path / "ao2-big.json"
+    family.write_text(json.dumps({"family": "a_o", "n": 2,
+                                  "params": {"fundamental_list": ["2^600", "2^-600"]}}))
+    code, env = run_cli(capsys, "graph", "--family", str(family), "--u", "r2", "--depth", "2")
+    assert code == 1
+    assert env["outputs"]["kind"] == "computation"
+    assert "2^600" in env["outputs"]["error"]
+    assert "float range" in env["outputs"]["error"]
+
+
 def test_powers_search_and_check(configs, capsys, tmp_path):
     code, env = run_cli(capsys, "powers-search", "--family", configs["f2"],
                         "--f", "s,s^-1", "--budget", "2")

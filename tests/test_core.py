@@ -1,10 +1,12 @@
 import threading
 from itertools import repeat
+from math import comb
 
 import pytest
 
 import fusionkit as fk
 from fusionkit import FusionElement
+from fusionkit.core import _chain_moments, _exact_div
 
 from conftest import label_pool, mc_recursion_reference, random_element
 
@@ -298,6 +300,55 @@ def class_walk_reference(sys, x, key, N):
 RADIAL_WEIGHTS = [(c0, w) for c0 in (0, 1, 3) for w in (1, 2)]
 
 
+def chain_walk_reference(c0, chains, N):
+    """Oracle: walk each declared chain's integer level weights for ``N`` steps.
+
+    At step ``j`` only the levels ``<= min(j, N - j)`` that can still
+    return are kept; the ``c0`` units hold the first chain's walk at every
+    level, and each later chain is joined by binomial convolution.
+    """
+    out, hold = None, c0
+    for p0, p, q, c in chains:
+        levels, walk = [1], [1]
+        for j in range(1, N + 1):
+            up = [0, p0 * levels[0], *(p * w for w in levels[1:])]
+            stay = [hold * levels[0], *((hold + c) * w for w in levels[1:]), 0]
+            down = [*(q * w for w in levels[1:]), 0, 0]
+            levels = [a + b + d for a, b, d in zip(up[:min(j, N - j) + 1], stay, down)]
+            walk.append(levels[0])
+        out = walk if out is None else [
+            sum(comb(n, k) * out[n - k] * w for k, w in enumerate(walk[:n + 1]))
+            for n in range(N + 1)]
+        hold = 0
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_chain_moments_match_the_level_walk(d, rng):
+    # every rate in 0..5, zeros included: p0 = p, p = 0, q = 0 and c = 0 all occur
+    for _ in range(400):
+        c0 = rng.randint(0, 5)
+        chains = tuple(tuple(rng.randint(0, 5) for _ in range(4)) for _ in range(d))
+        N = rng.randint(0, 40)
+        assert _chain_moments(c0, chains, N) == chain_walk_reference(c0, chains, N), (
+            c0, chains, N)
+
+
+def test_chain_moments_at_depth_are_catalan_numbers():
+    # the fundamentals: r_2 of a_o, with r_k (x) r_2 = r_{k-1} + r_{k+1}, and
+    # s_0 + s_1 of aut, with s_k (x) s_1 = s_{k-1} + s_k + s_{k+1}
+    catalan = [comb(2 * n, n) // (n + 1) for n in range(301)]
+    assert _chain_moments(0, ((1, 1, 1, 0),), 600)[::2] == catalan
+    assert _chain_moments(1, ((1, 1, 1, 1),), 300) == catalan
+    assert _chain_moments(3, ((1, 1, 1, 0),), 0) == [1]
+
+
+def test_inexact_division_raises():
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _exact_div(7, 2)
+    assert _exact_div(-6, 3) == -2
+
+
 @pytest.mark.parametrize("c0, w", RADIAL_WEIGHTS)
 @pytest.mark.parametrize("name, sys, full_N", RADIAL_CASES, ids=[c[0] for c in RADIAL_CASES])
 def test_radial_moments_match_expansion(name, sys, full_N, c0, w):
@@ -329,6 +380,7 @@ def test_declared_chains_call_no_rule(name, sys, full_N, monkeypatch):
     monkeypatch.setattr(sys, "_pair_cache", {})
     moments = sys.unit_moments(x, 40)
     assert len(moments) == 41 and moments[:17] == expected
+    assert moments == chain_walk_reference(*sys.radial_chains(x), 40)
 
 
 def test_chains_of_the_unit_alone(au2):

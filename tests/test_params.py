@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,28 @@ def test_large_prime_factors_raise_a_budget_error():
             Param.parse(text)
 
 
+def factor_reference(n):
+    """Oracle: the prime exponents of the integer ``n >= 1``, dividing by every ``d >= 2``."""
+    out, d = {}, 2
+    while n > 1:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    return out
+
+
+def test_factorization_matches_brute_force(rng):
+    small = [2, 3, 4, 5, 7, 9, 11, 13, 25, 49, 97, 101, 997, 1009]
+    for _ in range(300):
+        num, den = (math.prod(rng.choice(small) for _ in range(rng.randint(0, 5)))
+                    * rng.randint(1, 3000) for _ in range(2))
+        want = Counter(factor_reference(num))
+        want.subtract(factor_reference(den))
+        got = Param.from_rational(Fraction(num, den)).exponent_map()
+        assert got == {p: e for p, e in want.items() if e}, (num, den)
+
+
 @pytest.mark.parametrize("prime", [999999999989, 1000003])
 def test_primes_below_the_trial_division_square_still_factor(prime):
     assert Param.parse(str(prime)).exponents == ((prime, 1),)
@@ -61,6 +84,9 @@ def test_param_eval():
         q.eval({})
     with pytest.raises(fk.FusionError):
         q.eval({"q": -1.0})
+    for text in ("2^1200", "2^-1200", "q^2000"):
+        with pytest.raises(fk.FusionError, match="leaves the float range"):
+            Param.parse(text).eval({"q": 2.0})
 
 
 def test_list_operations():
