@@ -343,11 +343,12 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
     known: dict[IrrLabel, ParamList] = {sys.unit: ParamList([Param.one()])}
     drivers = [(fund, fund_list), (sys.conj_element(fund), fund_list.inverse())]
 
-    def settle(x: FusionElement, x_list: ParamList, what: str) -> bool:
-        # distribute the list of a decomposed element over its components
+    def settle(x: FusionElement, x_list: ParamList, what: str) -> list[IrrLabel]:
+        # distribute the list of a decomposed element over its components;
+        # return the components this made known
         unknown = [(lab, m) for lab, m in x.items() if lab not in known]
         if not unknown:
-            return False
+            return []
         remainder = x_list.counts()
         for lab, m in x.items():
             if lab in known:
@@ -356,7 +357,7 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
         if len(unknown) == 1:
             lab, m = unknown[0]
             known[lab] = ParamList.from_counts(_divide(remainder, m, what))
-            return True
+            return [lab]
         # several unknown components: only an all-equal remainder splits evenly
         distinct = set(remainder)
         total = sum(remainder.values())
@@ -365,7 +366,7 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
             p = next(iter(distinct))
             for lab, _ in unknown:
                 known[lab] = ParamList([p] * sys.dim_irr(lab))
-            return True
+            return [lab for lab, _ in unknown]
         raise InconsistentListError(
             f"{what}: cannot split a non-constant remainder over several unknowns")
 
@@ -381,9 +382,8 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
         for lab in sorted(set(frontier) | set(conj_new), key=sys.sort_key):
             for drv, drv_list in drivers:
                 prod = sys.tensor(FusionElement.from_label(lab), drv)
-                before = set(known)
-                settle(prod, known[lab].product(drv_list), f"{lab.payload!r} (x) fund")
-                next_frontier.extend(l for l in prod.support() if l not in before and l in known)
+                next_frontier += settle(prod, known[lab].product(drv_list),
+                                        f"{lab.payload!r} (x) fund")
         if not next_frontier:
             break
         frontier = sorted(set(next_frontier), key=sys.sort_key)

@@ -3,10 +3,13 @@
 The tower of a class ``u`` is built from the alternating words
 ``u, u (x) u^, u (x) u^ (x) u, ...`` (``u^`` the conjugate): level ``k``
 records the irreducible decomposition of the k-letter word, level 0 being
-the unit.  Level ``k+1`` is ``sum_a m_a (a (x) letter)``; each product
-``a (x) letter`` is formed once and kept as the sparse inclusion row of
-``a``, the one form the inclusions take.  The squared multiplicities at level ``k`` sum to the endomorphism
-dimension of the word.
+the unit.  Level ``k+1`` is ``sum_a m_a (a (x) letter)``; the product
+``a (x) letter`` is the sparse inclusion row of ``a``, the one form the
+inclusions take.  A label's row is formed once per letter, on its first
+visit under that letter, and every level where that label meets that
+letter again shares it (rows are immutable, so sharing is safe).  The
+squared multiplicities at level ``k`` sum to the endomorphism dimension of
+the word.
 
 The principal graph keeps each irreducible at its level of first
 appearance and joins new vertices of consecutive levels with the
@@ -29,6 +32,9 @@ class BratteliDiagram:
     ``levels[k]`` lists ``(label, multiplicity)`` for the k-letter word in
     ``sort_key`` order (``levels[0]`` is the unit); ``inclusions[k][i]`` is
     level-``k`` vertex ``i`` times the next letter: its row into level ``k+1``.
+    Each label's row is formed once per letter and the same immutable
+    ``FusionElement`` is shared by every level where that label meets that
+    letter.
     """
 
     system: FusionSystem
@@ -63,9 +69,17 @@ def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:
     ubar = sys.conj_element(u)
     levels: list[list[tuple[IrrLabel, int]]] = [[(sys.unit, 1)]]
     inclusions: list[list[FusionElement]] = []
+    # each letter with its row table; one table when u is self-conjugate
+    u_rows: dict[IrrLabel, FusionElement] = {}
+    letters = ((u, u_rows), (ubar, u_rows if ubar == u else {}))
     for k in range(depth):
-        letter = ubar if k % 2 else u
-        rows = [sys.tensor(FusionElement.from_label(a), letter) for a, _ in levels[-1]]
+        letter, table = letters[k % 2]
+        rows = []
+        for a, _ in levels[-1]:
+            row = table.get(a)
+            if row is None:
+                row = table[a] = sys.tensor(FusionElement.from_label(a), letter)
+            rows.append(row)
         word: dict[IrrLabel, int] = {}
         for (_, m), row in zip(levels[-1], rows):
             for c, mc in row.items():

@@ -1,8 +1,31 @@
+import random
+from math import comb
+
 import pytest
 
 import fusionkit as fk
+from conftest import random_element
 from fusionkit import FusionElement
 from fusionkit.params import ParamList
+
+
+def tower_reference(sys, u, depth):
+    """The per-vertex tower the row tables replaced: every vertex of every
+    level forms its row afresh.  Sparse, so it reaches past the depths the
+    dense reference can afford."""
+    ubar = sys.conj_element(u)
+    levels = [[(sys.unit, 1)]]
+    inclusions = []
+    for k in range(depth):
+        letter = ubar if k % 2 else u
+        rows = [sys.tensor(FusionElement.from_label(a), letter) for a, _ in levels[-1]]
+        word = {}
+        for (_, m), row in zip(levels[-1], rows):
+            for c, mc in row.items():
+                word[c] = word.get(c, 0) + m * mc
+        levels.append(sys.sorted_items(FusionElement(word)))
+        inclusions.append(rows)
+    return fk.BratteliDiagram(system=sys, u=u, levels=levels, inclusions=inclusions)
 
 
 def dense_tower_reference(sys, u, depth):
@@ -93,6 +116,75 @@ def test_tower_matches_dense_reference(request, fixture, text):
         assert weighted == FusionElement(d.levels[k + 1])
 
 
+# family: (fixture, letter pool, depth, letters drawn, letters drawn when the
+# generator is also symmetrized or given the unit); the free families draw one
+# letter then, since more free terms would outgrow the test at depth 10
+RANDOM_TOWER_CASES = {
+    "ao3": ("ao3", "r2, r3, r4", 12, 3, 3),
+    "aut4": ("aut4", "s1, s2, s3", 12, 3, 3),
+    "au2": ("au2", "a, b, ab", 10, 2, 1),
+    "Z^2": ("zd2", "g1, g1^-1, g2, g2^-1", 12, 3, 2),
+    "Z*Z/3": ("zmod3", "g, g^-1, h, h^2, g h", 10, 2, 1),
+    "F2": ("f2", "s, s^-1, t, t^-1, s t", 10, 2, 1),
+}
+
+
+@pytest.mark.parametrize("fixture, pool, depth, letters, fewer", RANDOM_TOWER_CASES.values(),
+                         ids=RANDOM_TOWER_CASES.keys())
+def test_tower_matches_reference_on_random_generators(request, fixture, pool, depth, letters,
+                                                      fewer):
+    sys = request.getfixturevalue(fixture)
+    pool = [sys.parse_label(text.strip()) for text in pool.split(",")]
+    rng = random.Random(f"tower-{fixture}")
+    self_conjugate = set()
+    for draw in range(12):
+        symmetrize, unit = draw % 2, draw // 2 % 2
+        u = random_element(sys, rng, pool, max_terms=fewer if symmetrize or unit else letters,
+                           max_mult=3)
+        if symmetrize:
+            u = u + sys.conj_element(u)
+        if unit:
+            u = u + rng.randint(1, 3) * sys.unit_element()
+        self_conjugate.add(u == sys.conj_element(u))
+        d, ref = fk.tower(sys, u, depth), tower_reference(sys, u, depth)
+        assert d.levels == ref.levels
+        for rows, ref_rows in zip(d.inclusions, ref.inclusions):
+            assert rows == ref_rows
+        g, ref_g = fk.principal_graph(d), fk.principal_graph(ref)
+        assert (g.vertices, g.edges) == (ref_g.vertices, ref_g.edges)
+    # both row tables ran wherever the pool holds a label that is not its own conjugate
+    assert self_conjugate == ({True, False} if any(sys.conj_irr(a) != a for a in pool) else {True})
+
+
+def counting_tensor(monkeypatch, sys):
+    """Count the ``sys.tensor`` calls made from here on."""
+    calls = []
+    tensor = sys.tensor
+
+    def counted(x, y):
+        calls.append((x, y))
+        return tensor(x, y)
+
+    monkeypatch.setattr(sys, "tensor", counted)
+    return calls
+
+
+def test_tower_forms_each_row_once_per_letter(monkeypatch, zd2, au2):
+    # Z^2's fundamental is self-conjugate: one table, one row per label
+    calls = counting_tensor(monkeypatch, zd2)
+    d = fk.tower(zd2, fk.fundamental(zd2), 12)
+    assert len(calls) == len({a for level in d.levels[:12] for a, _ in level})
+    # a_u(2)'s is not: one table per letter, one row per label and letter
+    calls = counting_tensor(monkeypatch, au2)
+    d = fk.tower(au2, fk.fundamental(au2), 12)
+    assert len(calls) == len({(a, k % 2) for k, level in enumerate(d.levels[:12]) for a, _ in level})
+    # a label met again under the same letter reuses its row
+    rows = {}
+    for k, level in enumerate(d.levels[:12]):
+        for (a, _), row in zip(level, d.inclusions[k]):
+            assert rows.setdefault((a, k % 2), row) is row
+
+
 def test_tower_depth_one(ao3):
     u = fk.parse_element(ao3, "r2 + r3")
     d = fk.tower(ao3, u, 1)
@@ -118,6 +210,15 @@ def test_tower_dual_of_z(zdual):
         expect = zdual.unit if k % 2 == 0 else zdual.parse_label("g1")
         assert level[0][0] == expect
     assert d.end_dims() == [1] * 7
+
+
+def test_tower_z2_lazy_walk_end_dims(zd2):
+    # End(u^k) counts the closed 2k-step walks of the lazy walk on Z^2: j held
+    # steps, then a closed walk of 2k - j steps, C(n, n/2)^2 of them
+    d = fk.tower(zd2, fk.parse_element(zd2, "e + g1 + g1^-1 + g2 + g2^-1"), 12)
+    assert d.end_dims() == [
+        sum(comb(2 * k, j) * comb(2 * k - j, k - j // 2) ** 2 for j in range(0, 2 * k + 1, 2))
+        for k in range(13)]
 
 
 def test_end_dims_match_frobenius(ao3, au2):
