@@ -8,10 +8,11 @@ stated prefix), plus finitely many included words, minus finitely many
 excluded ones.  That representation is closed under union, intersection
 and complement, so witness conditions of the form ``F o D /\\ D = empty``
 and ``r_i o E /\\ r_j o E = empty`` are decided exactly.  Witnesses on a
-group dual are always checked this way, so a finite partition D | E there
-fails coverage.  Families without a word tree have only explicit finite
-sets (``FiniteIrrSet``), and their witnesses are checked within a stated
-radius only.
+group dual are always checked this way, so on an infinite group dual a
+finite partition D | E fails coverage.  The dual of a finite ``Z/m`` is
+finite, so there every cylinder is listed as its words.  Families
+without a word tree have only explicit finite sets (``FiniteIrrSet``),
+and their witnesses are checked within a stated radius only.
 
 Every coverage question ("does some cylinder lie on the tree path to
 ``w``?") is answered by one index per set, built when the set is made: a
@@ -170,6 +171,14 @@ class WordSet:
     @classmethod
     def make(cls, sys: GroupDualSystem, cylinders: Iterable[Word] = (),
              includes: Iterable[Word] = (), excludes: Iterable[Word] = ()) -> "WordSet":
+        if len(sys.factors) == 1 and sys.factors[0] is not None:
+            # Z/m is finite: a cylinder is its words, so no set keeps one
+            todo, inside, excludes = list(cylinders), set(), set(excludes)
+            while todo:
+                w = todo.pop()
+                inside.add(w)
+                todo += sys.children(w)
+            cylinders, includes = (), set(includes) | (inside - excludes)
         # in word_key order a cylinder comes after every prefix it extends
         heads = _HeadIndex(sys.factors)
         cyls: list[Word] = []
@@ -536,11 +545,11 @@ def check_witness(sys: FusionSystem, w: PowersWitness) -> WitnessCheck:
     """Evaluate both witness conditions; exact on group duals only.
 
     On a group dual, D and E are ``WordSet``s (a list is read as a finite
-    one) and every condition is decided exactly, so a finite D | E fails
-    coverage.  Families without a word tree have only finite sets, which
-    can partition no more than the ball of radius ``truncation_radius``;
-    those checks run the same product conditions there and are flagged
-    ``exact=False``.  A radius given on a group dual goes unused, and every
+    one) and every condition is decided exactly, so on an infinite group
+    dual a finite D | E fails coverage.  Families without a word tree have
+    only finite sets, which can partition no more than the ball of radius
+    ``truncation_radius``; those checks run the same product conditions
+    there and are flagged ``exact=False``.  A radius given on a group dual goes unused, and every
     detail says so.
     """
     for lab in w.F:
@@ -593,6 +602,11 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
     ``budget``, in lexicographic candidate order.  The first witness
     passing the exact check wins; ``None`` proves nothing beyond the
     budget.
+
+    Cost: with ``n`` r-pool words, each candidate partition that passes
+    the F condition takes ``n`` translates of E and at most ``C(n, 2)``
+    intersections, since each pair of translates is decided once per
+    partition, not up to ``3 C(n, 3)`` as once per triple.
     """
     if not isinstance(sys, GroupDualSystem):
         raise UnsupportedSetOperation("witness search needs a group-dual family")
@@ -619,8 +633,11 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
                 continue
             E = D.complement()
             translates = [_left_translate(sys, w, E) for w in r_pool]
+            # pairs are decided once per E; the memo dies with this partition
+            meets = functools.cache(
+                lambda i, j: not translates[i].intersect(translates[j]).is_empty())
             for i, j, k in itertools.combinations(range(len(r_pool)), 3):
-                if _meeting_pair([translates[i], translates[j], translates[k]]) is not None:
+                if meets(i, j) or meets(i, k) or meets(j, k):
                     continue
                 witness = PowersWitness(
                     F=F, D=D, E=E, r1=sys.word(r_pool[i]),

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 import fusionkit as fk
-from fusionkit.powers import FiniteIrrSet, WordSet, _left_translate, _right_translate
+from fusionkit.powers import (FiniteIrrSet, WordSet, _left_translate, _meeting_pair,
+                             _right_translate)
 
 from conftest import with_stack_margin
 
@@ -593,3 +594,92 @@ def test_truncated_witness_check(ao3):
                              r1=ao3.r(1), r2=ao3.r(5), r3=ao3.r(9), truncation_radius=5)
     assert fk.check_witness(ao3, short) == fk.WitnessCheck(
         False, False, "1 irreducibles within radius 5 uncovered")
+
+
+# -- the witness search against its per-triple reference ----------------------
+
+def search_witness_reference(sys, F, budget):
+    """``search_witness`` with one ``_meeting_pair`` call per r-triple, so
+    each pair of translates is intersected afresh for every triple; also
+    counts the candidate partitions that reach the triple loop."""
+    letters = sorted(sys.children(()), key=sys.word_key)
+    r_pool, layer = [()], [()]
+    for _ in range(budget):
+        layer = [c for w in layer for c in sys.children(w)]
+        r_pool += layer
+    r_pool.sort(key=sys.word_key)
+    reached = 0
+    for mask in range(1, 2 ** len(letters) - 1):
+        chosen = [letters[i] for i in range(len(letters)) if mask >> i & 1]
+        for unit_in_d in (False, True):
+            D = WordSet.make(sys, cylinders=chosen, includes=[()] if unit_in_d else [])
+            if any(not _left_translate(sys, lab.payload, D).intersect(D).is_empty()
+                   for lab in F):
+                continue
+            reached += 1
+            E = D.complement()
+            translates = [_left_translate(sys, w, E) for w in r_pool]
+            for i, j, k in itertools.combinations(range(len(r_pool)), 3):
+                if _meeting_pair([translates[i], translates[j], translates[k]]) is not None:
+                    continue
+                witness = fk.PowersWitness(F=list(F), D=D, E=E, r1=sys.word(r_pool[i]),
+                                           r2=sys.word(r_pool[j]), r3=sys.word(r_pool[k]))
+                verdict = fk.check_witness(sys, witness)
+                if verdict.holds and verdict.exact:
+                    return witness, reached
+    return None, reached
+
+
+@pytest.mark.parametrize("family", ["f2", "zmod3", "z2z3", "z2z2", "zdual"])
+def test_search_witness_matches_reference(family, rng, request):
+    sys = (fk.GroupDualSystem([2, 3], names=["a", "b"]) if family == "z2z3"
+           else fk.GroupDualSystem([2, 2], names=["a", "b"]) if family == "z2z2"
+           else request.getfixturevalue(family))
+    pool = [w for w in enum_words(sys, 2) if w]
+
+    def labels(w):
+        return None if w is None else (repr(w.D), repr(w.E), repr(w.r_labels()))
+
+    # with F empty at budget 1 several partitions reach the triple loop
+    cases = [([], 1)] + [([sys.word(w) for w in rng.sample(pool, k=rng.randint(0, 2))],
+                          rng.randint(0, 3)) for _ in range(8)]
+    most_reached = 0
+    for F, budget in cases:
+        want, reached = search_witness_reference(sys, F, budget)
+        assert labels(fk.search_witness(sys, F, budget)) == labels(want), (F, budget)
+        if want is not None:
+            most_reached = max(most_reached, reached)
+    if family in ("f2", "zmod3", "z2z3"):
+        # a witness found past the first partition that reached the triple loop
+        assert most_reached > 1
+
+
+# -- a finite cyclic group: every cylinder is finite -------------------------
+
+@pytest.fixture
+def z3():
+    sys = fk.GroupDualSystem([3], names=["h"])
+    return sys, WordSet.make(sys, includes=enum_words(sys, 1))
+
+
+def test_finite_group_full_minus_every_element_is_empty(z3):
+    sys, every = z3
+    assert WordSet.full(sys).minus(every).is_empty()
+
+
+def test_finite_group_full_equals_its_elements(z3):
+    sys, every = z3
+    assert WordSet.full(sys) == every
+
+
+def test_finite_group_product_of_full_sets(z3):
+    sys, every = z3
+    assert fk.set_product(sys, WordSet.full(sys), WordSet.full(sys)) == every
+
+
+def test_finite_group_witness_partition_covers(z3):
+    sys, _ = z3
+    e, h, h2 = (sys.parse_label(t) for t in ("e", "h", "h^2"))
+    verdict = fk.check_witness(sys, fk.PowersWitness(
+        F=[h], D=[h], E=[e, h2], r1=e, r2=h, r3=h2))
+    assert verdict == fk.WitnessCheck(False, True, "r1 o E meets r2 o E")
