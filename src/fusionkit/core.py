@@ -457,6 +457,29 @@ def _exact_div(a: int, b: int) -> int:
     return quo
 
 
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:], b)]
+    return out
+
+
+def _series_div(num: list[int], den: list[int], n: int) -> list[int]:
+    """The first ``n`` coefficients of the power series ``num/den``, in O(n deg den) steps.
+
+    Shared leading zeros cancel.  A pole at 0, or a coefficient that
+    ``_exact_div`` cannot divide by the leading one, raises ``ArithmeticError``.
+    """
+    nonzero = [i for i, d in enumerate(den) if d]
+    if not nonzero or any(num[:nonzero[0]]):
+        raise ArithmeticError(f"{num}/{den} has a pole at 0")
+    lead, d0, tail = nonzero[0], den[nonzero[0]], den[nonzero[-1]:nonzero[0]:-1]
+    f = [0] * (k := len(tail))  # f_{j-k} .. f_{j-1} meet tail = den_k .. den_1
+    for t in num[lead:lead + n] + [0] * (n + lead - len(num)):
+        f.append(_exact_div(t - sum(map(mul, tail, f[-k:])) if k else t, d0))
+    return f[k:]
+
+
 def _chain_walks(h: int, p0: int, p: int, q: int, c: int, N: int) -> list[int]:
     """Weighted closed walks at level 0 of length 0..N: hold ``h`` at level 0,
     up ``p0`` from it; from every level >= 1 up ``p``, down ``q``, stay ``a = h + c``.
@@ -479,21 +502,17 @@ def _chain_walks(h: int, p0: int, p: int, q: int, c: int, N: int) -> list[int]:
     with ``b > 0``, ``S^2`` has two distinct roots, so ``S`` is no
     polynomial while ``alpha`` is.
 
-    Every division is exact, and a remainder raises ``ArithmeticError``
-    (``_exact_div``), never a silently wrong count.
-    ``S = 1 - a z - 2 b z^2 M`` has integer coefficients, and
-    ``2 P S' = P' S`` with ``P = S^2`` gives
+    Every division is exact, or raises ``ArithmeticError``: never a
+    silently wrong count.  ``S = 1 - a z - 2 b z^2 M`` has integer
+    coefficients, and ``2 P S' = P' S`` with ``P = S^2`` gives
     ``n s_n = a (2n - 3) s_{n-1} + (a^2 - 4b)(3 - n) s_{n-2}``, so the
-    division by ``n`` is exact.  ``F`` counts walks, so its coefficients
-    are integers, and ``F D`` is the numerator ``T``.  When ``D`` starts
-    with ``k`` zero coefficients ``T`` does too (``p0 = p`` gives
-    ``D(0) = 4p (p - p0) = 0``), and both are stripped; then
-    ``f_n = (t_n - d_1 f_{n-1} - d_2 f_{n-2}) / d_0`` is an integer.
+    division by ``n`` is exact.  ``F`` counts walks, so it is the integer
+    series quotient ``T/D`` with ``T = 2p (alpha - p0 S)`` (``_series_div``;
+    ``p0 = p`` makes ``D(0) = T(0) = 0``), O(N) steps as ``D`` has degree <= 2.
     """
     a = h + c
     if p0 * q == 0 or p == 0:
-        num = [1, -a]
-        den = [1, -(h + a), h * a - p0 * q]
+        num, den = [1, -a], [1, -(h + a), h * a - p0 * q]
     else:
         disc = a * a - 4 * p * q
         s = [1, -a]
@@ -502,16 +521,7 @@ def _chain_walks(h: int, p0: int, p: int, q: int, c: int, N: int) -> list[int]:
         al0, al1 = 2 * p - p0, p0 * a - 2 * p * h
         num = [2 * p * (al0 - p0), 2 * p * (al1 + p0 * a), *(-2 * p * p0 * sn for sn in s[2:])]
         den = [al0 * al0 - p0 * p0, 2 * (al0 * al1 + a * p0 * p0), al1 * al1 - p0 * p0 * disc]
-    while not den[0]:
-        if num[0]:
-            raise ArithmeticError(f"the walks of {(h, p0, p, q, c)} have a pole at 0")
-        del den[0], num[0]
-    num += [0] * (N + 1 - len(num))
-    d0, d1, d2 = den + [0] * (3 - len(den))
-    f = [0, 0]  # f_{-2} and f_{-1}
-    for n in range(N + 1):
-        f.append(_exact_div(num[n] - d1 * f[-1] - d2 * f[-2], d0))
-    return f[2:]
+    return _series_div(num, den, N + 1)
 
 
 def _free_moments(c0: int, part_moments: list[list[int]], N: int) -> list[int]:

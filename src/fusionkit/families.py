@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from abc import abstractmethod
-from math import comb
 from operator import add
 from typing import Iterable, Sequence
 
@@ -33,6 +32,8 @@ from .core import (
     FusionSystem,
     InvalidLabelError,
     IrrLabel,
+    _poly_mul,
+    _series_div,
 )
 
 Letter = tuple[int, int]          # (factor index, exponent)
@@ -361,17 +362,19 @@ class GroupDualSystem(GroupDualBase):
         each maximal run of ``L`` syllables ``(1 - 1)^(L-1)`` times, so
         only the reduced words remain: ``S = 1/(1 - sum T_i/(1 + T_i))``,
         that is ``1/S = sum 1/S_i - (k - 1)`` over the ``k`` factors (de la
-        Harpe, *Topics in Geometric Group Theory*, 2000, ch. VI).  Every
-        series has constant term 1, so both inversions stay integral.
+        Harpe, *Topics in Geometric Group Theory*, 2000, ch. VI).  Folding in
+        each ``S_i = num_i/den_i`` gives ``1/S = top/bottom``, so ``S`` is one
+        exact series quotient (``_series_div``), O(rmax * deg top) steps.
         """
         if not self._standard_support(v):
             return None
-        n = rmax + 1
-        inv = [1 - len(self.factors)] + [0] * rmax
+        top, bottom = [1 - len(self.factors)], [1]
         for m in self.factors:
-            s = [1] + ([2] * rmax if m is None else [2] * ((m - 1) // 2) + [1] * (m % 2 == 0))
-            inv = list(map(add, inv, _inverse_series(s, n)))
-        return _inverse_series(inv, n)
+            num = [1, 1] if m is None else [1] + [2] * ((m - 1) // 2) + [1] * (m % 2 == 0)
+            den = [1, -1] if m is None else [1] + [0] * (len(num) - 1)  # as long as num
+            top = list(map(add, _poly_mul(top, num), _poly_mul(den, bottom)))
+            bottom = _poly_mul(bottom, num)
+        return _series_div(bottom, top, rmax + 1)
 
     def word_key(self, w: Word):
         """The label order on reduced words, in which a word comes after its
@@ -380,14 +383,6 @@ class GroupDualSystem(GroupDualBase):
 
     def sort_key(self, label: IrrLabel):
         return self.word_key(label.payload)
-
-
-def _inverse_series(a: Sequence[int], n: int) -> list[int]:
-    """The first ``n`` coefficients of ``1/a`` for an integer power series with ``a[0] = 1``."""
-    b = [1] + [0] * (n - 1)
-    for j in range(1, n):
-        b[j] = -sum(a[i] * b[j - i] for i in range(1, min(j + 1, len(a))))
-    return b
 
 
 class ZdDualSystem(GroupDualBase):
@@ -442,16 +437,15 @@ class ZdDualSystem(GroupDualBase):
 
         By ``generator_distance`` the sphere of radius ``r`` holds the
         vectors of l1 norm ``r``, a sum of ``d`` independent ``|v_i|``, so
-        the series is ``S_Z^d``.  Its coefficient of ``z^r``, ``r >= 1``,
-        chooses the ``k`` nonzero coordinates, their signs and the
-        composition of ``r`` into ``k`` positive parts:
-        ``sum over k of C(d, k) 2^k C(r - 1, k - 1)``.
+        the series is ``S_Z^d``: the one exact quotient of ``(1 + z)^d`` by
+        ``(1 - z)^d`` (``_series_div``), O(rmax * d) steps.
         """
         if not self._standard_support(v):
             return None
-        d = self.d
-        return [1] + [sum(comb(d, k) * 2 ** k * comb(r - 1, k - 1) for k in range(1, d + 1))
-                      for r in range(1, rmax + 1)]
+        num = den = [1]
+        for _ in range(self.d):
+            num, den = _poly_mul(num, [1, 1]), _poly_mul(den, [1, -1])
+        return _series_div(num, den, rmax + 1)
 
     def sort_key(self, label: IrrLabel):
         v = label.payload

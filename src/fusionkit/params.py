@@ -332,8 +332,10 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
     ``fund`` is the family fundamental; its list is ``fund_list`` and must
     have size ``dim(fund)``.  Both the fundamental and its conjugate drive
     the breadth-first derivation, peeling known component lists by multiset
-    subtraction.  Raises InconsistentListError when a subtraction is not
-    contained or an ambiguous split has unequal parts.
+    subtraction.  Each frontier holds the labels first reached by a power
+    of the self-conjugate ``fund + conj(fund)``, so it is already closed
+    under conjugation.  Raises InconsistentListError when a subtraction is
+    not contained or an ambiguous split has unequal parts.
     """
     fund = sys.fundamental()
     if fund_list.size() != sys.dim(fund):
@@ -372,14 +374,8 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
 
     frontier = [sys.unit]
     for _ in range(depth):
-        conj_new = []
-        for lab in frontier:
-            bar = sys.conj_irr(lab)
-            if bar not in known:
-                known[bar] = known[lab].inverse()
-                conj_new.append(bar)
         next_frontier: list[IrrLabel] = []
-        for lab in sorted(set(frontier) | set(conj_new), key=sys.sort_key):
+        for lab in frontier:
             for drv, drv_list in drivers:
                 prod = sys.tensor(FusionElement.from_label(lab), drv)
                 next_frontier += settle(prod, known[lab].product(drv_list),

@@ -604,9 +604,9 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
     budget.
 
     Cost: with ``n`` r-pool words, each candidate partition that passes
-    the F condition takes ``n`` translates of E and at most ``C(n, 2)``
-    intersections, since each pair of translates is decided once per
-    partition, not up to ``3 C(n, 3)`` as once per triple.
+    the F condition forms each translate of E on first use, at most ``n``,
+    and decides each pair of translates once, at most ``C(n, 2)``
+    intersections, not up to ``3 C(n, 3)`` as once per triple.
     """
     if not isinstance(sys, GroupDualSystem):
         raise UnsupportedSetOperation("witness search needs a group-dual family")
@@ -632,10 +632,9 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
                    for lab in F):
                 continue
             E = D.complement()
-            translates = [_left_translate(sys, w, E) for w in r_pool]
-            # pairs are decided once per E; the memo dies with this partition
+            translate = functools.cache(lambda i: _left_translate(sys, r_pool[i], E))
             meets = functools.cache(
-                lambda i, j: not translates[i].intersect(translates[j]).is_empty())
+                lambda i, j: not translate(i).intersect(translate(j)).is_empty())
             for i, j, k in itertools.combinations(range(len(r_pool)), 3):
                 if meets(i, j) or meets(i, k) or meets(j, k):
                     continue

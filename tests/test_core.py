@@ -6,7 +6,7 @@ import pytest
 
 import fusionkit as fk
 from fusionkit import FusionElement
-from fusionkit.core import _chain_moments, _exact_div
+from fusionkit.core import _chain_moments, _exact_div, _poly_mul, _series_div
 
 from conftest import label_pool, mc_recursion_reference, random_element
 
@@ -347,6 +347,26 @@ def test_inexact_division_raises():
     with pytest.raises(ArithmeticError, match="not divisible"):
         _exact_div(7, 2)
     assert _exact_div(-6, 3) == -2
+
+
+def test_series_div_raises_on_a_pole_or_a_fraction():
+    with pytest.raises(ArithmeticError, match="pole"):
+        _series_div([1], [0, 1], 3)
+    with pytest.raises(ArithmeticError, match="pole"):
+        _series_div([1], [0, 0], 3)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _series_div([1], [2], 3)
+    # shared leading zeros cancel: 6z^2/(2z + 2z^2) = 3z/(1 + z)
+    assert _series_div([0, 0, 6], [0, 2, 2], 4) == [0, 3, -3, 3]
+
+
+def test_series_div_undoes_poly_mul(rng):
+    for _ in range(300):
+        a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
+        b = [0] * rng.randint(0, 2) + [rng.choice((1, -1))]
+        b += [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+        n = rng.randint(0, len(a) + 4)
+        assert _series_div(_poly_mul(a, b), b, n) == (a + [0] * n)[:n], (a, b, n)
 
 
 @pytest.mark.parametrize("c0, w", RADIAL_WEIGHTS)

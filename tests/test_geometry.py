@@ -1,4 +1,6 @@
 import random
+from math import comb
+from operator import add
 
 import pytest
 
@@ -352,6 +354,43 @@ def test_growth_matches_bfs_on_free_products(factors, rmax):
     center = random_label(sys, rng, 3)
     for v in (std_generator(sys), weighted_standard(sys, rng)):
         assert fk.growth_table(sys, v, center, rmax) == bfs_growth(sys, v, center, rmax)
+
+
+def _inverse_series(a, n):
+    """The first ``n`` coefficients of ``1/a`` for an integer power series with ``a[0] = 1``."""
+    b = [1] + [0] * (n - 1)
+    for j in range(1, n):
+        b[j] = -sum(a[i] * b[j - i] for i in range(1, min(j + 1, len(a))))
+    return b
+
+
+def growth_by_inversion(factors, rmax):
+    """``1/S = sum 1/S_i - (k - 1)`` with each ``S_i`` a dense series inverted
+    term by term: O(rmax^2) products, no polynomial quotient."""
+    n = rmax + 1
+    inv = [1 - len(factors)] + [0] * rmax
+    for m in factors:
+        s = [1] + ([2] * rmax if m is None else [2] * ((m - 1) // 2) + [1] * (m % 2 == 0))
+        inv = list(map(add, inv, _inverse_series(s, n)))
+    return _inverse_series(inv, n)
+
+
+@pytest.mark.parametrize("factors", [f for f, _ in GROWTH_CASES],
+                         ids=[_factor_id(f) for f, _ in GROWTH_CASES])
+def test_growth_quotient_matches_series_inversion(factors):
+    # BFS checks these factor lists to radius 14 at most; the inversion reaches 300
+    sys = fk.GroupDualSystem(factors)
+    assert sys.sphere_sizes(std_generator(sys), 300) == growth_by_inversion(factors, 300)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_zd_growth_quotient_matches_the_binomial_sum(d):
+    # the coefficient of z^r >= 1 of ((1 + z)/(1 - z))^d chooses the k nonzero
+    # coordinates, their signs and a composition of r into k positive parts
+    sys = fk.ZdDualSystem(d)
+    want = [1] + [sum(comb(d, k) * 2 ** k * comb(r - 1, k - 1) for k in range(1, d + 1))
+                  for r in range(1, 301)]
+    assert sys.sphere_sizes(std_generator(sys), 300) == want
 
 
 @pytest.mark.parametrize("d, rmax", [(1, 12), (2, 10), (3, 7)])

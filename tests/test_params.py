@@ -141,6 +141,20 @@ def test_derive_lists_su2q(ao2):
         assert lists[ao2.r(k)] == expect
 
 
+@pytest.mark.parametrize("make, fund, depth", [
+    (lambda: fk.AuSystem(2), ParamList.parse(["q", "q^-1"]), 8),
+    (lambda: fk.AoSystem(2), ParamList.parse(["q^2", "q^-2"]), 8),
+    (lambda: fk.AutSystem(5), ParamList.kac(5), 6),
+], ids=["au2", "ao2-q2", "aut5-kac"])
+def test_derived_list_of_the_conjugate_is_the_inverse(make, fund, depth):
+    # no conjugate is filled in beforehand: each frontier is closed under it
+    sys = make()
+    lists = fk.derive_irreducible_lists(sys, fund, depth=depth)
+    assert len(lists) > depth
+    for a, lst in lists.items():
+        assert lists[sys.conj_irr(a)] == lst.inverse(), a
+
+
 def test_derive_rejects_wrong_size(ao2):
     with pytest.raises(fk.FusionError):
         fk.derive_irreducible_lists(ao2, ParamList.kac(3), depth=3)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import fusionkit as fk
+from fusionkit import powers
 from fusionkit.powers import (FiniteIrrSet, WordSet, _left_translate, _meeting_pair,
                              _right_translate)
 
@@ -652,6 +653,21 @@ def test_search_witness_matches_reference(family, rng, request):
     if family in ("f2", "zmod3", "z2z3"):
         # a witness found past the first partition that reached the triple loop
         assert most_reached > 1
+
+
+def test_search_forms_each_translate_on_first_use(f2, monkeypatch):
+    # budget 4 pools the 161 words of F2 of tree depth <= 4.  Counting the F
+    # checks and the witness check, forming every translate of E up front took
+    # 174 translations, and forming one afresh at each use takes 111
+    real, calls = powers._left_translate, []
+    monkeypatch.setattr(powers, "_left_translate",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    F = [f2.parse_label("s"), f2.parse_label("s^-1")]
+    w = fk.search_witness(f2, F, budget=4)
+    assert [f2.format_label(r) for r in w.r_labels()] == ["e", "t^-1 s^-1 t", "t^-1 s t"]
+    assert len(calls) == 62
+    monkeypatch.undo()
+    assert fk.check_witness(f2, w) == fk.WitnessCheck(True, True, "all conditions hold")
 
 
 # -- a finite cyclic group: every cylinder is finite -------------------------
