@@ -259,33 +259,32 @@ class GroupDualSystem(GroupDualBase):
         return total
 
     # the normal-form prefix tree: the set calculus walks it for complements,
-    # cylinder paths and the witness search pool, and test oracles enumerate it
+    # cylinder paths and the witness search pool, and test oracles enumerate it.
+    # A syllable's exponents lie on a ray: a Z ray runs 1, 2, ... or -1, -2,
+    # ..., and a Z/m ray holds one exponent of 1..m-1.
 
     def children(self, w: Word) -> list[Word]:
+        """The next node on the ray of ``w``'s last syllable, then the first
+        node of each ray of every other factor, in factor order."""
         out: list[Word] = []
         last = w[-1][0] if w else None
         for i, m in enumerate(self.factors):
-            if i == last:
-                if m is None:
-                    f, e = w[-1]
-                    step = 1 if e > 0 else -1
-                    out.append(w[:-1] + ((f, e + step),))
+            if i != last:
+                for e in range(1, m) if m else (1, -1):
+                    out.append(w + ((i, e),))
             elif m is None:
-                out.append(w + ((i, 1),))
-                out.append(w + ((i, -1),))
-            else:
-                out.extend(w + ((i, e),) for e in range(1, m))
+                e = w[-1][1]
+                out.append(w[:-1] + ((i, e + 1 if e > 0 else e - 1),))
         return out
 
     def tree_path(self, w: Word) -> list[Word]:
-        """The nodes from the root to ``w``, both included."""
+        """The nodes from the root to ``w``, both included: each syllable's
+        ray up to its exponent, one node in ``Z/m``."""
         out: list[Word] = [()]
         for i, (f, e) in enumerate(w):
-            if self.factors[f] is None:
-                step = 1 if e > 0 else -1
-                out.extend(w[:i] + ((f, h),) for h in range(step, e + step, step))
-            else:
-                out.append(w[:i + 1])
+            step = 1 if e > 0 else -1
+            for h in range(step, e + step, step) if self.factors[f] is None else (e,):
+                out.append(w[:i] + ((f, h),))
         return out
 
     # fusion rules ------------------------------------------------------------

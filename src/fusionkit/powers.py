@@ -14,22 +14,24 @@ finite, so there every cylinder is listed as its words.  Families
 without a word tree have only explicit finite sets (``FiniteIrrSet``),
 and their witnesses are checked within a stated radius only.
 
-Every coverage question ("does some cylinder lie on the tree path to
-``w``?") is answered by one index per set, built when the set is made: a
-trie of cylinder stems whose nodes file each last syllable by factor and
-ray (the sign of a ``Z`` exponent, the exact ``Z/m`` exponent), keeping
-the least ``|exponent|``.  A coverage test walks ``w`` down the trie
-instead of scanning the cylinders.
+The tree walks treat every factor by one rule: a syllable's exponent
+lies on a ray, which in ``Z`` runs ``1, 2, ...`` or ``-1, -2, ...`` and in
+``Z/m`` holds one exponent of ``1..m-1``.  Every coverage question ("does
+some cylinder lie on the tree path to ``w``?") is answered by one index
+per set, built when the set is made: a trie of cylinder stems whose nodes
+file each last syllable by factor and ray (the sign of a ``Z`` exponent,
+the exact ``Z/m`` exponent), keeping the least ``|exponent|``.  A
+coverage test walks ``w`` down the trie instead of scanning the cylinders.
 
 Both translations end in one step: the image gets its cylinders, and
 finitely many candidate words are each decided by whether their preimage
 is a member.  Every product of two reduced words here (images,
 preimages, candidates, cascade prefixes) is ``GroupDualSystem.mul_words``,
 which cancels only at the seam where the words meet.  Left translation
-of a cylinder is a case analysis on how the multiplier's tail cancels
-into the prefix, along an integer-exponent ray if need be.  Right
-translation keeps the cylinders, since ``S.x = {u : u x^-1 in S}`` and
-``x`` moves only the last ``|x|`` letters.
+of a cylinder walks the ray of its last syllable while the multiplier's
+tail merges into it, until the merge keeps the ray's sign: a ``Z/m`` ray
+ends there at once.  Right translation keeps the cylinders, since
+``S.x = {u : u x^-1 in S}`` and ``x`` moves only the last ``|x|`` letters.
 A product of two infinite cylinder sets is everything for nonelementary
 free products (both factors can be steered to hit any target); for the
 single integer factor only the rays are multiplied and each listed point
@@ -327,7 +329,10 @@ def _cross_children(sys: GroupDualSystem, w: Word) -> list[Word]:
 def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word, cyls: set[Word],
                   words: set[Word], todo: list[Word]) -> None:
     """Add ``x . Cyl(q)`` to ``cyls`` (prefixes) and ``words``; children of
-    ``q`` whose cancellation cascades further into ``x`` go on ``todo``."""
+    ``q`` whose cancellation cascades further into ``x`` go on ``todo``.
+    One walk along the ray of ``q``'s last syllable from its exponent
+    (that exponent alone in ``Z/m``) stops where the merge is nonzero and
+    keeps the ray's sign."""
     if not q:
         cyls.add(())  # translation permutes the whole tree
         return
@@ -337,38 +342,19 @@ def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word, cyls: set[Word],
         cyls.add(r1 + ((f, e),))
         return
     r2, a = r1[:-1], r1[-1][1]
-    m = sys.factors[f]
-    if m is not None:
-        me = (a + e) % m
-        if me:
-            cyls.add(r2 + ((f, me),))
+    ray = (e,) if sys.factors[f] else itertools.count(e, 1 if e > 0 else -1)
+    for ej in ray:
+        merged = sys._norm_exp(f, a + ej)
+        if merged and (merged > 0) == (e > 0):
+            cyls.add(r2 + ((f, merged),))
             return
-        words.add(r2)
-        for c in _cross_children(sys, q):
-            if r2 and r2[-1][0] == c[-1][0]:
+        head = r2 + ((f, merged),) if merged else r2
+        words.add(head)
+        for c in _cross_children(sys, q[:-1] + ((f, ej),)):
+            if not merged and r2 and r2[-1][0] == c[-1][0]:
                 todo.append(c)  # cancellation cascades into x
             else:
-                cyls.add(r2 + (c[-1],))
-        return
-    # integer factor: walk the exponent ray until the merged sign stabilizes
-    s = 1 if e > 0 else -1
-    j = 0
-    while True:
-        Mj = a + e + j * s
-        if Mj != 0 and (Mj > 0) == (s > 0):
-            cyls.add(r2 + ((f, Mj),))
-            return
-        qj = q[:-1] + ((f, e + j * s),)
-        words.add(r2 if Mj == 0 else r2 + ((f, Mj),))
-        for c in _cross_children(sys, qj):
-            h, eps = c[-1]
-            if Mj != 0:
-                cyls.add(r2 + ((f, Mj), (h, eps)))
-            elif r2 and r2[-1][0] == h:
-                todo.append(c)
-            else:
-                cyls.add(r2 + ((h, eps),))
-        j += 1
+                cyls.add(head + (c[-1],))
 
 
 def _translated(sys: GroupDualSystem, S: WordSet, cyls: Iterable[Word],

@@ -703,3 +703,77 @@ def test_unwritable_dot_is_config_error(configs, capsys, tmp_path):
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["inputs"] == {"family": configs["ao2"], "u": "r2", "depth": 3}
+
+
+F2 = {"family": "group_dual",
+      "factors": [{"type": "Z", "name": "s"}, {"type": "Z", "name": "t"}]}
+AO2Q = {"family": "a_o", "n": 2, "params": {"fundamental_list": ["q", "q^-1"]}}
+AO3_WITNESS = {"F": ["r2"], "D": ["r1"], "E": ["r2"], "r": ["r1", "r2", "r3"]}
+DECOMPOSE = ("decompose", "--x", "e", "--y", "e")
+CHECK = ("powers-check",)
+# id: (family config, command and flags, witness file content or None,
+#      exit code, expected outputs entries)
+BRANCHES = {
+    "params-not-a-mapping": ({**AO3, "params": [1]}, DECOMPOSE, None, 2,
+                             {"kind": "config", "error": "'params' must be a mapping"}),
+    "params-unknown-key": ({**AO3, "params": {"mystery": 1}}, DECOMPOSE, None, 2,
+                           {"kind": "config", "error": "unknown params keys: ['mystery']"}),
+    "generators-not-a-list": ({**AO3, "params": {"generators": "q"}}, DECOMPOSE, None, 2,
+                              {"kind": "config",
+                               "error": "'generators' must be a list of names"}),
+    "values-list-entry": ({**AO3, "params": {"values": {"q": [1]}}}, DECOMPOSE, None, 2,
+                          {"kind": "config", "error": "bad numeric value for 'q': [1]"}),
+    "moments-no-word-no-k": (AO3, ("moments", "--u", "r2"), None, 2,
+                             {"kind": "config", "error": "moments needs --word or --k"}),
+    "moments-k-0": (AO3, ("moments", "--u", "r2", "--k", "0"), None, 2,
+                    {"kind": "config", "error": "--k must be >= 1"}),
+    "list-invariant-no-params": (AO3, ("list-invariant",), None, 2,
+                                 {"kind": "config", "error": "list-invariant needs a params "
+                                                             "block with a fundamental_list"}),
+    "modular-spectrum-no-list": (AO3, ("modular-spectrum",), None, 2,
+                                 {"kind": "config", "error": "modular-spectrum needs --list "
+                                                             "or a config fundamental_list"}),
+    "witness-not-an-object": (F2, CHECK, [1], 2,
+                              {"kind": "config",
+                               "error": "witness file must define keys ['D', 'E', 'F', 'r']"}),
+    "witness-two-r": (F2, CHECK, {**WITNESS, "r": ["t", "s t"]}, 2,
+                      {"kind": "config", "error": "witness needs exactly three r labels"}),
+    "descriptor-int": (F2, CHECK, {**WITNESS, "D": 5}, 2,
+                       {"kind": "config", "error": "bad set descriptor: 5"}),
+    "cylinder-on-a_o": (AO3, CHECK, {**AO3_WITNESS, "D": {"type": "cylinder",
+                                                          "prefixes": ["r2"]}}, 2,
+                        {"kind": "config", "error": "cylinder sets need a group-dual family"}),
+    "descriptor-unknown-key": (F2, CHECK, {**WITNESS, "D": {**WITNESS["D"], "mystery": 1}}, 2,
+                               {"kind": "config",
+                                "error": "unknown set descriptor keys: ['mystery']"}),
+    "descriptor-unknown-type": (F2, CHECK, {**WITNESS, "D": {"type": "ball"}}, 2,
+                                {"kind": "config", "error": "unknown set type 'ball'"}),
+    "a_o-witness-no-radius": (AO3, CHECK, AO3_WITNESS, 1,
+                              {"kind": "computation",
+                               "error": "finite witnesses need a truncation_radius"}),
+    "powers-search-on-a_o": (AO3, ("powers-search", "--f", "r2"), None, 1,
+                             {"kind": "computation",
+                              "error": "witness search needs a group-dual family"}),
+    "modular-spectrum-config-list": (AO2Q, ("modular-spectrum",), None, 0,
+                                     {"hnf_rows": [[4]]}),
+    "powers-search-budget-0": (F2, ("powers-search", "--f", "s", "--budget", "0"), None, 0,
+                               {"found": False,
+                                "note": "bounded search exhausted; proves nothing"}),
+}
+
+
+@pytest.mark.parametrize("spec, argv, witness, want_code, want",
+                         BRANCHES.values(), ids=BRANCHES.keys())
+def test_cli_branches_end_in_one_envelope(capsys, tmp_path, spec, argv, witness,
+                                          want_code, want):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(spec))
+    flags = []
+    if witness is not None:
+        witness_file = tmp_path / "w.json"
+        witness_file.write_text(json.dumps(witness))
+        flags = ["--witness", str(witness_file)]
+    code, env = run_cli(capsys, argv[0], "--family", str(config), *argv[1:], *flags)
+    assert code == want_code
+    assert {key: env["outputs"].get(key) for key in want} == want
+    assert env["inputs"]["family"] == str(config)

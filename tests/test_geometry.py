@@ -6,6 +6,7 @@ import pytest
 
 import fusionkit as fk
 from fusionkit import BudgetExceededError, FusionElement, FusionError, IrrLabel
+from fusionkit import geometry
 from fusionkit.geometry import _check_budget, validate_generator
 
 
@@ -294,6 +295,21 @@ def test_quasi_isometry_dual_of_z(zdual):
     report = fk.quasi_isometry_check(zdual, v, w, pairs, budget=48)
     assert report.holds
     assert report.K == 1 + 2  # g1^2 appears in v (x) v
+
+
+def test_quasi_isometry_check_reports_failures(f2, monkeypatch):
+    # s^2 is one v-step from e in the (v + w)-metric but two in the v-metric,
+    # so a constant K = 1 must fail there; the containment index gives K = 3
+    v = std_generator(f2)
+    w = fk.parse_element(f2, "e + s^2 + s^-2")
+    pairs = [(f2.unit, f2.parse_label(t)) for t in ("s^2", "s^4 t", "t")]
+    report = fk.quasi_isometry_check(f2, v, w, pairs)
+    assert (report.K, report.holds, report.failures) == (3, True, [])
+    monkeypatch.setattr(geometry, "containment_index", lambda *args: 0)
+    report = fk.quasi_isometry_check(f2, v, w, pairs)
+    assert (report.K, report.holds) == (1, False)
+    assert [(f2.format_label(a), f2.format_label(b), dv, dvw)
+            for a, b, dv, dvw in report.failures] == [("e", "s^2", 2, 1), ("e", "s^4 t", 5, 3)]
 
 
 def test_quasi_isometry_ao(ao3):

@@ -597,6 +597,144 @@ def test_truncated_witness_check(ao3):
         False, False, "1 irreducibles within radius 5 uncovered")
 
 
+# -- the two-body tree walks, kept as oracles ----------------------------------
+# Each states the Z/m case as a second body beside the Z ray walk.
+
+def two_body_children(sys, w):
+    out = []
+    last = w[-1][0] if w else None
+    for i, m in enumerate(sys.factors):
+        if i == last:
+            if m is None:
+                f, e = w[-1]
+                step = 1 if e > 0 else -1
+                out.append(w[:-1] + ((f, e + step),))
+        elif m is None:
+            out.append(w + ((i, 1),))
+            out.append(w + ((i, -1),))
+        else:
+            out.extend(w + ((i, e),) for e in range(1, m))
+    return out
+
+
+def two_body_tree_path(sys, w):
+    out = [()]
+    for i, (f, e) in enumerate(w):
+        if sys.factors[f] is None:
+            step = 1 if e > 0 else -1
+            out.extend(w[:i] + ((f, h),) for h in range(step, e + step, step))
+        else:
+            out.append(w[:i + 1])
+    return out
+
+
+def two_body_left_mul_cyl(sys, x, q, cyls, words, todo):
+    def cross_children(w):
+        return [c for c in two_body_children(sys, w) if len(c) > len(w)]
+
+    if not q:
+        cyls.add(())
+        return
+    r1 = sys.mul_words(x, q[:-1])
+    f, e = q[-1]
+    if not r1 or r1[-1][0] != f:
+        cyls.add(r1 + ((f, e),))
+        return
+    r2, a = r1[:-1], r1[-1][1]
+    m = sys.factors[f]
+    if m is not None:
+        me = (a + e) % m
+        if me:
+            cyls.add(r2 + ((f, me),))
+            return
+        words.add(r2)
+        for c in cross_children(q):
+            if r2 and r2[-1][0] == c[-1][0]:
+                todo.append(c)
+            else:
+                cyls.add(r2 + (c[-1],))
+        return
+    s = 1 if e > 0 else -1
+    j = 0
+    while True:
+        Mj = a + e + j * s
+        if Mj != 0 and (Mj > 0) == (s > 0):
+            cyls.add(r2 + ((f, Mj),))
+            return
+        qj = q[:-1] + ((f, e + j * s),)
+        words.add(r2 if Mj == 0 else r2 + ((f, Mj),))
+        for c in cross_children(qj):
+            h, eps = c[-1]
+            if Mj != 0:
+                cyls.add(r2 + ((f, Mj), (h, eps)))
+            elif r2 and r2[-1][0] == h:
+                todo.append(c)
+            else:
+                cyls.add(r2 + ((h, eps),))
+        j += 1
+
+
+def two_body_words(sys, depth):
+    """Every word to tree depth ``depth``, enumerated by the oracle."""
+    out, layer = [()], [()]
+    for _ in range(depth):
+        layer = [c for w in layer for c in two_body_children(sys, w)]
+        out += layer
+    return out
+
+
+TREE_GROUPS = {"f2": [None, None], "z_z3": [None, 3], "z2_z3": [2, 3], "z2_z": [2, None],
+               "z3_z3": [3, 3], "z4_z_z6": [4, None, 6], "z": [None], "z5": [5]}
+
+
+@pytest.mark.parametrize("factors", TREE_GROUPS.values(), ids=TREE_GROUPS.keys())
+def test_tree_walks_match_two_body_oracles(factors):
+    sys = fk.GroupDualSystem(factors)
+    for w in two_body_words(sys, 4):
+        kids = sys.children(w)
+        assert kids == two_body_children(sys, w), w
+        assert all(sys.validate_payload(c) == c for c in kids)
+        assert sys.tree_path(w) == two_body_tree_path(sys, w), w
+
+
+@pytest.mark.parametrize("factors", TREE_GROUPS.values(), ids=TREE_GROUPS.keys())
+def test_left_mul_cyl_matches_two_body_oracle(factors):
+    # every multiplier x and prefix q to depth 4; to depth 3 in Z/4*Z*Z/6,
+    # whose 3377 words to depth 4 would make 11 million pairs
+    sys = fk.GroupDualSystem(factors)
+    words = two_body_words(sys, 3 if len(factors) > 2 else 4)
+    for x, q in itertools.product(words, repeat=2):
+        got, want = (set(), set(), []), (set(), set(), [])
+        powers._left_mul_cyl(sys, x, q, *got)
+        two_body_left_mul_cyl(sys, x, q, *want)
+        assert got == want, (x, q)
+
+
+@pytest.mark.parametrize("factors", TREE_GROUPS.values(), ids=TREE_GROUPS.keys())
+def test_left_translate_matches_two_body_oracle(factors, rng, monkeypatch):
+    sys = fk.GroupDualSystem(factors)
+    pool, xs = two_body_words(sys, 2), two_body_words(sys, 4)
+    # deep Z prefixes, which multipliers to depth 4 walk along for several
+    # steps; with no Z factor, prefixes to depth 4
+    deep = [((f, e),) for f, m in enumerate(factors) if m is None for e in (5, -5)] or xs
+
+    def operand():
+        cyls = rng.sample(pool, k=rng.randint(0, 2)) + rng.sample(deep, k=rng.randint(0, 1))
+        # a word under a cylinder, where a child of it exists, or anywhere
+        words = [rng.choice(two_body_children(sys, rng.choice(cyls)) or xs)
+                 if cyls and rng.random() < 0.5 else rng.choice(xs)
+                 for _ in range(rng.randint(0, 3))]
+        return WordSet.make(sys, cyls, words[:1], words[1:])
+
+    cases = [(rng.choice(xs), operand()) for _ in range(60)]
+    got = [_left_translate(sys, x, S) for x, S in cases]
+    monkeypatch.setattr(powers, "_left_mul_cyl", two_body_left_mul_cyl)
+    want = [_left_translate(sys, x, S) for x, S in cases]
+    for (x, S), g, w in zip(cases, got, want):
+        assert (g.cylinders, g.includes, g.excludes) == (w.cylinders, w.includes,
+                                                          w.excludes), (x, S)
+
+
 # -- the witness search against its per-triple reference ----------------------
 
 def search_witness_reference(sys, F, budget):
