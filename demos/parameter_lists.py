@@ -27,7 +27,7 @@ print("\nKac check: all-ones list ->", fk.is_kac(ParamList.kac(4)),
 lat = fk.modular_spectrum(ParamList.parse(["2^1/2", "2^-1/2"]))
 print("\nmodular spectrum of {sqrt 2, 1/sqrt 2}:", lat.describe())
 for value in (16, 2, 1):
-    print(f"  {value} in the lattice:", fk.lattice_membership(lat, Param.from_rational(value)))
+    print(f"  {value} in the lattice:", lat.contains(Param.from_rational(value)))
 
 mu = Param.generator("mu")
 lat_mu = fk.modular_spectrum(ParamList([mu ** Fraction(1, 2), mu ** Fraction(-1, 2)]))

@@ -70,7 +70,6 @@ from .params import (
     ParamList,
     derive_irreducible_lists,
     is_kac,
-    lattice_membership,
     modular_spectrum,
     qdim,
     trig_eval,

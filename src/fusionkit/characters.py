@@ -12,12 +12,14 @@ mult(1, y)``); such words, and moment sequences, come from
 ``FusionSystem.unit_moments``, which counts the closed walks of declared
 chains, joins free parts by free cumulants or forms powers to half the
 depth.
-Noncrossing pairing enumeration and the Catalan recurrence provide
+Noncrossing pairing enumeration and the Catalan numbers provide
 independent cross-checks for these counts.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from .core import FusionElement, FusionError, FusionSystem
@@ -109,37 +111,25 @@ def noncrossing_pairing_count(w: StarWord | str, kind: str = "self-adjoint") -> 
         raise FusionError(f"unknown kind {kind!r}")
     alternating = kind == "alternating"
     stars = w.stars
-    memo: dict[tuple[int, int], int] = {}
 
+    @functools.cache
     def count(i: int, j: int) -> int:
         if i == j:
             return 1
         if (j - i) % 2:
             return 0
-        key = (i, j)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         total = 0
         for m in range(i + 1, j, 2):
             if alternating and stars[i] == stars[m]:
                 continue
             total += count(i + 1, m) * count(m + 1, j)
-        memo[key] = total
         return total
 
     return count(0, len(stars))
 
 
 def catalan(k: int) -> int:
-    """The k-th Catalan number, by the exact convolution recurrence."""
+    """The k-th Catalan number, ``C(2k, k) / (k + 1)``."""
     if k < 0:
         raise FusionError(f"k must be >= 0, got {k}")
-    cache = _CATALAN_CACHE
-    while len(cache) <= k:
-        n = len(cache) - 1
-        cache.append(sum(cache[i] * cache[n - i] for i in range(n + 1)))
-    return cache[k]
-
-
-_CATALAN_CACHE = [1]
+    return math.comb(2 * k, k) // (k + 1)

@@ -171,13 +171,15 @@ def load_family_config(path: str) -> FamilyConfig:
             bad = ConfigError(f"bad numeric value for {name!r}: {val!r}")
             if isinstance(val, str):
                 try:
-                    values[name] = Fraction(val)
+                    val = Fraction(val)
                 except (ValueError, ZeroDivisionError):
                     raise bad from None
-            elif isinstance(val, (int, float)):
-                values[name] = val
-            else:
+            elif isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise bad
+            # a generator's value is a positive number with a positive finite float
+            if not 0 < val <= _sys.float_info.max or not float(val):
+                raise bad
+            values[name] = val
     return FamilyConfig(system=system, fundamental_list=fund, values=values)
 
 
@@ -336,7 +338,7 @@ def _cmd_modular_spectrum(args, cfg: FamilyConfig):
     if args.member:
         members = _parse_params(args.member, "--member")
         outputs["membership"] = {
-            text: params.lattice_membership(lattice, p)
+            text: lattice.contains(p)
             for text, p in zip(args.member.split(","), members)
         }
     return outputs, True
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     int_flag(p, "--depth", 3, default=30)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--method", default="extrapolated-ratio",
-                   choices=["root", "ratio", "extrapolated-ratio"])
+                   choices=amenability._METHODS)
 
     p = family_cmd("list-invariant", _cmd_list_invariant, ("depth",),
                    help="derive parameter lists of irreducibles")

@@ -198,8 +198,8 @@ class FusionSystem(ABC):
 
     Subclasses implement the irreducible-pair tensor rule, conjugation, the
     dimension function and payload canonicalization.  This base class
-    provides the bilinear extension, running products and powers, unit
-    multiplicities and moments, and the pair memo.
+    provides the bilinear extension, running products, unit multiplicities
+    and moments, and the pair memo.
     """
 
     #: Default tolerance of the amenability verdict around ``n = dim(u)``:
@@ -413,15 +413,6 @@ class FusionSystem(ABC):
                 out.append(even)
             prev = cur
         return out
-
-    def power(self, x: FusionElement, k: int) -> FusionElement:
-        """k-fold tensor power; the 0th power is the unit class."""
-        if k < 0:
-            raise FusionError(f"negative tensor power {k}")
-        self.check_element(x)
-        for acc in self.products(repeat(x, k)):
-            pass
-        return acc
 
     def sorted_items(self, x: FusionElement) -> list[tuple[IrrLabel, int]]:
         return sorted(x.items(), key=lambda it: self.sort_key(it[0]))

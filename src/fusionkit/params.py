@@ -145,9 +145,7 @@ class Param:
 
     def __pow__(self, k) -> "Param":
         k = Fraction(k)
-        if k == 0:
-            return Param.one()
-        return Param(tuple((b, e * k) for b, e in self.exponents))
+        return Param._make({b: e * k for b, e in self.exponents})
 
     def eval(self, values: Mapping[str, float | Fraction] | None = None) -> float:
         """Numeric value given positive values for the named generators.
@@ -229,11 +227,8 @@ class ParamList:
             out.extend([p] * m)
         return out
 
-    def size(self) -> int:
-        return sum(self._counts.values())
-
     def __len__(self) -> int:
-        return self.size()
+        return sum(self._counts.values())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ParamList):
@@ -338,9 +333,9 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
     not contained or an ambiguous split has unequal parts.
     """
     fund = sys.fundamental()
-    if fund_list.size() != sys.dim(fund):
+    if len(fund_list) != sys.dim(fund):
         raise FusionError(
-            f"fundamental list has size {fund_list.size()} but dim = {sys.dim(fund)}")
+            f"fundamental list has size {len(fund_list)} but dim = {sys.dim(fund)}")
 
     known: dict[IrrLabel, ParamList] = {sys.unit: ParamList([Param.one()])}
     drivers = [(fund, fund_list), (sys.conj_element(fund), fund_list.inverse())]
@@ -499,11 +494,12 @@ class ExponentLattice:
 
 
 def modular_spectrum(l: ParamList) -> ExponentLattice:
-    """The subgroup generated by all ``p^2 q^2`` with p, q in the list."""
+    """The subgroup generated by all ``p^2 q^2`` with p, q in the list.
+
+    Its ``n`` products ``(p_1 q)^2`` generate it, as ``(p_i p_j)^2 = (p_1 p_i)^2
+    (p_1 p_j)^2 / (p_1 p_1)^2``; every generating set has the group's least common
+    denominator and the Hermite normal form is canonical, so the form is unchanged.
+    """
     entries = list(l.counts())
-    gens = [(p * q) ** 2 for i, p in enumerate(entries) for q in entries[i:]]
+    gens = [(entries[0] * q) ** 2 for q in entries]
     return ExponentLattice.from_params(gens)
-
-
-def lattice_membership(L: ExponentLattice, p: Param) -> bool:
-    return L.contains(p)

@@ -194,10 +194,6 @@ class WordSet:
         return cls(sys, frozenset(cyls), inc, exc, heads)
 
     @classmethod
-    def empty(cls, sys: GroupDualSystem) -> "WordSet":
-        return cls.make(sys)
-
-    @classmethod
     def full(cls, sys: GroupDualSystem) -> "WordSet":
         return cls.make(sys, cylinders=[()])
 
@@ -211,13 +207,10 @@ class WordSet:
 
     # membership -----------------------------------------------------------
 
-    def _covered(self, w: Word) -> bool:
-        return self._heads.covers(w)
-
     def member_word(self, w: Word) -> bool:
         if w in self.includes:
             return True
-        return self._covered(w) and w not in self.excludes
+        return self._heads.covers(w) and w not in self.excludes
 
     def member(self, a: IrrLabel) -> bool:
         self.system.check_label(a)
@@ -244,8 +237,8 @@ class WordSet:
         _same(self, other)
         sys = self.system
         # the deeper of two nested cylinders is their intersection
-        cyls = ({p for p in self.cylinders if other._covered(p)}
-                | {q for q in other.cylinders if self._covered(q)})
+        cyls = ({p for p in self.cylinders if other._heads.covers(p)}
+                | {q for q in other.cylinders if self._heads.covers(q)})
         inc = ({w for w in self.includes if other.member_word(w)}
                | {w for w in other.includes if self.member_word(w)})
         exc = self.excludes | other.excludes
@@ -260,7 +253,7 @@ class WordSet:
         todo: list[Word] = [()]
         while todo:
             node = todo.pop()
-            if self._covered(node):
+            if self._heads.covers(node):
                 continue  # inside the coverage
             if node not in paths:
                 cyls_out.append(node)  # whole subtree misses the coverage
@@ -322,10 +315,6 @@ class ConjugatedSet:
 # translations
 # ---------------------------------------------------------------------------
 
-def _cross_children(sys: GroupDualSystem, w: Word) -> list[Word]:
-    return [c for c in sys.children(w) if len(c) > len(w)]
-
-
 def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word, cyls: set[Word],
                   words: set[Word], todo: list[Word]) -> None:
     """Add ``x . Cyl(q)`` to ``cyls`` (prefixes) and ``words``; children of
@@ -350,7 +339,9 @@ def _left_mul_cyl(sys: GroupDualSystem, x: Word, q: Word, cyls: set[Word],
             return
         head = r2 + ((f, merged),) if merged else r2
         words.add(head)
-        for c in _cross_children(sys, q[:-1] + ((f, ej),)):
+        for c in sys.children(q[:-1] + ((f, ej),)):
+            if c[-1][0] == f:
+                continue  # the ray's next node; the walk reaches it as the next ej
             if not merged and r2 and r2[-1][0] == c[-1][0]:
                 todo.append(c)  # cancellation cascades into x
             else:
@@ -456,7 +447,7 @@ def set_product(sys: FusionSystem, S, T):
     else:
         raise UnsupportedSetOperation(
             "products of two infinite cylinder sets are unsupported for this group")
-    return functools.reduce(WordSet.union, parts, WordSet.empty(sys))
+    return functools.reduce(WordSet.union, parts, WordSet.make(sys))
 
 
 def _finite_set(sys: FusionSystem, labels: Iterable[IrrLabel]):

@@ -42,10 +42,6 @@ class BratteliDiagram:
     levels: list[list[tuple[IrrLabel, int]]]
     inclusions: list[list[FusionElement]]
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
     def end_dims(self) -> list[int]:
         """``sum m^2`` per level: the endomorphism algebra dimensions."""
         return [sum(m * m for _, m in level) for level in self.levels]

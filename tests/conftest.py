@@ -1,3 +1,4 @@
+import json
 import random
 import sys as _sys
 
@@ -78,12 +79,28 @@ def label_pool(sys):
     return [sys.word(w) for w in out]
 
 
+def tensor_power(sys, x, k):
+    """Oracle: the k-fold tensor power of ``x`` by repeated tensoring; the 0th is the unit."""
+    acc = sys.unit_element()
+    for _ in range(k):
+        acc = sys.tensor(acc, x)
+    return acc
+
+
 def random_element(sys, rng, pool=None, max_terms=2, max_mult=2):
     pool = pool or label_pool(sys)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         terms[rng.choice(pool)] = rng.randint(1, max_mult)
     return fk.FusionElement(terms)
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects NaN and infinities, which JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def with_stack_margin(fn, *args, margin=40):

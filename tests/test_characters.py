@@ -5,6 +5,8 @@ import pytest
 import fusionkit as fk
 from fusionkit import StarWord
 
+from conftest import tensor_power
+
 
 # -- independent oracle: enumerate *all* pairings, filter crossings by hand
 
@@ -142,7 +144,7 @@ def test_moment_sequence_of_a_free_product_takes_the_cumulant_path(zmod3, monkey
     monkeypatch.setattr(fk.core, "moments_to_free_cumulants", counted)
     seq = fk.moment_sequence(zmod3, u, 8)
     assert calls
-    assert seq == [zmod3.power(u, n).mult(zmod3.unit) for n in range(1, 9)]
+    assert seq == [tensor_power(zmod3, u, n).mult(zmod3.unit) for n in range(1, 9)]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import sys
 import time
@@ -8,6 +9,8 @@ import pytest
 import fusionkit as fk
 from fusionkit import cli
 from fusionkit.cli import DiskCache, run
+
+from conftest import strict_loads
 
 
 @pytest.fixture
@@ -29,14 +32,6 @@ def configs(tmp_path):
         p.write_text(json.dumps(spec))
         paths[name] = str(p)
     return paths
-
-
-def strict_loads(text):
-    """``json.loads`` that rejects NaN and infinities, which JSON does not have."""
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(capsys, *args):
@@ -711,6 +706,14 @@ AO2Q = {"family": "a_o", "n": 2, "params": {"fundamental_list": ["q", "q^-1"]}}
 AO3_WITNESS = {"F": ["r2"], "D": ["r1"], "E": ["r2"], "r": ["r1", "r2", "r3"]}
 DECOMPOSE = ("decompose", "--x", "e", "--y", "e")
 CHECK = ("powers-check",)
+GRAPH = ("graph", "--u", "r2", "--depth", "2")
+
+
+def ao2_values(value):
+    """``a_o(2)`` with the list ``q, q^-1`` and ``value`` for ``q``."""
+    return {**AO2Q, "params": {**AO2Q["params"], "values": {"q": value}}}
+
+
 # id: (family config, command and flags, witness file content or None,
 #      exit code, expected outputs entries)
 BRANCHES = {
@@ -723,6 +726,16 @@ BRANCHES = {
                                "error": "'generators' must be a list of names"}),
     "values-list-entry": ({**AO3, "params": {"values": {"q": [1]}}}, DECOMPOSE, None, 2,
                           {"kind": "config", "error": "bad numeric value for 'q': [1]"}),
+    # a value must be a positive finite number: none of these reaches the computation
+    **{f"values-{name}": (ao2_values(value), GRAPH, None, 2,
+                          {"kind": "config", "error": f"bad numeric value for 'q': {value!r}"})
+       for name, value in [("true", True), ("zero", 0), ("negative", -2),
+                           ("negative-fraction", "-1/2"), ("nan", math.nan),
+                           ("infinity", math.inf), ("beyond-float", "1e400"),
+                           ("below-float", "1e-400")]},
+    "values-fraction-string": (ao2_values("6/5"), GRAPH, None, 0,
+                               {"end_dims": ["1", "1", "2"]}),
+    "values-int": (ao2_values(2), GRAPH, None, 0, {"end_dims": ["1", "1", "2"]}),
     "moments-no-word-no-k": (AO3, ("moments", "--u", "r2"), None, 2,
                              {"kind": "config", "error": "moments needs --word or --k"}),
     "moments-k-0": (AO3, ("moments", "--u", "r2", "--k", "0"), None, 2,

@@ -9,6 +9,8 @@ from fusionkit import BudgetExceededError, FusionElement, FusionError, IrrLabel
 from fusionkit import geometry
 from fusionkit.geometry import _check_budget, validate_generator
 
+from conftest import tensor_power
+
 
 def std_generator(sys):
     return fk.fundamental(sys)
@@ -140,7 +142,7 @@ def test_distance_ao(ao3):
         for b in range(1, 5):
             d = fk.distance(ao3, v, ao3.r(a), ao3.r(b))
             for n in range(0, 8):
-                power = ao3.power(v, n)
+                power = tensor_power(ao3, v, n)
                 reached = ao3.tensor(power, FusionElement({ao3.r(a): 1}))
                 if reached.mult(ao3.r(b)) > 0:
                     assert n == d
