@@ -241,6 +241,10 @@ class FusionSystem(ABC):
         """The family's distinguished generating element."""
         raise FusionError(f"no fundamental rule for {self!r}")
 
+    def _chain_letters(self) -> tuple[list[IrrLabel], tuple[Chain, ...]] | None:
+        """``(letters, chains)`` if ``c0 unit + sum(letters)`` provably walks ``chains``; else None."""
+        return None
+
     def radial_chains(self, x: FusionElement) -> tuple[int, tuple[Chain, ...]] | None:
         """``x`` as ``c0`` units plus independent birth-death steps, where proven.
 
@@ -249,10 +253,19 @@ class FusionSystem(ABC):
         their powers is the product of theirs.  Each ``y_i`` steps on levels
         by its chain ``(p0, p, q, c)``: up ``p0`` from level 0, which holds
         the unit alone, and from every level >= 1 up ``p``, down ``q`` or
-        stay ``c``.  Families declare chains only for the generators where they
-        prove them; the default, None, keeps the expansion.
+        stay ``c``.  ``x`` qualifies when each key is the unit or one of
+        the ``_chain_letters``, all letters of one weight ``w >= 0``, which
+        scales every rate; otherwise None keeps the expansion.
         """
-        return None
+        declared = self._chain_letters()
+        if declared is None:
+            return None
+        letters, chains = declared
+        terms = x._terms
+        w = terms.get(letters[0], 0)
+        if terms.keys() - {self._unit, *letters} or any(terms.get(g, 0) != w for g in letters):
+            return None
+        return terms.get(self._unit, 0), tuple(tuple(w * r for r in chain) for chain in chains)
 
     def free_parts(self, x: FusionElement) -> tuple[int, list[FusionElement]] | None:
         """``x`` as ``c0`` units plus parts that are free, where proven.
@@ -449,9 +462,10 @@ def _exact_div(a: int, b: int) -> int:
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Polynomial product; each row of ``a`` adds to ``len(b)`` terms: ``len(a) * len(b)`` steps."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:], b)]
+        out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:i + len(b)], b)]
     return out
 
 

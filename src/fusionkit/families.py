@@ -114,14 +114,6 @@ class GroupDualBase(FusionSystem):
         """Whether ``v`` holds the unit and the standard letters, whatever the weights, and nothing else."""
         return v._terms.keys() == {self._unit, *self._letters()}
 
-    def _uniform_letters(self, x: FusionElement) -> int:
-        """``w >= 1`` if ``x = c0 e + w * sum of the standard letters``; else 0."""
-        letters = self._letters()
-        terms = x._terms
-        w = terms.get(letters[0], 0)
-        return w if (all(terms.get(g) == w for g in letters)
-                     and len(terms) == len(letters) + (self._unit in terms)) else 0
-
     def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
         """``|b a^-1|``, the summed syllable costs of its normal form, if ``v`` has the standard support.
 
@@ -303,19 +295,19 @@ class GroupDualSystem(GroupDualBase):
             raise InvalidLabelError(f"group word {payload!r} is not reduced")
         return payload
 
-    def radial_chains(self, x: FusionElement):
-        """``(c0, ((2n w, (2n - 1) w, w, 0),))`` for ``c0 e + w * sum (g + g^-1)``, n free ``Z``s.
+    def _chain_letters(self):
+        """``g, g^-1`` for ``n`` free ``Z`` factors, with the chain ``(2n, 2n - 1, 1, 0)``.
 
-        Right multiplication by ``x - c0 e`` is ``w`` times the adjacency of
-        the ``2n``-regular tree, and the level is the letter length: the
-        unit has ``2n`` children, and every other word one parent (the
-        letter that cancels its last one) and ``2n - 1`` children.
+        Right multiplication by ``sum (g + g^-1)`` is the adjacency of the
+        ``2n``-regular tree, and the level is the letter length: the unit
+        has ``2n`` children, and every other word one parent (the letter
+        that cancels its last one) and ``2n - 1`` children.  A finite
+        factor closes cycles, so then no chain is declared.
         """
-        w = self._uniform_letters(x)
-        if not w or any(m is not None for m in self.factors):
+        if any(m is not None for m in self.factors):
             return None
         n = len(self.factors)
-        return x._terms.get(self._unit, 0), ((2 * n * w, (2 * n - 1) * w, w, 0),)
+        return self._letters(), ((2 * n, 2 * n - 1, 1, 0),)
 
     def free_parts(self, x: FusionElement):
         """``(c0, parts)``, one part per factor, if ``x`` holds only the unit
@@ -363,17 +355,21 @@ class GroupDualSystem(GroupDualBase):
         that is ``1/S = sum 1/S_i - (k - 1)`` over the ``k`` factors (de la
         Harpe, *Topics in Geometric Group Theory*, 2000, ch. VI).  Folding in
         each ``S_i = num_i/den_i`` gives ``1/S = top/bottom``, so ``S`` is one
-        exact series quotient (``_series_div``), O(rmax * deg top) steps.
+        exact series quotient (``_series_div``).  Only the first ``rmax + 1``
+        terms of each ``S_i`` and of each fold are read, so they are cut
+        there: the cost is O(k * rmax^2) steps at most, whatever the ``m``.
         """
         if not self._standard_support(v):
             return None
+        n = rmax + 1
         top, bottom = [1 - len(self.factors)], [1]
         for m in self.factors:
-            num = [1, 1] if m is None else [1] + [2] * ((m - 1) // 2) + [1] * (m % 2 == 0)
+            num = [1, 1] if m is None else (
+                [1] + [2] * min((m - 1) // 2, rmax) + [1] * (m % 2 == 0 and m // 2 <= rmax))
             den = [1, -1] if m is None else [1] + [0] * (len(num) - 1)  # as long as num
-            top = list(map(add, _poly_mul(top, num), _poly_mul(den, bottom)))
-            bottom = _poly_mul(bottom, num)
-        return _series_div(bottom, top, rmax + 1)
+            top = list(map(add, _poly_mul(top, num), _poly_mul(den, bottom)))[:n]
+            bottom = _poly_mul(bottom, num)[:n]
+        return _series_div(bottom, top, n)
 
     def word_key(self, w: Word):
         """The label order on reduced words, in which a word comes after its
@@ -419,17 +415,16 @@ class ZdDualSystem(GroupDualBase):
     def _inv(self, v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-c for c in v)
 
-    def radial_chains(self, x: FusionElement):
-        """``(c0, ((2w, w, w, 0),) * d)`` for ``c0 e + w * sum (e_i + (-e_i))``.
+    def _chain_letters(self):
+        """``e_i`` and ``-e_i``, with one chain ``(2, 1, 1, 0)`` per coordinate ``i``.
 
-        ``y_i = w (e_i + (-e_i))`` moves coordinate ``i`` alone, so the
+        ``y_i = e_i + (-e_i)`` moves coordinate ``i`` alone, so the
         ``y_i`` commute and a product of their powers holds the unit as
         many times as the product of theirs.  The level of ``y_i`` is
         ``|v_i|``: both of its steps raise it from 0, and from any other
         value one raises it and the other lowers it.
         """
-        w = self._uniform_letters(x)
-        return (x._terms.get(self._unit, 0), ((2 * w, w, w, 0),) * self.d) if w else None
+        return self._letters(), ((2, 1, 1, 0),) * self.d
 
     def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
         """The coefficients of ``((1 + z)/(1 - z))^d`` to ``z^rmax``, if ``v`` has the standard support.
@@ -502,8 +497,8 @@ class IntervalSystem(FusionSystem):
             self._dims.append(self.coeff * self._dims[-1] - self._dims[-2])
         return self._dims[i]
 
-    def radial_chains(self, x: FusionElement):
-        """``(c0, ((w, w, w, w if step == 1 else 0),))`` for ``c0 x_first + w x_{first+1}``.
+    def _chain_letters(self):
+        """``x_{first+1}``, with the chain ``(1, 1, 1, 1 if step == 1 else 0)``.
 
         The level of ``x_k`` is ``k - first``.  The interval rule with
         ``b = first + 1`` runs from ``x_{|k-first-1|+first}`` to
@@ -513,12 +508,7 @@ class IntervalSystem(FusionSystem):
         one up, and for ``step == 1`` one hold at ``x_k`` (``step == 2``
         skips it).  So the tail rates are the same at every level >= 1.
         """
-        terms = x._terms
-        one = IrrLabel(self.family_id, self.first + 1)
-        if terms.keys() - {self._unit, one}:
-            return None
-        w = terms.get(one, 0)
-        return terms.get(self._unit, 0), ((w, w, w, w if self.step == 1 else 0),)
+        return [IrrLabel(self.family_id, self.first + 1)], ((1, 1, 1, int(self.step == 1)),)
 
     def sort_key(self, label: IrrLabel):
         return label.payload
@@ -644,20 +634,15 @@ class AuSystem(FusionSystem):
             last = c
         return d
 
-    def radial_chains(self, x: FusionElement):
-        """``(c0, ((2w, 2w, w, 0),))`` for ``c0 e + w (a + b)``, with the word length as level.
+    def _chain_letters(self):
+        """``a`` and ``b``, with the chain ``(2, 2, 1, 0)`` and the word length as level.
 
         ``r_v (x) a = r_{va} + [v ends with b] r_{v[:-1]}`` and likewise for
         ``b``, so the unit leads to two children, and a non-empty word to
         two children and, since it ends with exactly one of ``a``, ``b``,
         one parent.
         """
-        terms = x._terms
-        a, b = IrrLabel(self.family_id, "a"), IrrLabel(self.family_id, "b")
-        w = terms.get(a, 0)
-        if terms.keys() - {self._unit, a, b} or terms.get(b, 0) != w:
-            return None
-        return terms.get(self._unit, 0), ((2 * w, 2 * w, w, 0),)
+        return [IrrLabel(self.family_id, "a"), IrrLabel(self.family_id, "b")], ((2, 2, 1, 0),)
 
     def sort_key(self, label: IrrLabel):
         return (len(label.payload), label.payload)

@@ -401,11 +401,13 @@ def test_declared_chains_call_no_rule(name, sys, full_N, monkeypatch):
     assert moments == chain_walk_reference(*sys.radial_chains(x), 40)
 
 
-def test_chains_of_the_unit_alone(au2):
+@pytest.mark.parametrize("name, sys, full_N", RADIAL_CASES, ids=[c[0] for c in RADIAL_CASES])
+def test_chains_of_the_unit_alone(name, sys, full_N):
+    # every family reads c0 unit as its letters at weight 0: zero-rate chains
     for c0 in (0, 1, 3):
-        x = FusionElement({au2.unit: c0})
-        assert au2.radial_chains(x) is not None
-        assert au2.unit_moments(x, 6) == [c0 ** j for j in range(7)]
+        x = FusionElement({sys.unit: c0})
+        assert sys.radial_chains(x) is not None
+        assert sys.unit_moments(x, 6) == [c0 ** j for j in range(7)]
 
 
 def _not_radial_cases():
@@ -421,7 +423,9 @@ def _not_radial_cases():
         ("F2 unequal weights", f2, fk.parse_element(f2, "s + s^-1 + 2*t + 2*t^-1")),
         ("F2 squares", f2, fk.parse_element(f2, "s^2 + s^-2 + t^2 + t^-2")),
         ("Z*Z/3 g + h", zz3, fk.parse_element(zz3, "g + h")),
+        ("Z*Z/3 uniform letters", zz3, fk.parse_element(zz3, "2*e + g + g^-1 + h + h^2")),
         ("Z^2 without -e_2", zd2, fk.parse_element(zd2, "e + g1 + g1^-1 + g2")),
+        ("Z^2 unequal weights", zd2, fk.parse_element(zd2, "e + g1 + g1^-1 + 2*g2 + 2*g2^-1")),
         ("a_o r3", ao3, fk.parse_element(ao3, "r3")),
         ("a_o r2 + r3", ao3, fk.parse_element(ao3, "r2 + r3")),
         ("aut s2", aut4, fk.parse_element(aut4, "s2")),

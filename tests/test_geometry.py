@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 from operator import add
 
@@ -393,12 +394,30 @@ def growth_by_inversion(factors, rmax):
     return _inverse_series(inv, n)
 
 
-@pytest.mark.parametrize("factors", [f for f, _ in GROWTH_CASES],
-                         ids=[_factor_id(f) for f, _ in GROWTH_CASES])
+# the finite factors of the last three end past the small radii
+INVERSION_CASES = [f for f, _ in GROWTH_CASES] + [[None, 30], [25, 2], [9, 10, None]]
+
+
+@pytest.mark.parametrize("factors", INVERSION_CASES, ids=list(map(_factor_id, INVERSION_CASES)))
 def test_growth_quotient_matches_series_inversion(factors):
-    # BFS checks these factor lists to radius 14 at most; the inversion reaches 300
+    # BFS checks these factor lists to radius 14 at most; the inversion reaches 300.
+    # The series are cut at rmax + 1 terms, so each smaller radius gives a prefix
     sys = fk.GroupDualSystem(factors)
-    assert sys.sphere_sizes(std_generator(sys), 300) == growth_by_inversion(factors, 300)
+    want = growth_by_inversion(factors, 300)
+    assert sys.sphere_sizes(std_generator(sys), 300) == want
+    for rmax in range(20):
+        assert sys.sphere_sizes(std_generator(sys), rmax) == want[:rmax + 1], rmax
+
+
+def test_growth_cost_does_not_grow_with_a_finite_factor():
+    # built to degree m/2, the series of Z/200000 took about 16 s to radius 3
+    sys = fk.GroupDualSystem([200_000], names=["g"])
+    start = time.perf_counter()
+    assert sys.sphere_sizes(std_generator(sys), 3) == [1, 2, 2, 2]
+    assert time.perf_counter() - start < 1
+    # below m/2 the spheres of Z/10^12 * Z are those of F2
+    huge, f2 = fk.GroupDualSystem([10 ** 12, None]), fk.GroupDualSystem([None, None])
+    assert huge.sphere_sizes(std_generator(huge), 50) == f2.sphere_sizes(std_generator(f2), 50)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
