@@ -14,18 +14,18 @@ A cross-check runs the same estimate through the positive element
 ``chi(u) chi(u)*`` (moments ``p_k = multiplicity(unit, (u (x) conj u)^(x)k)``,
 norm ``n^2`` exactly when amenable); the two verdicts must agree.
 
-Counting: every count is a unit multiplicity of a tensor power, and
-``FusionSystem.unit_moments`` chooses how to count it.  It reads the
-closed walks of the birth-death chains a family declares
-(``radial_chains``) off their algebraic generating functions (Kesten,
-*Trans. AMS* 92, 1959; Woess, *Random Walks on Infinite Graphs and
-Groups*, 2000), with the unit terms as holding on the first chain and
-a binomial convolution only between chains; it joins the free parts a family
-declares (``free_parts``) by adding free cumulants, or forms powers to
-half the depth; ``char_moments`` is the same call.  For a self-conjugate
-generator ``u + conj u = 2u``, so ``c_{2k} = 4^k p_k`` exactly and a
-verdict counts one sequence, shared by the estimate and the cross-check.
-Every path is cross-checked against direct expansion in the tests.
+Counting: every count is a unit multiplicity of a tensor power, counted
+by ``FusionSystem.unit_moments`` (``char_moments`` is the same call).  It
+reads the closed walks of the birth-death chains a family declares
+(``radial_chains``: units plus one weight on its step letters, on a group
+dual those of the subgroup the support generates, none finite) off their
+algebraic generating functions (Kesten, *Trans. AMS* 92, 1959; Woess,
+*Random Walks on Infinite Graphs and Groups*, 2000); it joins the free
+parts a family declares (``free_parts``) by adding free cumulants, or
+forms powers to half the depth.  For a self-conjugate generator
+``u + conj u = 2u``, so ``c_{2k} = 4^k p_k`` exactly and a verdict counts
+one sequence, shared by the estimate and the cross-check.  Every path is
+cross-checked against direct expansion in the tests.
 """
 
 from __future__ import annotations

@@ -241,7 +241,7 @@ class FusionSystem(ABC):
         """The family's distinguished generating element."""
         raise FusionError(f"no fundamental rule for {self!r}")
 
-    def _chain_letters(self) -> tuple[list[IrrLabel], tuple[Chain, ...]] | None:
+    def _chain_letters(self, x: FusionElement) -> tuple[list[IrrLabel], tuple[Chain, ...]] | None:
         """``(letters, chains)`` if ``c0 unit + sum(letters)`` provably walks ``chains``; else None."""
         return None
 
@@ -253,15 +253,16 @@ class FusionSystem(ABC):
         their powers is the product of theirs.  Each ``y_i`` steps on levels
         by its chain ``(p0, p, q, c)``: up ``p0`` from level 0, which holds
         the unit alone, and from every level >= 1 up ``p``, down ``q`` or
-        stay ``c``.  ``x`` qualifies when each key is the unit or one of
-        the ``_chain_letters``, all letters of one weight ``w >= 0``, which
-        scales every rate; otherwise None keeps the expansion.
+        stay ``c``.  ``c0`` units alone are a zero-rate chain.  Else each key
+        must be the unit or one of ``_chain_letters(x)``, all letters of one
+        weight ``w``, which scales every rate; otherwise None keeps the expansion.
         """
-        declared = self._chain_letters()
-        if declared is None:
+        terms = x._terms
+        if terms.keys() <= {self._unit}:
+            return terms.get(self._unit, 0), ((0, 0, 0, 0),)
+        if (declared := self._chain_letters(x)) is None:
             return None
         letters, chains = declared
-        terms = x._terms
         w = terms.get(letters[0], 0)
         if terms.keys() - {self._unit, *letters} or any(terms.get(g, 0) != w for g in letters):
             return None
@@ -287,11 +288,11 @@ class FusionSystem(ABC):
         """
         return None
 
-    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
+    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> float | None:
         """The metric of ``v`` from ``a`` to ``b`` in closed form, where proven.
 
-        That is the least ``n`` with ``b`` in ``v^(x)n (x) a``.  The
-        default, None, keeps the breadth-first search.
+        That is the least ``n`` with ``b`` in ``v^(x)n (x) a``, ``inf`` if
+        there is none.  The default, None, keeps the breadth-first search.
         """
         return None
 
@@ -382,17 +383,17 @@ class FusionSystem(ABC):
 
         This is the one place that chooses how to count, in this order.
 
-        When ``radial_chains(x)`` declares chains, no rule runs: each
-        chain's closed walks are read off its algebraic generating
-        function in O(N) exact operations (``_chain_walks``).  The ``c0``
-        units hold the first chain's walk at every level, and each later
-        chain is joined by binomial convolution (``_chain_moments``).
+        When ``radial_chains(x)`` declares chains (``c0`` units alone, or
+        plus one weight on the family's step letters; on a group dual those
+        of the subgroup ``x`` generates, with no finite factor), no rule
+        runs: each chain's closed walks are read off its algebraic
+        generating function in O(N) exact operations (``_chain_walks``).
+        The ``c0`` units hold the first chain's walk at every level, and
+        each later chain is joined by binomial convolution (``_chain_moments``).
 
         Else, when ``free_parts(x)`` splits ``x``, each part's moments are
-        counted by this method and the parts are joined by adding their
-        free cumulants (``_free_moments``).  These are the two joins of
-        independent parts: commuting parts convolve, free parts add
-        cumulants.
+        counted by this method and joined by adding their free cumulants
+        (``_free_moments``): commuting parts convolve, free parts add.
 
         Otherwise the powers are formed to half the depth:
         ``m_{2k-1} = unit_mult(x^k, x^(k-1))`` and ``m_{2k} = unit_mult(x^k, x^k)``,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from abc import abstractmethod
+from math import gcd, inf
 from operator import add
 from typing import Iterable, Sequence
 
@@ -99,43 +100,64 @@ class GroupDualBase(FusionSystem):
     def generators(self) -> list[IrrLabel]:
         return [self._from_syllables([(i, 1)]) for i in range(len(self.names))]
 
-    def _letters(self) -> list[IrrLabel]:
-        """``g`` and ``g^-1`` for the standard generators, each label once.
-
-        A generator of order 2 is its own inverse and is listed once.
-        """
-        return list(dict.fromkeys(lab for g in self.generators() for lab in (g, self.conj_irr(g))))
+    def _letters(self, steps: dict[int, int]) -> list[IrrLabel]:
+        """``g_f^d`` and ``g_f^-d`` for each ``f: d`` of ``steps``, an involution once."""
+        return [*dict.fromkeys(self._from_syllables([(f, e)]) for f, d in steps.items() for e in (d, -d))]
 
     def fundamental(self) -> FusionElement:
         """``1 + sum over g, g^-1`` for the standard generators."""
-        return FusionElement._adopt(dict.fromkeys([self._unit, *self._letters()], 1))
+        standard = dict.fromkeys(range(len(self.names)), 1)
+        return FusionElement._adopt(dict.fromkeys([self._unit, *self._letters(standard)], 1))
 
-    def _standard_support(self, v: FusionElement) -> bool:
-        """Whether ``v`` holds the unit and the standard letters, whatever the weights, and nothing else."""
-        return v._terms.keys() == {self._unit, *self._letters()}
+    def _steps(self, x: FusionElement) -> dict[int, int] | None:
+        """``{f: d_f}`` over the factors of ``x``'s keys, if each is the unit or one syllable.
 
-    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> int | None:
-        """``|b a^-1|``, the summed syllable costs of its normal form, if ``v`` has the standard support.
+        ``d_f`` is the gcd of factor ``f``'s exponents (and ``m`` in ``Z/m``).
+        Sending the generators of ``G'``, the free product (on ``Z^d`` the
+        sum) of ``Z`` or ``Z/(m/d_f)`` over these ``f``, to the ``g_f^d_f``
+        maps a reduced word to one of as many syllables, exponents times
+        ``d_f``: an injective ``psi`` onto the elements whose syllables
+        ``(f, e)`` all have ``d_f | e``.  On ``N[G']`` it keeps the unit, so
+        ``x`` has the unit multiplicities of its preimage, whose letters
+        ``g_f^(+-d_f)`` are standard, and its metric joins ``a`` to ``b``
+        only if ``b a^-1 = psi(h)``, at the distance of ``h`` in ``G'``.
+        """
+        steps: dict[int, int] = {}
+        for lab in x._terms:
+            for i, (f, e) in enumerate(self._syllables(lab.payload)):
+                if i:  # a second syllable
+                    return None
+                steps[f] = gcd(steps.get(f, self.factors[f] or 0), e)
+        return steps
+
+    def _standard_support(self, v: FusionElement) -> dict[int, int] | None:
+        """``_steps(v)`` if ``v``'s keys are the unit and the letters of ``G'``, whatever the weights."""
+        steps = self._steps(v)
+        return steps if steps is not None and v.support() == {self._unit, *self._letters(steps)} else None
+
+    def generator_distance(self, v: FusionElement, a: IrrLabel, b: IrrLabel) -> float | None:
+        """``|b a^-1|`` in ``G'`` (``_steps``), ``inf`` outside it, if ``v`` has its standard support.
 
         Tensoring by ``v`` on the left sends ``c`` to ``g c`` for the letters
         ``g`` of ``v`` and ``c`` itself, so ``d(a, b)`` is the least ``n``
         with ``b a^-1`` a product of ``n`` letters (not ``a^-1 b``: from
         ``s`` to ``t s`` is one step).  A syllable ``g_f^e`` costs the
         fewest letters ``g_f^{+-1}`` with that product: ``|e|`` in ``Z``,
-        ``min(e, m - e)`` in ``Z/m``.  A product of letters reduces by
-        merging neighbours of one factor, so each syllable ``(f, e)`` of
-        its normal form is the product of letters of factor ``f`` that no
-        other syllable uses, at least its cost of them; writing each
-        syllable out with that many letters attains the sum.  For ``Z^d``
-        the ``d`` factors commute, the normal form holds one syllable per
-        nonzero coordinate of ``b - a``, and the sum is its l1 norm.
-        The weights of ``v`` do not matter, only its support.
+        ``min(e, m - e)`` in ``Z/m``, over ``d_f`` in ``G'``.  A product of
+        letters reduces by merging neighbours of one factor, so each
+        syllable ``(f, e)`` of its normal form is the product of letters of
+        factor ``f`` that no other syllable uses, at least its cost of them;
+        writing each syllable out with that many letters attains the sum.
+        For ``Z^d`` the factors commute, the normal form holds one syllable
+        per nonzero coordinate of ``b - a``, and the sum is its l1 norm.
         """
-        if not self._standard_support(v):
+        if (steps := self._standard_support(v)) is None:
             return None
+        w = tuple(self._syllables(self._mul(b.payload, self._inv(a.payload))))
+        if any(f not in steps or e % steps[f] for f, e in w):
+            return inf
         factors = self.factors
-        return sum(abs(e) if factors[f] is None else min(e, factors[f] - e)
-                   for f, e in self._syllables(self._mul(b.payload, self._inv(a.payload))))
+        return sum((abs(e) if factors[f] is None else min(e, factors[f] - e)) // steps[f] for f, e in w)
 
     def dim_irr(self, a: IrrLabel) -> int:
         return 1
@@ -295,23 +317,21 @@ class GroupDualSystem(GroupDualBase):
             raise InvalidLabelError(f"group word {payload!r} is not reduced")
         return payload
 
-    def _chain_letters(self):
-        """``g, g^-1`` for ``n`` free ``Z`` factors, with the chain ``(2n, 2n - 1, 1, 0)``.
+    def _chain_letters(self, x: FusionElement):
+        """``g_f^(+-d_f)`` over ``n`` ``Z`` factors (``_steps(x)``), with the chain ``(2n, 2n - 1, 1, 0)``.
 
-        Right multiplication by ``sum (g + g^-1)`` is the adjacency of the
-        ``2n``-regular tree, and the level is the letter length: the unit
-        has ``2n`` children, and every other word one parent (the letter
-        that cancels its last one) and ``2n - 1`` children.  A finite
-        factor closes cycles, so then no chain is declared.
+        In ``G' = F_n``, right multiplication by ``sum (g + g^-1)`` is the
+        adjacency of the ``2n``-regular tree, and the level is the letter
+        length: the unit has ``2n`` children, and every other word one
+        parent (the letter that cancels its last one) and ``2n - 1``
+        children.  A finite factor closes cycles, so then no chain is declared.
         """
-        if any(m is not None for m in self.factors):
+        if (steps := self._steps(x)) is None or any(self.factors[f] for f in steps):
             return None
-        n = len(self.factors)
-        return self._letters(), ((2 * n, 2 * n - 1, 1, 0),)
+        return self._letters(steps), ((2 * len(steps), 2 * len(steps) - 1, 1, 0),)
 
     def free_parts(self, x: FusionElement):
-        """``(c0, parts)``, one part per factor, if ``x`` holds only the unit
-        and single-syllable words, of at least two factors.
+        """``(c0, parts)``, one part per factor, if ``_steps(x)`` holds two factors or more.
 
         The irreducibles are the group elements, and the unit multiplicity
         of ``sum_g a_g g`` is ``a_e``: the trace of the group algebra.  A
@@ -324,25 +344,17 @@ class GroupDualSystem(GroupDualBase):
         not the unit, so the product holds no unit: the parts are free.
         A part holds one factor, so it does not split again.
         """
-        c0 = 0
-        per_factor: dict[int, dict[IrrLabel, int]] = {}
-        for lab, m in x.items():
-            w = lab.payload
-            if not w:
-                c0 = m
-            elif len(w) == 1:
-                per_factor.setdefault(w[0][0], {})[lab] = m
-            else:
-                return None
-        if len(per_factor) < 2:
+        if (steps := self._steps(x)) is None or len(steps) < 2:
             return None
-        return c0, [FusionElement._adopt(terms) for _, terms in sorted(per_factor.items())]
+        return x.mult(self._unit), [FusionElement._adopt(
+            {lab: m for lab, m in x.items() if lab.payload and lab.payload[0][0] == f})
+            for f in sorted(steps)]
 
     def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
-        """The growth series of the free product to ``z^rmax``, if ``v`` has the standard support.
+        """The growth series of ``G'`` (``_steps``) to ``z^rmax``, if ``v`` has its standard support.
 
         By ``generator_distance`` the sphere of radius ``r`` holds the
-        reduced words of summed syllable cost ``r``.  A factor's nonzero
+        reduced words of ``G'`` of summed syllable cost ``r``.  A factor's nonzero
         syllables count by cost as ``T_i = S_i - 1``, where
         ``S_Z = (1 + z)/(1 - z)`` and ``S_{Z/m} = 1 + 2z + ... +
         2z^((m-1)//2)``, plus ``z^(m/2)`` for even ``m`` (``e`` and
@@ -357,16 +369,17 @@ class GroupDualSystem(GroupDualBase):
         each ``S_i = num_i/den_i`` gives ``1/S = top/bottom``, so ``S`` is one
         exact series quotient (``_series_div``).  Only the first ``rmax + 1``
         terms of each ``S_i`` and of each fold are read, so they are cut
-        there: the cost is O(k * rmax^2) steps at most, whatever the ``m``.
+        there, and ``Z/m`` with ``m > 2 rmax`` folds as ``Z``, whose series
+        agrees to ``z^((m-1)//2)``: the cost is O(k * rmax^2) steps at most.
         """
-        if not self._standard_support(v):
+        if (steps := self._standard_support(v)) is None:
             return None
         n = rmax + 1
-        top, bottom = [1 - len(self.factors)], [1]
-        for m in self.factors:
-            num = [1, 1] if m is None else (
-                [1] + [2] * min((m - 1) // 2, rmax) + [1] * (m % 2 == 0 and m // 2 <= rmax))
-            den = [1, -1] if m is None else [1] + [0] * (len(num) - 1)  # as long as num
+        top, bottom = [1 - len(steps)], [1]
+        for f, d in steps.items():
+            m = self.factors[f] and self.factors[f] // d
+            num, den = ([1, 1], [1, -1]) if m is None or m > 2 * rmax else (
+                [1] + [2] * ((m - 1) // 2) + [1] * (m % 2 == 0), [1] + [0] * (m // 2))
             top = list(map(add, _poly_mul(top, num), _poly_mul(den, bottom)))[:n]
             bottom = _poly_mul(bottom, num)[:n]
         return _series_div(bottom, top, n)
@@ -415,29 +428,30 @@ class ZdDualSystem(GroupDualBase):
     def _inv(self, v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-c for c in v)
 
-    def _chain_letters(self):
-        """``e_i`` and ``-e_i``, with one chain ``(2, 1, 1, 0)`` per coordinate ``i``.
+    def _chain_letters(self, x: FusionElement):
+        """``+-d_i e_i`` over ``n`` coordinates (``_steps(x)``), with one chain ``(2, 1, 1, 0)`` each.
 
-        ``y_i = e_i + (-e_i)`` moves coordinate ``i`` alone, so the
+        In ``G' = Z^n``, ``y_i = e_i + (-e_i)`` moves coordinate ``i`` alone, so the
         ``y_i`` commute and a product of their powers holds the unit as
         many times as the product of theirs.  The level of ``y_i`` is
         ``|v_i|``: both of its steps raise it from 0, and from any other
         value one raises it and the other lowers it.
         """
-        return self._letters(), ((2, 1, 1, 0),) * self.d
+        steps = self._steps(x)
+        return None if steps is None else (self._letters(steps), ((2, 1, 1, 0),) * len(steps))
 
     def sphere_sizes(self, v: FusionElement, rmax: int) -> list[int] | None:
-        """The coefficients of ``((1 + z)/(1 - z))^d`` to ``z^rmax``, if ``v`` has the standard support.
+        """The coefficients of ``((1 + z)/(1 - z))^n`` to ``z^rmax``, if ``v`` has its standard support.
 
-        By ``generator_distance`` the sphere of radius ``r`` holds the
-        vectors of l1 norm ``r``, a sum of ``d`` independent ``|v_i|``, so
-        the series is ``S_Z^d``: the one exact quotient of ``(1 + z)^d`` by
-        ``(1 - z)^d`` (``_series_div``), O(rmax * d) steps.
+        By ``generator_distance`` the sphere of radius ``r`` holds the vectors
+        of ``G' = Z^n`` of l1 norm ``r``, a sum of ``n`` independent ``|v_i|``, so
+        the series is ``S_Z^n``: the one exact quotient of ``(1 + z)^n`` by
+        ``(1 - z)^n`` (``_series_div``), O(rmax * n) steps.
         """
-        if not self._standard_support(v):
+        if (steps := self._standard_support(v)) is None:
             return None
         num = den = [1]
-        for _ in range(self.d):
+        for _ in steps:
             num, den = _poly_mul(num, [1, 1]), _poly_mul(den, [1, -1])
         return _series_div(num, den, rmax + 1)
 
@@ -497,7 +511,7 @@ class IntervalSystem(FusionSystem):
             self._dims.append(self.coeff * self._dims[-1] - self._dims[-2])
         return self._dims[i]
 
-    def _chain_letters(self):
+    def _chain_letters(self, x: FusionElement):
         """``x_{first+1}``, with the chain ``(1, 1, 1, 1 if step == 1 else 0)``.
 
         The level of ``x_k`` is ``k - first``.  The interval rule with
@@ -634,7 +648,7 @@ class AuSystem(FusionSystem):
             last = c
         return d
 
-    def _chain_letters(self):
+    def _chain_letters(self, x: FusionElement):
         """``a`` and ``b``, with the chain ``(2, 2, 1, 0)`` and the word length as level.
 
         ``r_v (x) a = r_{va} + [v ends with b] r_{v[:-1]}`` and likewise for

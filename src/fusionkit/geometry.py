@@ -8,13 +8,13 @@ that adjacency is symmetric.
 
 Where a family proves the metric of a generator in closed form
 (``FusionSystem.generator_distance`` and ``sphere_sizes``; the group duals
-do for the standard generator, whatever its weights), ``distance`` and
+do when its keys are the unit and the letters ``g_f^(+-d_f)`` of the
+subgroup its support generates, whatever the weights), ``distance`` and
 ``growth_table`` take it and call no rule.  Otherwise every answer reads
 one breadth-first walk, ``_spheres``: balls and growth tables take its
 first spheres, and distance queries walk from both ends and meet in the
 middle, which matters for families with exponential growth.  Balls and
-spheres list their elements, so they always walk.  Spheres store
-supports only; multiplicities are irrelevant to the metric.
+spheres list their elements, so they always walk, and store supports only.
 
 Whether the coefficients of ``v`` generate the whole object is not
 decidable at this level; searches carry an explicit budget and failure to

@@ -95,6 +95,36 @@ def random_element(sys, rng, pool=None, max_terms=2, max_mult=2):
     return fk.FusionElement(terms)
 
 
+# group duals on which ``reduced_support`` draws supports: gcd > 1 and missing factors
+REDUCED_SYSTEMS = {
+    "F2": lambda: fk.GroupDualSystem([None, None]),
+    "F3": lambda: fk.GroupDualSystem([None, None, None]),
+    "Z*Z/3": lambda: fk.GroupDualSystem([None, 3]),
+    "Z/6*Z": lambda: fk.GroupDualSystem([6, None]),
+    "Z/4*Z*Z/6": lambda: fk.GroupDualSystem([4, None, 6]),
+    "Z^2": lambda: fk.ZdDualSystem(2),
+    "Z^3": lambda: fk.ZdDualSystem(3),
+}
+
+
+def reduced_support(sys, rng, c0, w):
+    """``(c0 e + w * sum g_f^(+-d_f), {f: d_f})`` over a seeded nonempty set of factors.
+
+    ``d_f`` is 1, 2 or 3 in ``Z`` and a divisor of ``m`` below ``m`` in
+    ``Z/m``, so the support is the unit and the letters of the subgroup
+    it generates.
+    """
+    steps = {}
+    for f in sorted(rng.sample(range(len(sys.factors)), rng.randint(1, len(sys.factors)))):
+        m = sys.factors[f]
+        steps[f] = rng.choice([d for d in range(1, 4 if m is None else m) if m is None or m % d == 0])
+    terms = {sys.unit: c0}
+    for f, d in steps.items():
+        for e in (d, -d):
+            terms[sys.parse_label(f"{sys.names[f]}^{e}")] = w
+    return fk.FusionElement(terms), steps
+
+
 def strict_loads(text):
     """``json.loads`` that rejects NaN and infinities, which JSON does not have."""
     def reject(constant):

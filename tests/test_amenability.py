@@ -62,10 +62,16 @@ def test_free_product_path_matches_direct_expansion(f2, zmod3):
     assert fk.kesten_counts(zmod3, mixed, 4) == counts_by_direct_expansion(zmod3, mixed, 4)
 
 
+@pytest.fixture
+def z3z3():
+    return fk.GroupDualSystem([3, 3], names=["g", "h"])
+
+
 @pytest.mark.parametrize("family, u, inversions", [
-    ("f2", "s^2 + s^-2 + t^2 + t^-2", 1),  # the two free parts have the same moments
+    ("z3z3", "g + g^2 + h + h^2", 1),  # the two free parts have the same moments
     ("zmod3", "g + h", 2),
     ("f2", None, 0),  # the letter generator walks the radial quotient instead
+    ("f2", "s^2 + s^-2 + t^2 + t^-2", 0),  # so do the squares, the letters of <s^2, t^2>
 ])
 def test_cumulants_once_per_distinct_factor_moments(family, u, inversions, request,
                                                      monkeypatch):

@@ -1,3 +1,4 @@
+import random
 import threading
 from itertools import repeat
 from math import comb
@@ -8,7 +9,14 @@ import fusionkit as fk
 from fusionkit import FusionElement
 from fusionkit.core import _chain_moments, _exact_div, _poly_mul, _series_div
 
-from conftest import label_pool, mc_recursion_reference, random_element, tensor_power
+from conftest import (
+    REDUCED_SYSTEMS,
+    label_pool,
+    mc_recursion_reference,
+    random_element,
+    reduced_support,
+    tensor_power,
+)
 
 
 def test_zero_element():
@@ -421,7 +429,9 @@ def _not_radial_cases():
         ("a_u u ubar", au2, au2.tensor(u, au2.conj_element(u))),
         ("F2 s + s^-1 + t", f2, fk.parse_element(f2, "s + s^-1 + t")),
         ("F2 unequal weights", f2, fk.parse_element(f2, "s + s^-1 + 2*t + 2*t^-1")),
-        ("F2 squares", f2, fk.parse_element(f2, "s^2 + s^-2 + t^2 + t^-2")),
+        # gcd 1 in each factor, so the letters are s^+-1 and t^+-1, and s^+-2 is extra
+        ("F2 s^+-2 + s^+-1 + t^+-1", f2,
+         fk.parse_element(f2, "s^2 + s^-2 + s + s^-1 + t + t^-1")),
         ("Z*Z/3 g + h", zz3, fk.parse_element(zz3, "g + h")),
         ("Z*Z/3 uniform letters", zz3, fk.parse_element(zz3, "2*e + g + g^-1 + h + h^2")),
         ("Z^2 without -e_2", zd2, fk.parse_element(zd2, "e + g1 + g1^-1 + g2")),
@@ -440,6 +450,51 @@ NOT_RADIAL_CASES = _not_radial_cases()
 def test_radial_key_only_where_proven(name, sys, x):
     assert sys.radial_chains(x) is None
     assert sys.unit_moments(x, 6) == moments_by_full_powers(sys, x, 6)
+
+
+def _subgroup_chain_cases():
+    f2, zd2 = fk.GroupDualSystem([None, None], names=["s", "t"]), fk.ZdDualSystem(2)
+    return [
+        ("F2 squares", f2, fk.parse_element(f2, "s^2 + s^-2 + t^2 + t^-2")),
+        ("F2 s^+-2 + t^+-3", f2, fk.parse_element(f2, "2*e + s^2 + s^-2 + t^3 + t^-3")),
+        ("F2 t^+-2 alone", f2, fk.parse_element(f2, "e + t^2 + t^-2")),
+        ("Z^2 2 g1 and 3 g2", zd2, fk.parse_element(zd2, "g1^2 + g1^-2 + g2^3 + g2^-3")),
+    ]
+
+
+SUBGROUP_CHAIN_CASES = _subgroup_chain_cases()
+
+
+@pytest.mark.parametrize("name, sys, x", SUBGROUP_CHAIN_CASES,
+                         ids=[c[0] for c in SUBGROUP_CHAIN_CASES])
+def test_subgroup_letters_walk_chains(name, sys, x):
+    # the letters of the subgroup the support generates walk its chains
+    assert sys.radial_chains(x) is not None
+    assert sys.unit_moments(x, 6) == moments_by_full_powers(sys, x, 6)
+    assert sys.unit_moments(x, 12) == moments_by_half_powers(sys, x, 12)
+
+
+@pytest.mark.parametrize("name", REDUCED_SYSTEMS)
+def test_reduced_supports_match_expansion(name, monkeypatch):
+    sys = REDUCED_SYSTEMS[name]()
+    rng = random.Random(name)
+
+    def no_rule(a, b):
+        raise AssertionError(f"{name}: the rule ran on a chain")
+
+    cases = [(FusionElement({sys.unit: c0}), {}) for c0 in (0, 1, 3)]
+    cases += [reduced_support(sys, rng, rng.randint(0, 2), rng.randint(1, 2)) for _ in range(4)]
+    for x, steps in cases:
+        want = moments_by_half_powers(sys, x, 12)
+        assert want[:7] == moments_by_full_powers(sys, x, 6)
+        # a chain exactly when every factor of the subgroup is infinite
+        chain = all(sys.factors[f] is None for f in steps)
+        assert (sys.radial_chains(x) is not None) == chain, (x, steps)
+        with monkeypatch.context() as patch:
+            if chain:
+                patch.setattr(sys, "_tensor_irr", no_rule)
+                patch.setattr(sys, "_pair_cache", {})
+            assert sys.unit_moments(x, 12) == want, (x, steps)
 
 
 # -- unit multiplicities of free parts, against each part's expansion

@@ -308,11 +308,28 @@ def test_fundamental(ao3, aut4, au2, f2):
 def test_an_involution_is_one_letter():
     sys = fk.GroupDualSystem([2, None], names=["u", "s"])
     letters = [sys.parse_label(t) for t in ("u", "s", "s^-1")]
-    assert sys._letters() == letters
+    assert sys._letters({0: 1, 1: 1}) == letters
     assert fk.fundamental(sys) == fk.parse_element(sys, "e + u + s + s^-1")
     x = fk.parse_element(sys, "2*e + 3*u + 3*s + 3*s^-1")
     assert sys._standard_support(x)
     assert sys.radial_chains(x) is None  # finite factors declare no chain
+
+
+def test_steps_read_the_subgroup_each_factor_generates():
+    # d_f generates what the exponents of factor f do: h^4 alone generates <h^2> in Z/6
+    z6z = fk.GroupDualSystem([6, None], names=["h", "g"])
+    zd2 = fk.ZdDualSystem(2)
+    cases = [
+        (z6z, "h^4", {0: 2}),
+        (z6z, "2*e + h^3 + g^-6 + g^4", {0: 3, 1: 2}),
+        (z6z, "e + h^2 + h^4 + g + g^-1", {0: 2, 1: 1}),
+        (z6z, "3*e", {}),  # the unit alone generates the trivial group
+        (z6z, "e + h g + g^-1 h^5", None),  # a key of two syllables
+        (zd2, "g1^-4 + g1^6 + g2^3", {0: 2, 1: 3}),
+        (zd2, "e + g1 g2", None),
+    ]
+    for sys, text, steps in cases:
+        assert sys._steps(fk.parse_element(sys, text)) == steps, text
 
 
 def test_label_serialization_roundtrip(ao3, aut4, au2, f2, zmod3):

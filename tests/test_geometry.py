@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from math import comb
 from operator import add
@@ -10,7 +11,7 @@ from fusionkit import BudgetExceededError, FusionElement, FusionError, IrrLabel
 from fusionkit import geometry
 from fusionkit.geometry import _check_budget, validate_generator
 
-from conftest import tensor_power
+from conftest import REDUCED_SYSTEMS, reduced_support, tensor_power
 
 
 def std_generator(sys):
@@ -394,8 +395,10 @@ def growth_by_inversion(factors, rmax):
     return _inverse_series(inv, n)
 
 
-# the finite factors of the last three end past the small radii
-INVERSION_CASES = [f for f, _ in GROWTH_CASES] + [[None, 30], [25, 2], [9, 10, None]]
+# the finite factors of the next three end past the small radii; below radius m/2
+# a Z/m factor folds as Z, and the last two meet m = 2 rmax at radius 19, and 18 and 19
+INVERSION_CASES = [f for f, _ in GROWTH_CASES] + [[None, 30], [25, 2], [9, 10, None],
+                                                  [None, 38], [36, 38]]
 
 
 @pytest.mark.parametrize("factors", INVERSION_CASES, ids=list(map(_factor_id, INVERSION_CASES)))
@@ -418,6 +421,15 @@ def test_growth_cost_does_not_grow_with_a_finite_factor():
     # below m/2 the spheres of Z/10^12 * Z are those of F2
     huge, f2 = fk.GroupDualSystem([10 ** 12, None]), fk.GroupDualSystem([None, None])
     assert huge.sphere_sizes(std_generator(huge), 50) == f2.sphere_sizes(std_generator(f2), 50)
+
+
+def test_growth_cost_of_large_finite_factors_is_linear():
+    # each Z/10^6 folds as Z below radius 5 * 10^5; folded densely this took about 3 s
+    sys = fk.GroupDualSystem([10 ** 6, 10 ** 6])
+    start = time.perf_counter()
+    sizes = sys.sphere_sizes(std_generator(sys), 4000)
+    assert time.perf_counter() - start < 1
+    assert sizes == [1] + [4 * 3 ** (r - 1) for r in range(1, 4001)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -497,7 +509,7 @@ def _bfs_cases():
     zd2, f2 = fk.ZdDualSystem(2), fk.GroupDualSystem([None, None], names=["s", "t"])
     ao3, aut4, au2 = fk.AoSystem(3), fk.AutSystem(4), fk.AuSystem(2)
     return [
-        ("Z^2 missing letter", zd2, "e + g1 + g1^-1"),
+        ("Z^2 two-coordinate key", zd2, "e + g1 g2 + g1^-1 g2^-1"),
         ("F2 extra label", f2, "e + s^2 + s^-2 + s + s^-1 + t + t^-1"),
         ("a_o", ao3, "r1 + r2"),
         ("aut", aut4, "s0 + s1"),
@@ -506,6 +518,98 @@ def _bfs_cases():
 
 
 BFS_CASES = _bfs_cases()
+
+
+def _subgroup_cases():
+    zd2, f2 = fk.ZdDualSystem(2), fk.GroupDualSystem([None, None], names=["s", "t"])
+    z6z = fk.GroupDualSystem([6, None], names=["h", "g"])
+    return [
+        ("Z^2 missing letter", zd2, "e + g1 + g1^-1"),
+        ("F2 s^+-2 + t^+-1", f2, "e + s^2 + s^-2 + t + t^-1"),
+        ("Z/6*Z h^2 + h^4", z6z, "2*e + h^2 + h^4 + 3*g^2 + 3*g^-2"),
+    ]
+
+
+# the unit and the letters of the subgroup the support generates: closed forms
+SUBGROUP_CASES = _subgroup_cases()
+
+
+def _outcome(distance, *args, **kwargs):
+    """The distance, or ``"never"`` when the search gives up."""
+    try:
+        return distance(*args, **kwargs)
+    except BudgetExceededError:
+        return "never"
+
+
+@pytest.mark.parametrize("name, sys, vexpr", SUBGROUP_CASES, ids=[c[0] for c in SUBGROUP_CASES])
+def test_subgroup_supports_call_no_rule(name, sys, vexpr, monkeypatch):
+    v = fk.parse_element(sys, vexpr)
+    rng = random.Random(name)
+    pool = sorted(bfs_distances_up_to(sys, v, sys.unit, 2), key=sys.sort_key)
+    pairs = [(a, b) for a in pool[:4] for b in pool[-4:]]
+    pairs += [(random_label(sys, rng, 3), random_label(sys, rng, 3)) for _ in range(8)]
+    want_rows = bfs_growth(sys, v, sys.unit, 6)
+    want_d = [_outcome(bfs_distance, sys, v, a, b, budget=8) for a, b in pairs]
+    assert "never" in want_d  # some labels lie outside the subgroup's cosets
+
+    def refuse(a, b):
+        raise AssertionError("the closed form called the rule")
+
+    monkeypatch.setattr(sys, "_tensor_irr", refuse)
+    assert fk.growth_table(sys, v, sys.unit, 6) == want_rows
+    assert [_outcome(fk.distance, sys, v, a, b, budget=8) for a, b in pairs] == want_d
+
+
+def test_distance_outside_the_subgroup_is_never_reached(f2, monkeypatch):
+    # s is not in <s^2, t>: no walk from e reaches it, and none is searched
+    v = fk.parse_element(f2, "e + s^2 + s^-2 + t + t^-1")
+
+    def refuse(a, b):
+        raise AssertionError("the closed form called the rule")
+
+    monkeypatch.setattr(f2, "_tensor_irr", refuse)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=re.escape("not reached within budget 64: d(e, s)")):
+        fk.distance(f2, v, f2.unit, f2.parse_label("s"))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("name", REDUCED_SYSTEMS)
+def test_reduced_supports_match_bfs(name, monkeypatch):
+    sys = REDUCED_SYSTEMS[name]()
+    rng = random.Random(name)
+    cases = [(FusionElement({sys.unit: 2}), {})]
+    cases += [reduced_support(sys, rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(4)]
+    for v, steps in cases:
+        keys = sorted(v.support(), key=sys.sort_key)
+        center = random_label(sys, rng, 3)
+        pairs = []
+        for _ in range(6):  # b in the coset of a, and b anywhere
+            a = b = random_label(sys, rng, 3)
+            for g in rng.choices(keys, k=4):
+                b, = sys.tensor_pair(g, b).support()
+            pairs += [(a, b), (a, random_label(sys, rng, 2))]
+        want_rows = bfs_growth(sys, v, center, 5)
+        want_d = [_outcome(bfs_distance, sys, v, a, b, budget=8) for a, b in pairs]
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "_tensor_irr", lambda a, b: pytest.fail(f"{name}: the rule ran"))
+            patch.setattr(sys, "_pair_cache", {})
+            assert fk.growth_table(sys, v, center, 5) == want_rows, (v, steps)
+            got = [_outcome(fk.distance, sys, v, a, b, budget=8) for a, b in pairs]
+        assert got == want_d, (v, steps)
+
+
+def test_reduced_support_has_the_counts_of_its_subgroup():
+    # h^2 and h^4 generate the Z/3 of Z/6: the counts of Z/3 * Z with h and h^2
+    z6z = fk.GroupDualSystem([6, None], names=["h", "g"])
+    z3z = fk.GroupDualSystem([3, None], names=["h", "g"])
+    x6 = fk.parse_element(z6z, "e + h^2 + h^4 + g + g^-1")
+    x3 = fk.parse_element(z3z, "e + h + h^2 + g + g^-1")
+    want = [tensor_power(z3z, x3, j).mult(z3z.unit) for j in range(9)]
+    assert z6z.unit_moments(x6, 8) == z3z.unit_moments(x3, 8) == want
+    rows = bfs_growth(z3z, x3, z3z.unit, 8)
+    assert fk.growth_table(z6z, x6, z6z.unit, 8) == fk.growth_table(z3z, x3, z3z.unit, 8) == rows
 
 
 @pytest.mark.parametrize("name, sys, vexpr", BFS_CASES, ids=[c[0] for c in BFS_CASES])
@@ -529,7 +633,8 @@ def test_other_supports_run_bfs(name, sys, vexpr, monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("name, sys, vexpr", BFS_CASES, ids=[c[0] for c in BFS_CASES])
+@pytest.mark.parametrize("name, sys, vexpr", BFS_CASES + SUBGROUP_CASES,
+                         ids=[c[0] for c in BFS_CASES + SUBGROUP_CASES])
 def test_balls_and_spheres_match_bfs(name, sys, vexpr):
     v = fk.parse_element(sys, vexpr)
     far = max(bfs_distances_up_to(sys, v, sys.unit, 2), key=sys.sort_key)
