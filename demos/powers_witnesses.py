@@ -32,4 +32,4 @@ print("\nwhy no witness can start with D = positive powers of g:")
 g = z.parse_label("g1")
 D = WordSet.make(z, cylinders=[g.payload])
 FD = fk.set_product(z, WordSet.finite(z, [g]), D)
-print("  {g} o D =", FD, " meets D:", not FD.intersect(D).is_empty())
+print("  {g} o D =", FD, " meets D:", FD.meets(D))

@@ -7,12 +7,13 @@ group, and infinite subsets are represented exactly as unions of
 stated prefix), plus finitely many included words, minus finitely many
 excluded ones.  That representation is closed under union, intersection
 and complement, so witness conditions of the form ``F o D /\\ D = empty``
-and ``r_i o E /\\ r_j o E = empty`` are decided exactly.  Witnesses on a
-group dual are always checked this way, so on an infinite group dual a
-finite partition D | E fails coverage.  The dual of a finite ``Z/m`` is
-finite, so there every cylinder is listed as its words.  Families
-without a word tree have only explicit finite sets (``FiniteIrrSet``),
-and their witnesses are checked within a stated radius only.
+and ``r_i o E /\\ r_j o E = empty`` are decided exactly, each by ``meets``
+without forming the intersection; a product unions its translates in one
+canonical step.  Witnesses on a group dual are always checked this way, so
+on an infinite group dual a finite partition D | E fails coverage.  The
+dual of a finite ``Z/m`` is finite, so there every cylinder is listed as
+its words.  Families without a word tree have only explicit finite sets
+(``FiniteIrrSet``); their witnesses are checked within a stated radius only.
 
 The tree walks treat every factor by one rule: a syllable's exponent
 lies on a ray, which in ``Z`` runs ``1, 2, ...`` or ``-1, -2, ...`` and in
@@ -92,6 +93,10 @@ class FiniteIrrSet:
     def intersect(self, other: "FiniteIrrSet") -> "FiniteIrrSet":
         _same(self, other)
         return FiniteIrrSet(self.system, self.labels & other.labels)
+
+    def meets(self, other: "FiniteIrrSet") -> bool:
+        _same(self, other)
+        return not self.labels.isdisjoint(other.labels)
 
 
 class _HeadIndex:
@@ -224,14 +229,14 @@ class WordSet:
 
     # boolean algebra --------------------------------------------------------
 
-    def union(self, other: "WordSet") -> "WordSet":
-        _same(self, other)
-        exc = {w for w in self.excludes | other.excludes
-               if not self.member_word(w) and not other.member_word(w)}
-        return WordSet.make(self.system,
-                            self.cylinders | other.cylinders,
-                            self.includes | other.includes,
-                            exc)
+    def union(self, *others: "WordSet") -> "WordSet":
+        """This set and ``others``, canonicalized once."""
+        sets = (self, *others)
+        for S in others:
+            _same(self, S)
+        exc = {w for S in sets for w in S.excludes if not any(T.member_word(w) for T in sets)}
+        return WordSet.make(self.system, frozenset().union(*(S.cylinders for S in sets)),
+                            frozenset().union(*(S.includes for S in sets)), exc)
 
     def intersect(self, other: "WordSet") -> "WordSet":
         _same(self, other)
@@ -243,6 +248,16 @@ class WordSet:
                | {w for w in other.includes if self.member_word(w)})
         exc = self.excludes | other.excludes
         return WordSet.make(sys, cyls, inc, exc)
+
+    def meets(self, other: "WordSet") -> bool:
+        """``not self.intersect(other).is_empty()`` by ``intersect``'s own tests,
+        stopped at the first hit.  Excludes never empty a cylinder of an
+        infinite tree, and ``make`` lists those of a finite ``Z/m`` as words."""
+        _same(self, other)
+        return (any(other._heads.covers(p) for p in self.cylinders)
+                or any(self._heads.covers(q) for q in other.cylinders)
+                or any(other.member_word(w) for w in self.includes)
+                or any(self.member_word(w) for w in other.includes))
 
     def complement(self) -> "WordSet":
         sys = self.system
@@ -267,7 +282,7 @@ class WordSet:
         return self.intersect(other.complement())
 
     def is_subset(self, other: "WordSet") -> bool:
-        return self.minus(other).is_empty()
+        return not self.meets(other.complement())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, WordSet):
@@ -394,6 +409,8 @@ def _is_nonelementary(sys: GroupDualSystem) -> bool:
 def _z_rays_product(sys: GroupDualSystem, S: WordSet, T: WordSet) -> WordSet:
     """In the dual of Z, the product of the rays ``{g^(s*k) : k >= a}`` of
     two sets, less their excludes."""
+    if () in S.cylinders or () in T.cylinders:
+        return WordSet.full(sys)  # the whole line times an infinite set
 
     def rays(W: WordSet):
         return ([(1 if p[0][1] > 0 else -1, abs(p[0][1])) for p in W.cylinders],
@@ -447,7 +464,7 @@ def set_product(sys: FusionSystem, S, T):
     else:
         raise UnsupportedSetOperation(
             "products of two infinite cylinder sets are unsupported for this group")
-    return functools.reduce(WordSet.union, parts, WordSet.make(sys))
+    return parts[0] if len(parts) == 1 else WordSet.make(sys).union(*parts)
 
 
 def _finite_set(sys: FusionSystem, labels: Iterable[IrrLabel]):
@@ -513,7 +530,7 @@ def _meeting_pair(sets: list) -> tuple[int, int] | None:
     """The first pair ``i < j``, in ``(0, 1), (0, 2), ..., (1, 2), ...``
     order, whose sets meet; ``None`` when they are pairwise disjoint."""
     for (i, A), (j, B) in itertools.combinations(enumerate(sets), 2):
-        if not A.intersect(B).is_empty():
+        if A.meets(B):
             return i, j
     return None
 
@@ -544,7 +561,7 @@ def check_witness(sys: FusionSystem, w: PowersWitness) -> WitnessCheck:
         return WitnessCheck(holds, exact, detail + unused)
 
     D, E = _as_set(sys, w.D), _as_set(sys, w.E)
-    if not D.intersect(E).is_empty():
+    if D.meets(E):
         return verdict(False, "D and E overlap")
     if exact:
         if not D.union(E).complement().is_empty():
@@ -560,7 +577,7 @@ def check_witness(sys: FusionSystem, w: PowersWitness) -> WitnessCheck:
                                   f"{w.truncation_radius} uncovered")
         details.append(f"partition verified within radius {w.truncation_radius} only")
     for lab in w.F:
-        if not set_product(sys, _finite_set(sys, [lab]), D).intersect(D).is_empty():
+        if set_product(sys, _finite_set(sys, [lab]), D).meets(D):
             return verdict(False, "F o D meets D")
     if not w.F:
         details.append("F empty: first condition vacuous")
@@ -582,8 +599,8 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
 
     Cost: with ``n`` r-pool words, each candidate partition that passes
     the F condition forms each translate of E on first use, at most ``n``,
-    and decides each pair of translates once, at most ``C(n, 2)``
-    intersections, not up to ``3 C(n, 3)`` as once per triple.
+    and decides each pair of translates once by ``meets``, at most
+    ``C(n, 2)`` disjointness tests, not up to ``3 C(n, 3)`` as once per triple.
     """
     if not isinstance(sys, GroupDualSystem):
         raise UnsupportedSetOperation("witness search needs a group-dual family")
@@ -605,13 +622,11 @@ def search_witness(sys: FusionSystem, F: Iterable[IrrLabel], budget: int = 2,
         for unit_in_d in (False, True):
             D = WordSet.make(sys, cylinders=chosen,
                              includes=[()] if unit_in_d else [])
-            if any(not _left_translate(sys, lab.payload, D).intersect(D).is_empty()
-                   for lab in F):
+            if any(_left_translate(sys, lab.payload, D).meets(D) for lab in F):
                 continue
             E = D.complement()
             translate = functools.cache(lambda i: _left_translate(sys, r_pool[i], E))
-            meets = functools.cache(
-                lambda i, j: not translate(i).intersect(translate(j)).is_empty())
+            meets = functools.cache(lambda i, j: translate(i).meets(translate(j)))
             for i, j, k in itertools.combinations(range(len(r_pool)), 3):
                 if meets(i, j) or meets(i, k) or meets(j, k):
                     continue

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -163,7 +164,7 @@ def random_parts(sys, rng, pool):
     for p in cyls:  # words below the cylinders, so excludes survive
         w = p
         for _ in range(rng.randint(0, 3)):
-            w = rng.choice(sys.children(w))
+            w = rng.choice(sys.children(w) or [w])  # a Z/m syllable is a leaf of Z/m
         rng.choice((inc, exc)).append(w)
     return cyls, inc, exc
 
@@ -185,6 +186,100 @@ def test_head_index_matches_cylinder_scans(factors, rng):
             assert A.member_word(w) == scan_member(sys, a, w), w
         assert parts_of(A.intersect(B)) == scan_intersect(sys, a, b)
         assert parts_of(A.complement()) == scan_complement(sys, a)
+
+
+# -- disjointness and unions without building the intersection ----------------
+
+def pairwise_union(A, B):
+    """The two-operand union ``WordSet.union`` folded before it took several."""
+    exc = {w for w in A.excludes | B.excludes if not A.member_word(w) and not B.member_word(w)}
+    return WordSet.make(A.system, A.cylinders | B.cylinders, A.includes | B.includes, exc)
+
+
+SET_GROUPS = {"f2": [None, None], "z_z3": [None, 3], "z3_z5": [3, 5], "z": [None],
+              "z2_z2": [2, 2], "z5": [5]}
+
+
+@pytest.mark.parametrize("factors", SET_GROUPS.values(), ids=SET_GROUPS.keys())
+def test_meets_union_and_subset_match_the_built_sets(factors, rng):
+    sys = fk.GroupDualSystem(factors)
+    pool = oracle_pool(sys)
+    sets = [WordSet.make(sys, *random_parts(sys, rng, pool)) for _ in range(120)]
+    seen_meets, seen_subset = set(), set()
+    for A, B, C in zip(sets, sets[1:] + sets[:1], sets[2:] + sets[:2]):
+        for X, Y in ((A, B), (B, A), (A.intersect(B), A), (A, A.union(B))):
+            meets = X.meets(Y)
+            assert meets == (not X.intersect(Y).is_empty())
+            seen_meets.add(meets)
+            subset = X.is_subset(Y)
+            assert subset == X.minus(Y).is_empty()
+            seen_subset.add(subset)
+        fold = functools.reduce(pairwise_union, (A, B, C), WordSet.make(sys))
+        assert parts_of(A.union(B, C)) == parts_of(fold)
+        assert parts_of(A.union(B)) == parts_of(pairwise_union(A, B))
+        assert parts_of(A.union()) == parts_of(A)
+    assert seen_meets == seen_subset == {False, True}
+
+
+def test_finite_irr_set_meets_matches_intersect(ao3, rng):
+    pool = [ao3.r(k) for k in range(1, 7)]
+    seen = set()
+    for _ in range(60):
+        A = FiniteIrrSet(ao3, frozenset(rng.sample(pool, k=rng.randint(0, 3))))
+        B = FiniteIrrSet(ao3, frozenset(rng.sample(pool, k=rng.randint(0, 3))))
+        assert A.meets(B) == B.meets(A) == (not A.intersect(B).is_empty())
+        seen.add(A.meets(B))
+    assert seen == {False, True}
+
+
+def test_meets_and_union_reject_mixed_operands(f2, zmod3, ao3):
+    A = WordSet.make(f2, cylinders=[f2.parse_label("s").payload])
+    B = WordSet.make(zmod3, cylinders=[zmod3.parse_label("g").payload])
+    R = FiniteIrrSet(ao3, frozenset([ao3.r(2)]))
+    for X, Y in ((A, B), (A, R), (R, A), (R, FiniteIrrSet(fk.AoSystem(4), frozenset()))):
+        with pytest.raises(fk.FamilyMismatchError):
+            X.meets(Y)
+    with pytest.raises(fk.FamilyMismatchError):
+        A.union(A, B)
+
+
+def test_set_equality_builds_no_intersection(f2, monkeypatch):
+    s, s2 = f2.parse_label("s").payload, f2.parse_label("s^2").payload
+    A = WordSet.make(f2, cylinders=[s], excludes=[s2])
+    B = A.union(WordSet.make(f2, includes=[s2]))
+    monkeypatch.setattr(WordSet, "intersect", lambda *args: pytest.fail("intersect called"))
+    assert A == A and B == WordSet.make(f2, cylinders=[s])
+    assert A != B and A.is_subset(B) and not B.is_subset(A)
+
+
+@pytest.mark.parametrize("factors", [[None, None], [None, 3], [None]], ids=["f2", "z_z3", "z"])
+def test_set_product_unions_its_parts_once(factors, rng):
+    sys = fk.GroupDualSystem(factors)
+    pool = oracle_pool(sys)
+    empty = WordSet.make(sys)
+    for _ in range(30):
+        T = WordSet.make(sys, *random_parts(sys, rng, pool))
+        xs = rng.sample(pool, k=3)
+        X1, X = WordSet.make(sys, includes=xs[:1]), WordSet.make(sys, includes=xs)
+        assert fk.set_product(sys, empty, T).is_empty()  # no part
+        assert parts_of(fk.set_product(sys, X1, T)) == parts_of(_left_translate(sys, xs[0], T))
+        left = [_left_translate(sys, x, T) for x in xs]
+        right = [_right_translate(sys, T, x) for x in xs]
+        for got, parts in ((fk.set_product(sys, X, T), left), (fk.set_product(sys, T, X), right)):
+            assert parts_of(got) == parts_of(functools.reduce(pairwise_union, parts, empty))
+
+
+def test_z_set_product_of_two_infinite_sets_unions_its_parts_once(zdual, rng):
+    pool = oracle_pool(zdual)
+    for _ in range(40):
+        S, T = (WordSet.make(zdual, *random_parts(zdual, rng, pool)) for _ in range(2))
+        if S.is_finite() or T.is_finite():
+            continue
+        parts = [powers._z_rays_product(zdual, S, T)]
+        parts += [_right_translate(zdual, S, w) for w in T.includes]
+        parts += [_left_translate(zdual, w, T) for w in S.includes]
+        fold = functools.reduce(pairwise_union, parts, WordSet.make(zdual))
+        assert parts_of(fk.set_product(zdual, S, T)) == parts_of(fold)
 
 
 # -- translations against brute force ----------------------------------------
@@ -467,6 +562,9 @@ def test_cylinder_cylinder_products(f2, zdual, zmod3):
     # opposite rays cover the whole line
     Qn = WordSet.make(zdual, cylinders=[zdual.parse_label("g1^-1").payload])
     assert fk.set_product(zdual, P, Qn) == WordSet.full(zdual)
+    # the whole line, less a point, times a ray is the whole line, in either order
+    line = WordSet.make(zdual, cylinders=[()], excludes=[()])
+    assert fk.set_product(zdual, line, P) == fk.set_product(zdual, Qn, line) == WordSet.full(zdual)
     # sanity for the nonelementary shortcut: bounded witnesses for random targets
     for target in enum_words(f2, 2):
         found = any(
