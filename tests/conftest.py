@@ -1,10 +1,14 @@
 import json
 import random
 import sys as _sys
+import time
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 import fusionkit as fk
+from fusionkit import cli
 
 
 @pytest.fixture
@@ -133,6 +137,47 @@ def strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
+def assert_one_envelope(argv, code, out, err, elapsed, bound=10.0):
+    """The console contract on one run's streams; returns the envelope.
+
+    stdout holds exactly one strict JSON envelope, printed with indent 2;
+    only under ``--jsonl`` do JSON lines come first, one per ``outputs``
+    entry and equal to it.  The exit code is 0, 1 or 2 as the envelope's
+    ``kind`` says (never ``internal``), ``inputs`` echoes the family (or
+    the argv of a usage error), stderr holds no traceback and the run
+    ended within ``bound`` seconds.
+    """
+    lines = out.splitlines()
+    assert "{" in lines, f"{argv}: no envelope in {out[:200]!r}"
+    start = lines.index("{")
+    env = strict_loads("\n".join(lines[start:]))  # one object: trailing text would not parse
+    jsonl = [strict_loads(line) for line in lines[:start]]
+    assert not jsonl or "--jsonl" in argv and jsonl == env["outputs"], (argv, jsonl)
+    assert code in (0, 1, 2), (argv, code)
+    outputs = env["outputs"]
+    kind = outputs.get("kind") if isinstance(outputs, dict) else None
+    assert kind != "internal", (argv, outputs)
+    assert kind == {0: None, 1: "computation", 2: "config"}[code], (argv, code, outputs)
+    inputs = env["inputs"]
+    assert isinstance(inputs, dict) and inputs, (argv, env)
+    if "argv" in inputs:
+        assert inputs["argv"] == argv and code == 2, (argv, env)
+    else:
+        assert inputs["family"] == argv[argv.index("--family") + 1], (argv, env)
+    assert "Traceback" not in err, (argv, err)
+    assert elapsed < bound, (argv, elapsed)
+    return env
+
+
+def run_cli(capsys, argv, bound=10.0):
+    """Run the console in process on ``argv`` under the contract; return (exit code, envelope)."""
+    started = time.perf_counter()
+    code = cli.run(argv)
+    elapsed = time.perf_counter() - started
+    out, err = capsys.readouterr()
+    return code, assert_one_envelope(argv, code, out, err, elapsed, bound)
+
+
 def with_stack_margin(fn, *args, margin=40):
     """Call ``fn`` with the recursion limit only ``margin`` frames above the stack."""
     depth, frame = 0, _sys._getframe()
@@ -165,3 +210,59 @@ def mc_recursion_reference(moments, forward, kappa=None):
         else:
             kappa[n] = moments[n] - sum(kappa[s] * P[s][n - s] for s in range(1, n))
     return moments if forward else kappa
+
+
+def moments_by_full_powers(sys, x, N):
+    """Oracle: form every power x^j, j = 0..N, and read the unit off each."""
+    acc = sys.unit_element()
+    out = [acc.mult(sys.unit)]
+    for _ in range(N):
+        acc = sys.tensor(acc, x)
+        out.append(acc.mult(sys.unit))
+    return out
+
+
+def closed_form_dim(n, k):
+    """Oracle: (x^k - y^k)/(x - y) for the roots x, y of X^2 - nX + 1, exactly."""
+    # x = (n + sqrt(D))/2 as the pair (n, 1)/2 in a + b*sqrt(D)
+    D = n * n - 4
+
+    def mul(p, q):
+        return (p[0] * q[0] + p[1] * q[1] * D, p[0] * q[1] + p[1] * q[0])
+
+    x = (Fraction(n, 2), Fraction(1, 2))
+    y = (Fraction(n, 2), Fraction(-1, 2))
+    xk = yk = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        xk, yk = mul(xk, x), mul(yk, y)
+    value = xk[1] - yk[1]  # (x^k - y^k) / (x - y), both sides over sqrt(D)
+    assert value.denominator == 1
+    return int(value)
+
+
+def four_letter_generator(f2):
+    """The sum of every generator of a free group and its inverse."""
+    out = fk.FusionElement.zero()
+    for g in f2.generators():
+        out = out + fk.FusionElement({g: 1}) + fk.FusionElement({f2.conj_irr(g): 1})
+    return out
+
+
+def au_split_oracle(sys, x, y):
+    """Oracle for ``a_u``: split every suffix of ``x`` that is the bar of a prefix of ``y``."""
+    def bar(w):
+        return "".join("a" if c == "b" else "b" for c in reversed(w))
+
+    terms = {}
+    for k in range(min(len(x), len(y)) + 1):
+        if bar(x[len(x) - k:]) == y[:k]:
+            lab = sys.word(x[: len(x) - k] + y[k:])
+            terms[lab] = terms.get(lab, 0) + 1
+    return fk.FusionElement(terms)
+
+
+def lazy_walk_counts(depth):
+    """Closed 2k-step walks of the lazy walk on Z^2, k = 0..depth: j held
+    steps, then C(n, n/2)^2 closed walks of the n = 2k - j others."""
+    return [sum(comb(2 * k, j) * comb(2 * k - j, k - j // 2) ** 2 for j in range(0, 2 * k + 1, 2))
+            for k in range(depth + 1)]

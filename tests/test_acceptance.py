@@ -13,7 +13,8 @@ from fractions import Fraction
 import fusionkit as fk
 from fusionkit import FusionElement, Param, ParamList, StarWord
 
-from conftest import label_pool, random_element
+from conftest import (
+    au_split_oracle, closed_form_dim, four_letter_generator, label_pool, random_element)
 
 
 @contextmanager
@@ -48,29 +49,12 @@ def test_criterion_1_catalan_hom_dimensions():
             assert time.perf_counter() - started < 1.0
 
 
-def _closed_form_dim(n, k):
-    # exact arithmetic in the field generated by the roots of X^2 - nX + 1
-    D = n * n - 4
-
-    def mul(p, q):
-        return (p[0] * q[0] + p[1] * q[1] * D, p[0] * q[1] + p[1] * q[0])
-
-    x = (Fraction(n, 2), Fraction(1, 2))
-    y = (Fraction(n, 2), Fraction(-1, 2))
-    xk = yk = (Fraction(1), Fraction(0))
-    for _ in range(k):
-        xk, yk = mul(xk, x), mul(yk, y)
-    value = xk[1] - yk[1]  # (x^k - y^k) / (x - y), both sides over sqrt(D)
-    assert value.denominator == 1
-    return int(value)
-
-
 def test_criterion_2_ao_dimension_formula():
     with criterion(2, "integer dimension recursion matches the closed form"):
         for n in (2, 3, 4, 5):
             sys = fk.AoSystem(n)
             for k in range(1, 16):
-                assert sys.dim_irr(sys.r(k)) == _closed_form_dim(n, k), (n, k)
+                assert sys.dim_irr(sys.r(k)) == closed_form_dim(n, k), (n, k)
         ao3 = fk.AoSystem(3)
         assert [ao3.dim_irr(ao3.r(k)) for k in range(1, 6)] == [1, 3, 8, 21, 55]
 
@@ -96,17 +80,10 @@ def test_criterion_3_amenability_verdicts():
         assert time.perf_counter() - started < 10.0
 
 
-def _four_letter_generator(f2):
-    out = FusionElement.zero()
-    for g in f2.generators():
-        out = out + FusionElement({g: 1}) + FusionElement({f2.conj_irr(g): 1})
-    return out
-
-
 def test_criterion_4_free_group_kesten_value():
     with criterion(4, "free-group norm estimate within the stated window"):
         f2 = fk.GroupDualSystem([None, None], names=["s", "t"])
-        u = _four_letter_generator(f2)
+        u = four_letter_generator(f2)
         counts = fk.kesten_counts(f2, u, 30)
         est = fk.spectral_radius_estimate(counts, "extrapolated-ratio")
         target = 2 * math.sqrt(3)
@@ -229,19 +206,6 @@ def test_criterion_8_property_suites():
         assert sorted(degrees) == [1, 1] + [2] * 9
 
 
-def _independent_bar(w):
-    return "".join("a" if c == "b" else "b" for c in reversed(w))
-
-
-def _au_split_oracle(sys, x, y):
-    terms = {}
-    for k in range(min(len(x), len(y)) + 1):
-        if _independent_bar(x[len(x) - k:]) == y[:k]:
-            lab = sys.word(x[: len(x) - k] + y[k:])
-            terms[lab] = terms.get(lab, 0) + 1
-    return FusionElement(terms)
-
-
 def test_criterion_9_au_free_fusion_spot_checks():
     with criterion(9, "free-unitary fusion spot checks vs the split oracle"):
         au = fk.AuSystem(2)
@@ -256,4 +220,4 @@ def test_criterion_9_au_free_fusion_spot_checks():
         for x, y, expected in cases:
             got = au.tensor_pair(au.word(x), au.word(y))
             assert got == expected, (x, y)
-            assert got == _au_split_oracle(au, x, y), (x, y)
+            assert got == au_split_oracle(au, x, y), (x, y)

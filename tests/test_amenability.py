@@ -4,27 +4,14 @@ from fractions import Fraction
 import pytest
 
 import fusionkit as fk
-from fusionkit import FusionElement
 from fusionkit.amenability import root_sequence_is_monotone
 
-from conftest import mc_recursion_reference, tensor_power
-
-
-def four_letter_generator(f2):
-    out = FusionElement.zero()
-    for g in f2.generators():
-        out = out + FusionElement({g: 1}) + FusionElement({f2.conj_irr(g): 1})
-    return out
+from conftest import (
+    four_letter_generator, mc_recursion_reference, moments_by_full_powers, tensor_power)
 
 
 def counts_by_direct_expansion(sys, u, K):
-    v = u + sys.conj_element(u)
-    acc = sys.unit_element()
-    out = []
-    for _ in range(K):
-        acc = sys.tensor(sys.tensor(acc, v), v)
-        out.append(acc.mult(sys.unit))
-    return out
+    return moments_by_full_powers(sys, u + sys.conj_element(u), 2 * K)[2::2]
 
 
 def test_moment_cumulant_roundtrip(rng):

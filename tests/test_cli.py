@@ -1,8 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import os
 import sys
-import time
 
 import pytest
 
@@ -10,7 +11,7 @@ import fusionkit as fk
 from fusionkit import cli
 from fusionkit.cli import DiskCache, run
 
-from conftest import strict_loads
+from conftest import lazy_walk_counts, run_cli, strict_loads
 
 
 @pytest.fixture
@@ -21,11 +22,10 @@ def configs(tmp_path):
                 "params": {"generators": ["q"],
                            "fundamental_list": ["q", "q^-1"],
                            "values": {"q": 1.0}}},
-        "ao3": {"family": "a_o", "n": 3},
-        "f2": {"family": "group_dual",
-               "factors": [{"type": "Z", "name": "s"}, {"type": "Z", "name": "t"}]},
+        "ao3": AO3,
+        "f2": F2,
         "au2": {"family": "a_u", "n": 2},
-        "bad": {"family": "a_o", "n": 3, "mystery": 1},
+        "bad": {**AO3, "mystery": 1},
     }
     for name, spec in specs.items():
         p = tmp_path / f"{name}.json"
@@ -34,15 +34,21 @@ def configs(tmp_path):
     return paths
 
 
-def run_cli(capsys, *args):
-    code = run(list(args))
-    out = capsys.readouterr().out
-    return code, (strict_loads(out) if out.strip() else None)
+def dual(**factors):
+    """A group-dual config: each named factor is Z (``None``) or Z/m."""
+    return {"family": "group_dual",
+            "factors": [{"type": "Z", "name": name} if m is None else
+                        {"type": "Zmod", "m": m, "name": name} for name, m in factors.items()]}
+
+
+AO3 = {"family": "a_o", "n": 3}
+F2, ZZ3 = dual(s=None, t=None), dual(g=None, h=3)
+F2_V, ZZ3_V = "e + s + s^-1 + t + t^-1", "e + g + g^-1 + h + h^2"
 
 
 def test_decompose(configs, capsys):
-    code, env = run_cli(capsys, "decompose", "--family", configs["ao3"],
-                        "--x", "r2", "--y", "r2")
+    code, env = run_cli(capsys, ["decompose", "--family", configs["ao3"],
+                                 "--x", "r2", "--y", "r2"])
     assert code == 0
     assert env["outputs"] == {"r1": "1", "r3": "1"}
     assert env["exact"] is True
@@ -50,46 +56,45 @@ def test_decompose(configs, capsys):
 
 
 def test_decompose_unit(configs, capsys):
-    code, env = run_cli(capsys, "decompose", "--family", configs["ao3"],
-                        "--x", "r1", "--y", "r1")
+    code, env = run_cli(capsys, ["decompose", "--family", configs["ao3"],
+                                 "--x", "r1", "--y", "r1"])
     assert code == 0
     assert env["outputs"] == {"r1": "1"}
 
 
 def test_moments_even(configs, capsys):
-    code, env = run_cli(capsys, "moments", "--family", configs["ao2"],
-                        "--u", "r2", "--even", "--k", "4")
+    code, env = run_cli(capsys, ["moments", "--family", configs["ao2"],
+                                 "--u", "r2", "--even", "--k", "4"])
     assert code == 0
     assert [rep["value"] for rep in env["outputs"]] == ["1", "2", "5", "14"]
 
 
 def test_moments_word_jsonl(configs, capsys):
-    code = run(["moments", "--family", configs["ao2"], "--u", "r2",
-                "--word", "XX*XX*", "--jsonl"])
-    out = capsys.readouterr().out.splitlines()
+    # the contract checks that each JSON line equals its outputs entry
+    code, env = run_cli(capsys, ["moments", "--family", configs["ao2"], "--u", "r2",
+                                 "--word", "XX*XX*", "--jsonl"])
     assert code == 0
-    first = json.loads(out[0])
-    assert first == {"word": "XX*XX*", "value": "2"}
+    assert env["outputs"] == [{"word": "XX*XX*", "value": "2"}]
 
 
 def test_distance_and_ball(configs, capsys):
-    code, env = run_cli(capsys, "distance", "--family", configs["f2"],
-                        "--v", "e + s + s^-1 + t + t^-1",
-                        "--a", "e", "--b", "s t s", "--budget", "64")
+    code, env = run_cli(capsys, ["distance", "--family", configs["f2"],
+                                 "--v", "e + s + s^-1 + t + t^-1",
+                                 "--a", "e", "--b", "s t s", "--budget", "64"])
     assert code == 0
     assert env["outputs"] == {"distance": 3}
-    code, env = run_cli(capsys, "ball", "--family", configs["f2"],
-                        "--v", "e + s + s^-1 + t + t^-1",
-                        "--center", "e", "--r", "1")
+    code, env = run_cli(capsys, ["ball", "--family", configs["f2"],
+                                 "--v", "e + s + s^-1 + t + t^-1",
+                                 "--center", "e", "--r", "1"])
     assert code == 0
     assert env["outputs"]["size"] == 5
 
 
 def test_growth_csv(configs, capsys, tmp_path):
     csv = tmp_path / "growth.csv"
-    code, env = run_cli(capsys, "growth", "--family", configs["f2"],
-                        "--v", "e + s + s^-1 + t + t^-1",
-                        "--center", "e", "--rmax", "3", "--csv", str(csv))
+    code, env = run_cli(capsys, ["growth", "--family", configs["f2"],
+                                 "--v", "e + s + s^-1 + t + t^-1",
+                                 "--center", "e", "--rmax", "3", "--csv", str(csv)])
     assert code == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == "radius,ball_size"
@@ -98,19 +103,19 @@ def test_growth_csv(configs, capsys, tmp_path):
 
 def test_standard_generator_metric_at_scale(configs, capsys):
     v = "e + s + s^-1 + t + t^-1"
-    code, env = run_cli(capsys, "growth", "--family", configs["f2"], "--v", v,
-                        "--center", "e", "--rmax", "60")
+    code, env = run_cli(capsys, ["growth", "--family", configs["f2"], "--v", v,
+                                 "--center", "e", "--rmax", "60"])
     assert code == 0
     assert env["outputs"][-1] == {"ball_size": 2 * 3 ** 60 - 1, "radius": 60}
-    code, env = run_cli(capsys, "distance", "--family", configs["f2"], "--v", v,
-                        "--a", "e", "--b", " ".join(["s t"] * 500), "--budget", "2000")
+    code, env = run_cli(capsys, ["distance", "--family", configs["f2"], "--v", v,
+                                 "--a", "e", "--b", " ".join(["s t"] * 500), "--budget", "2000"])
     assert code == 0
     assert env["outputs"] == {"distance": 1000}
 
 
 def test_amenable(configs, capsys):
-    code, env = run_cli(capsys, "amenable", "--family", configs["ao3"],
-                        "--depth", "12", "--tol", "0.05")
+    code, env = run_cli(capsys, ["amenable", "--family", configs["ao3"],
+                                 "--depth", "12", "--tol", "0.05"])
     assert code == 0
     out = env["outputs"]
     assert out["verdict"] == "non-amenable-numerical"
@@ -120,9 +125,7 @@ def test_amenable(configs, capsys):
 
 def test_amenable_au_at_the_default_depth(configs, capsys):
     # (u + conj u)^k has 2^k labels; the radial walk over word lengths does not
-    started = time.perf_counter()
-    code, env = run_cli(capsys, "amenable", "--family", configs["au2"])
-    assert time.perf_counter() - started < 1.0
+    code, env = run_cli(capsys, ["amenable", "--family", configs["au2"]], bound=1.0)
     assert code == 0
     out = env["outputs"]
     assert out["depth"] == 30
@@ -130,15 +133,15 @@ def test_amenable_au_at_the_default_depth(configs, capsys):
 
 
 def test_list_invariant(configs, capsys):
-    code, env = run_cli(capsys, "list-invariant", "--family", configs["ao2"],
-                        "--depth", "4")
+    code, env = run_cli(capsys, ["list-invariant", "--family", configs["ao2"],
+                                 "--depth", "4"])
     assert code == 0
     assert env["outputs"]["r3"] == ["1", "q^-2", "q^2"]
 
 
 def test_modular_spectrum(configs, capsys):
-    code, env = run_cli(capsys, "modular-spectrum", "--family", configs["ao2"],
-                        "--list", "2^1/2,2^-1/2", "--member", "16,2,1")
+    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2"],
+                                 "--list", "2^1/2,2^-1/2", "--member", "16,2,1"])
     assert code == 0
     out = env["outputs"]
     assert out["hnf_rows"] == [[2]]
@@ -148,8 +151,8 @@ def test_modular_spectrum(configs, capsys):
 def test_modular_spectrum_ignores_list_order(configs, capsys):
     rows = []
     for text in ("b,a^-2,b^-2*c^3", "b^-2*c^3,a^-2,b"):
-        code, env = run_cli(capsys, "modular-spectrum", "--family", configs["ao2"],
-                            "--list", text)
+        code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2"],
+                                     "--list", text])
         assert code == 0
         rows.append(env["outputs"]["hnf_rows"])
     assert rows == [[[4, 0, 6], [0, 2, 6], [0, 0, 12]]] * 2
@@ -157,8 +160,8 @@ def test_modular_spectrum_ignores_list_order(configs, capsys):
 
 def test_modular_spectrum_large_prime_is_a_config_error(configs, capsys):
     big = "1000000000000000003"
-    code, env = run_cli(capsys, "modular-spectrum", "--family", configs["ao2"],
-                        "--list", f"{big}^1/2,{big}^-1/2")
+    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2"],
+                                 "--list", f"{big}^1/2,{big}^-1/2"])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert big in env["outputs"]["error"]
@@ -166,8 +169,8 @@ def test_modular_spectrum_large_prime_is_a_config_error(configs, capsys):
 
 def test_graph(configs, capsys, tmp_path):
     dot = tmp_path / "g.dot"
-    code, env = run_cli(capsys, "graph", "--family", configs["ao2"],
-                        "--u", "r2", "--depth", "10", "--dot", str(dot))
+    code, env = run_cli(capsys, ["graph", "--family", configs["ao2"],
+                                 "--u", "r2", "--depth", "10", "--dot", str(dot)])
     assert code == 0
     assert len(env["outputs"]["vertices"]) == 11
     assert len(env["outputs"]["edges"]) == 10
@@ -178,27 +181,33 @@ def test_quantum_dimension_overflow_is_a_computation_error(capsys, tmp_path):
     family = tmp_path / "ao2-big.json"
     family.write_text(json.dumps({"family": "a_o", "n": 2,
                                   "params": {"fundamental_list": ["2^600", "2^-600"]}}))
-    code, env = run_cli(capsys, "graph", "--family", str(family), "--u", "r2", "--depth", "2")
+    code, env = run_cli(capsys, ["graph", "--family", str(family), "--u", "r2", "--depth", "2"])
     assert code == 1
     assert env["outputs"]["kind"] == "computation"
     assert "2^600" in env["outputs"]["error"]
     assert "float range" in env["outputs"]["error"]
 
 
-def test_powers_search_and_check(configs, capsys, tmp_path):
-    code, env = run_cli(capsys, "powers-search", "--family", configs["f2"],
-                        "--f", "s,s^-1", "--budget", "2")
-    assert code == 0
-    out = env["outputs"]
-    assert out["found"] is True
-    witness_file = tmp_path / "w.json"
-    witness_file.write_text(json.dumps({
-        "F": out["F"], "D": out["D"], "E": out["E"], "r": out["r"]}))
-    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
-                        "--witness", str(witness_file))
-    assert code == 0
-    assert env["outputs"]["holds"] is True
-    assert env["outputs"]["exact"] is True
+# (family config, F, budget, found); the amenable Z/2*Z/2 has no witness to find
+SEARCHES = [(F2, "s,s^-1", 2, True), (F2, "s,s^-1", 6, True),
+            (ZZ3, "g", 5, True), (dual(a=2, b=3), "a,b,b^2", 4, True),
+            (dual(u=2, s=None), "u,s,s^-1", 4, True), (dual(a=2, b=2), "a", 3, False)]
+
+
+def test_powers_search_and_check(capsys, tmp_path):
+    config, witness_file = tmp_path / "c.json", tmp_path / "w.json"
+    for spec, f, budget, found in SEARCHES:
+        config.write_text(json.dumps(spec))
+        code, env = run_cli(capsys, ["powers-search", "--family", str(config),
+                                     "--f", f, "--budget", str(budget)])
+        out = env["outputs"]
+        assert code == 0 and out["found"] is found, (spec, budget)
+        if found:
+            witness_file.write_text(json.dumps({key: out[key] for key in ("F", "D", "E", "r")}))
+            code, env = run_cli(capsys, ["powers-check", "--family", str(config),
+                                         "--witness", str(witness_file)])
+            assert code == 0
+            assert env["outputs"]["holds"] is True and env["outputs"]["exact"] is True
 
 
 def test_closed_stdout_exits_one_without_traceback(configs, monkeypatch):
@@ -261,16 +270,16 @@ def test_unencodable_output_ends_in_one_internal_envelope(configs, capsys, monke
 
 
 def test_config_error_exit_code(configs, capsys):
-    code, env = run_cli(capsys, "decompose", "--family", configs["bad"],
-                        "--x", "r1", "--y", "r1")
+    code, env = run_cli(capsys, ["decompose", "--family", configs["bad"],
+                                 "--x", "r1", "--y", "r1"])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
 
 
 def test_computation_error_exit_code(configs, capsys):
-    code, env = run_cli(capsys, "distance", "--family", configs["f2"],
-                        "--v", "e + s + s^-1 + t + t^-1",
-                        "--a", "e", "--b", "s t s", "--budget", "2")
+    code, env = run_cli(capsys, ["distance", "--family", configs["f2"],
+                                 "--v", "e + s + s^-1 + t + t^-1",
+                                 "--a", "e", "--b", "s t s", "--budget", "2"])
     assert code == 1
     assert env["outputs"]["kind"] == "computation"
     assert "budget" in env["outputs"]["error"]
@@ -278,8 +287,8 @@ def test_computation_error_exit_code(configs, capsys):
 
 
 def test_empty_label_is_a_computation_error(configs, capsys):
-    code, env = run_cli(capsys, "distance", "--family", configs["f2"],
-                        "--v", "e + s + s^-1 + t + t^-1", "--a", "", "--b", "s t")
+    code, env = run_cli(capsys, ["distance", "--family", configs["f2"],
+                                 "--v", "e + s + s^-1 + t + t^-1", "--a", "", "--b", "s t"])
     assert code == 1
     assert env["outputs"] == {"error": "empty label; the unit is spelled e",
                               "kind": "computation"}
@@ -310,7 +319,7 @@ def test_empty_label_is_a_computation_error(configs, capsys):
 def test_flag_errors_are_config_errors(configs, capsys, command, flags):
     group = command in ("distance", "powers-search", "ball", "growth")
     family = configs["f2" if group else "ao2" if command == "list-invariant" else "ao3"]
-    code, env = run_cli(capsys, command, "--family", family, *flags)
+    code, env = run_cli(capsys, [command, "--family", family, *flags])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["inputs"]["family"] == family
@@ -318,8 +327,8 @@ def test_flag_errors_are_config_errors(configs, capsys, command, flags):
 
 def test_determinism(configs, capsys):
     def one():
-        code, env = run_cli(capsys, "decompose", "--family", configs["ao3"],
-                            "--x", "2*r2 + r3", "--y", "r4")
+        code, env = run_cli(capsys, ["decompose", "--family", configs["ao3"],
+                                     "--x", "2*r2 + r3", "--y", "r4"])
         assert code == 0
         env.pop("elapsed_ms")
         return json.dumps(env, sort_keys=True)
@@ -331,8 +340,8 @@ def test_cache_transparency(configs, capsys, tmp_path):
     cache_dir = str(tmp_path / "cache")
 
     def one(*extra):
-        code, env = run_cli(capsys, "decompose", "--family", configs["ao3"],
-                            "--x", "r3", "--y", "r5", *extra)
+        code, env = run_cli(capsys, ["decompose", "--family", configs["ao3"],
+                                     "--x", "r3", "--y", "r5", *extra])
         assert code == 0
         env.pop("elapsed_ms")
         return json.dumps(env, sort_keys=True)
@@ -349,8 +358,8 @@ def test_cache_holds_one_file_per_family(configs, capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     for family, x, y in [("ao3", "r3", "r5"), ("ao2", "r2", "r4"), ("f2", "s t", "t^-1"),
                          ("ao3", "r2", "r7")]:
-        code, _ = run_cli(capsys, "decompose", "--family", configs[family],
-                          "--x", x, "--y", y, "--cache-dir", str(cache_dir))
+        code, _ = run_cli(capsys, ["decompose", "--family", configs[family],
+                                   "--x", x, "--y", y, "--cache-dir", str(cache_dir)])
         assert code == 0
     names = os.listdir(cache_dir)
     assert len(names) == 3 and all(n.endswith(".json") for n in names)
@@ -370,8 +379,8 @@ def test_warm_decompose_makes_no_rule_calls(configs, capsys, tmp_path, monkeypat
                         lambda self, a, b: calls.append((a, b)) or rule(self, a, b))
 
     def one():
-        code, env = run_cli(capsys, "decompose", "--family", configs[family],
-                            "--x", x, "--y", y, "--cache-dir", str(tmp_path / "c"))
+        code, env = run_cli(capsys, ["decompose", "--family", configs[family],
+                                     "--x", x, "--y", y, "--cache-dir", str(tmp_path / "c")])
         assert code == 0 and "degraded" not in env
         return env["outputs"]
 
@@ -389,7 +398,7 @@ def test_deeply_nested_cache_file_is_ignored(configs, capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     argv = ["decompose", "--family", configs["ao3"], "--x", "r3", "--y", "r5",
             "--cache-dir", str(cache_dir)]
-    code, cold = run_cli(capsys, *argv)
+    code, cold = run_cli(capsys, argv)
     assert code == 0
     paths = [os.path.join(d, f) for d, _, files in os.walk(cache_dir) for f in files]
     assert paths
@@ -397,12 +406,12 @@ def test_deeply_nested_cache_file_is_ignored(configs, capsys, tmp_path):
         with open(path, "w") as fh:
             fh.write("[" * 100000)
     with pytest.warns(UserWarning, match="RecursionError"):
-        code, env = run_cli(capsys, *argv)
+        code, env = run_cli(capsys, argv)
     assert code == 0
     assert env["outputs"] == cold["outputs"]
     assert len(env["degraded"]) == 1
     # the run overwrote the bad file with its own snapshot
-    code, env = run_cli(capsys, *argv)
+    code, env = run_cli(capsys, argv)
     assert code == 0 and "degraded" not in env
 
 
@@ -410,10 +419,10 @@ def test_unusable_cache_dir_is_reported_in_the_envelope(configs, capsys, tmp_pat
     blocker = tmp_path / "plain-file"
     blocker.write_text("not a directory")
     argv = ["decompose", "--family", configs["ao3"], "--x", "r3", "--y", "r5"]
-    code, plain = run_cli(capsys, *argv)
+    code, plain = run_cli(capsys, argv)
     assert "degraded" not in plain
     with pytest.warns(UserWarning, match="cache directory unusable"):
-        code, env = run_cli(capsys, *argv, "--cache-dir", str(blocker / "cache"))
+        code, env = run_cli(capsys, [*argv, "--cache-dir", str(blocker / "cache")])
     assert code == 0
     assert env["outputs"] == plain["outputs"]
     [reason] = env["degraded"]
@@ -440,14 +449,14 @@ def test_failed_cache_write_degrades(tmp_path):
      "decompose"),
 ], ids=["missing-flags", "unknown-command", "no-command", "bad-int", "unknown-flag"])
 def test_usage_errors_end_in_one_config_envelope(capsys, argv, command):
-    code = run(argv)
-    out, err = capsys.readouterr()
-    env = json.loads(out)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, env = run_cli(capsys, argv)
     assert code == 2
     assert env["command"] == command
     assert env["inputs"] == {"argv": argv}
     assert env["outputs"]["kind"] == "config"
-    assert "usage:" in err
+    assert "usage:" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["decompose", "--help"]])
@@ -560,8 +569,8 @@ MALFORMED = {
 def test_malformed_witness_is_config_error(configs, capsys, tmp_path, patch):
     witness_file = tmp_path / "w.json"
     witness_file.write_text(json.dumps({**WITNESS, **patch}))
-    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
-                        "--witness", str(witness_file))
+    code, env = run_cli(capsys, ["powers-check", "--family", configs["f2"],
+                                 "--witness", str(witness_file)])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["inputs"] == {"family": configs["f2"], "witness": str(witness_file)}
@@ -570,8 +579,8 @@ def test_malformed_witness_is_config_error(configs, capsys, tmp_path, patch):
 def test_deeply_nested_witness_is_config_error(configs, capsys, tmp_path):
     witness_file = tmp_path / "w.json"
     witness_file.write_text("[" * 100000)
-    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
-                        "--witness", str(witness_file))
+    code, env = run_cli(capsys, ["powers-check", "--family", configs["f2"],
+                                 "--witness", str(witness_file)])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["inputs"] == {"family": configs["f2"], "witness": str(witness_file)}
@@ -582,8 +591,8 @@ def test_deep_cylinder_witness_ends_in_one_envelope(configs, capsys, tmp_path):
     witness_file.write_text(json.dumps({**WITNESS,
                                         "D": {"type": "cylinder", "prefixes": ["s^1500"]},
                                         "E": {"type": "cylinder", "prefixes": ["t"]}}))
-    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
-                        "--witness", str(witness_file))
+    code, env = run_cli(capsys, ["powers-check", "--family", configs["f2"],
+                                 "--witness", str(witness_file)])
     assert code == 0
     assert env["outputs"]["holds"] is False
     assert env["outputs"]["detail"] == "D and E do not cover all irreducibles"
@@ -595,8 +604,8 @@ def test_finite_group_dual_witness_is_checked_exactly(configs, capsys, tmp_path)
             "truncation_radius": 1}
     witness_file = tmp_path / "w.json"
     witness_file.write_text(json.dumps(spec))
-    code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
-                        "--witness", str(witness_file))
+    code, env = run_cli(capsys, ["powers-check", "--family", configs["f2"],
+                                 "--witness", str(witness_file)])
     assert code == 0
     f2 = cli.load_family_config(configs["f2"]).system
     D, E = ([f2.parse_label(t) for t in spec[key]] for key in ("D", "E"))
@@ -619,8 +628,8 @@ def test_group_dual_witness_says_its_radius_went_unused(configs, capsys, tmp_pat
     for extra in ({}, {"truncation_radius": 2}):
         witness_file = tmp_path / "w.json"
         witness_file.write_text(json.dumps({**spec, **extra}))
-        code, env = run_cli(capsys, "powers-check", "--family", configs["f2"],
-                            "--witness", str(witness_file))
+        code, env = run_cli(capsys, ["powers-check", "--family", configs["f2"],
+                                     "--witness", str(witness_file)])
         assert code == 0
         assert env["outputs"]["holds"] is True and env["outputs"]["exact"] is True
         details.append(env["outputs"]["detail"])
@@ -629,26 +638,25 @@ def test_group_dual_witness_says_its_radius_went_unused(configs, capsys, tmp_pat
 
 
 def test_empty_parameter_entries_are_config_errors(configs, capsys, tmp_path):
-    code, env = run_cli(capsys, "modular-spectrum", "--family", configs["ao2"],
-                        "--list", "2^1/2,2^-1/2,", "--member", "2")
+    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2"],
+                                 "--list", "2^1/2,2^-1/2,", "--member", "2"])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["outputs"]["error"] == "--list: empty parameter"
     config = tmp_path / "c.json"
     config.write_text(json.dumps({**AO3, "params": {"fundamental_list": ["q", " "]}}))
-    code, env = run_cli(capsys, "modular-spectrum", "--family", str(config))
+    code, env = run_cli(capsys, ["modular-spectrum", "--family", str(config)])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["outputs"]["error"] == "fundamental_list: empty parameter"
 
 
 def test_missing_family_file(capsys):
-    code, env = run_cli(capsys, "decompose", "--family", "/nonexistent.json",
-                        "--x", "r1", "--y", "r1")
+    code, env = run_cli(capsys, ["decompose", "--family", "/nonexistent.json",
+                                 "--x", "r1", "--y", "r1"])
     assert code == 2
 
 
-AO3 = {"family": "a_o", "n": 3}
 ZD2 = {"type": "Zd", "d": 2}
 MALFORMED_CONFIGS = {
     "values-list": {**AO3, "params": {"values": [1]}},
@@ -666,7 +674,7 @@ MALFORMED_CONFIGS = {
 def test_malformed_family_config_is_config_error(capsys, tmp_path, spec):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(spec))
-    code, env = run_cli(capsys, "decompose", "--family", str(config), "--x", "e", "--y", "e")
+    code, env = run_cli(capsys, ["decompose", "--family", str(config), "--x", "e", "--y", "e"])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["inputs"] == {"family": str(config), "x": "e", "y": "e"}
@@ -675,7 +683,7 @@ def test_malformed_family_config_is_config_error(capsys, tmp_path, spec):
 def test_deeply_nested_family_config_is_config_error(capsys, tmp_path):
     config = tmp_path / "c.json"
     config.write_text("[" * 100000)
-    code, env = run_cli(capsys, "decompose", "--family", str(config), "--x", "e", "--y", "e")
+    code, env = run_cli(capsys, ["decompose", "--family", str(config), "--x", "e", "--y", "e"])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["inputs"] == {"family": str(config), "x": "e", "y": "e"}
@@ -683,8 +691,8 @@ def test_deeply_nested_family_config_is_config_error(capsys, tmp_path):
 
 def test_unwritable_csv_is_config_error(configs, capsys, tmp_path):
     csv = str(tmp_path / "missing" / "growth.csv")
-    code, env = run_cli(capsys, "growth", "--family", configs["f2"], "--v", "e + s + s^-1",
-                        "--center", "e", "--rmax", "2", "--csv", csv)
+    code, env = run_cli(capsys, ["growth", "--family", configs["f2"], "--v", "e + s + s^-1",
+                                 "--center", "e", "--rmax", "2", "--csv", csv])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["inputs"] == {"family": configs["f2"], "v": "e + s + s^-1", "center": "e",
@@ -693,15 +701,13 @@ def test_unwritable_csv_is_config_error(configs, capsys, tmp_path):
 
 def test_unwritable_dot_is_config_error(configs, capsys, tmp_path):
     dot = str(tmp_path / "missing" / "g.dot")
-    code, env = run_cli(capsys, "graph", "--family", configs["ao2"], "--u", "r2",
-                        "--depth", "3", "--dot", dot)
+    code, env = run_cli(capsys, ["graph", "--family", configs["ao2"], "--u", "r2",
+                                 "--depth", "3", "--dot", dot])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
     assert env["inputs"] == {"family": configs["ao2"], "u": "r2", "depth": 3}
 
 
-F2 = {"family": "group_dual",
-      "factors": [{"type": "Z", "name": "s"}, {"type": "Z", "name": "t"}]}
 AO2Q = {"family": "a_o", "n": 2, "params": {"fundamental_list": ["q", "q^-1"]}}
 AO3_WITNESS = {"F": ["r2"], "D": ["r1"], "E": ["r2"], "r": ["r1", "r2", "r3"]}
 DECOMPOSE = ("decompose", "--x", "e", "--y", "e")
@@ -709,13 +715,30 @@ CHECK = ("powers-check",)
 GRAPH = ("graph", "--u", "r2", "--depth", "2")
 
 
+def growth(v, rmax):
+    return ("growth", "--v", v, "--center", "e", "--rmax", str(rmax))
+
+
+def last(entry):
+    """Outputs whose last entry is ``entry``."""
+    return lambda outputs: outputs[-1] == entry
+
+
+def zz3_ball(r):
+    """The ball of radius ``r`` in Z*Z/3: spheres 1, 4, 10, then s_r = s_(r-1) + 4 s_(r-2)."""
+    spheres = [1, 4, 10]
+    while len(spheres) <= r:
+        spheres.append(spheres[-1] + 4 * spheres[-2])
+    return sum(spheres[:r + 1])
+
+
 def ao2_values(value):
     """``a_o(2)`` with the list ``q, q^-1`` and ``value`` for ``q``."""
     return {**AO2Q, "params": {**AO2Q["params"], "values": {"q": value}}}
 
 
-# id: (family config, command and flags, witness file content or None,
-#      exit code, expected outputs entries)
+# id: (family config, command and flags, witness file content or None, exit code,
+#      expected outputs entries or a predicate on the outputs[, time bound in s])
 BRANCHES = {
     "params-not-a-mapping": ({**AO3, "params": [1]}, DECOMPOSE, None, 2,
                              {"kind": "config", "error": "'params' must be a mapping"}),
@@ -772,13 +795,44 @@ BRANCHES = {
     "powers-search-budget-0": (F2, ("powers-search", "--f", "s", "--budget", "0"), None, 0,
                                {"found": False,
                                 "note": "bounded search exhausted; proves nothing"}),
+    # closed forms at scale: the ball of F2 is 2*3^r - 1, also with Z/m for m > 2r
+    "growth-f2-rmax-10": (F2, growth(F2_V, 10), None, 0,
+                          last({"ball_size": 118097, "radius": 10})),
+    "growth-f2-rmax-3000": (F2, growth(F2_V, 3000), None, 0,
+                            last({"ball_size": 2 * 3 ** 3000 - 1, "radius": 3000}), 5.0),
+    "growth-zz3-rmax-3000": (ZZ3, growth(ZZ3_V, 3000), None, 0,
+                             last({"ball_size": zz3_ball(3000), "radius": 3000}), 5.0),
+    # only rmax + 1 terms of a factor's series are built, so the cost does not grow with m
+    "growth-z-mod-1e6": (dual(g=10 ** 6), growth("e + g + g^-1", 50), None, 0,
+                         last({"ball_size": 101, "radius": 50}), 5.0),
+    **{f"growth-z-mod-1e{p}-times-z": (
+        dual(g=10 ** p, s=None), growth("e + g + g^-1 + s + s^-1", 50), None, 0,
+        last({"ball_size": 2 * 3 ** 50 - 1, "radius": 50}), 5.0) for p in (6, 12)},
+    # s lies outside <s^2, t>, the subgroup the generator's support generates: no search runs
+    "distance-outside-the-subgroup": (F2, ("distance", "--v", "e + s^2 + s^-2 + t + t^-1",
+                                           "--a", "e", "--b", "s"), None, 1,
+                                      {"error": "not reached within budget 64: d(e, s)",
+                                       "kind": "computation"}, 5.0),
+    "graph-z2-depth-40": ({"family": "group_dual", "factors": [ZD2]},
+                          ("graph", "--u", "e + g1 + g1^-1 + g2 + g2^-1", "--depth", "40"),
+                          None, 0, {"end_dims": [str(n) for n in lazy_walk_counts(40)]}),
+    # each disjointness condition is decided without forming the intersection
+    "powers-check-long-r1": (F2, CHECK, {**WITNESS, "r": [" ".join(["t s"] * 400),
+                                                           "s^-1 t", "s t"]}, 0,
+                             {"holds": False, "exact": True, "detail": "r1 o E meets r2 o E"}),
+    # free-product moments join the free parts; a star word of one letter kind is a power
+    "moments-zz3-k-40": (ZZ3, ("moments", "--u", ZZ3_V, "--k", "40"), None, 0,
+                         last({"word": "X" * 40, "value": "6165864081073485714595283"})),
+    "moments-zz3-word-40": (ZZ3, ("moments", "--u", ZZ3_V, "--word", "X" * 40), None, 0,
+                            last({"word": "X" * 40, "value": "6165864081073485714595283"})),
+    "moments-f2-star-word-40": (F2, ("moments", "--u", F2_V, "--word", "X*" * 40), None, 0,
+                                last({"word": "X*" * 40, "value": "1033401306956713327750481"})),
 }
 
 
-@pytest.mark.parametrize("spec, argv, witness, want_code, want",
-                         BRANCHES.values(), ids=BRANCHES.keys())
-def test_cli_branches_end_in_one_envelope(capsys, tmp_path, spec, argv, witness,
-                                          want_code, want):
+@pytest.mark.parametrize("name", BRANCHES)
+def test_cli_branches_end_in_one_envelope(capsys, tmp_path, name):
+    spec, argv, witness, want_code, want, *bound = BRANCHES[name]
     config = tmp_path / "c.json"
     config.write_text(json.dumps(spec))
     flags = []
@@ -786,7 +840,10 @@ def test_cli_branches_end_in_one_envelope(capsys, tmp_path, spec, argv, witness,
         witness_file = tmp_path / "w.json"
         witness_file.write_text(json.dumps(witness))
         flags = ["--witness", str(witness_file)]
-    code, env = run_cli(capsys, argv[0], "--family", str(config), *argv[1:], *flags)
+    code, env = run_cli(capsys, [argv[0], "--family", str(config), *argv[1:], *flags], *bound)
     assert code == want_code
-    assert {key: env["outputs"].get(key) for key in want} == want
+    if callable(want):
+        assert want(env["outputs"]), str(env["outputs"])[-300:]
+    else:
+        assert {key: env["outputs"].get(key) for key in want} == want
     assert env["inputs"]["family"] == str(config)

@@ -5,32 +5,29 @@ eleven subcommands over ten family configs, with labels and elements
 (``0`` and unit-only ones among them), star words, parameter lists,
 witness files (label lists and cylinder descriptors, with and without
 ``truncation_radius``) and family configs mutated from the keys of
-``docs/family_config.schema.json``.  Each input must print exactly one
-strict JSON document, exit 0, 1 or 2 as its ``kind`` says (none is
-``internal``), echo its ``inputs`` and end within a generous time bound.
+``docs/family_config.schema.json``.  Each input goes through
+``conftest.run_cli``, the one console contract the CLI tests share: exactly
+one strict JSON envelope, exit 0, 1 or 2 as its ``kind`` says (none is
+``internal``), its ``inputs`` echoed, no traceback on stderr, within 10 s.
 
 Sizes stay small so that every input is bounded: depths at most 8, search
 budgets at most 3, radii at most 4, at most three terms per element and
 labels of at most four syllables.  ``moments --jsonl`` is left out of the
-draw: it prints one JSON line per moment before the envelope by design,
-so its stdout is not one document.
+draw; the contract's check of its JSON lines runs in ``test_cli`` and on
+the ``moments_ao3_jsonl`` golden.
 """
 
 import json
 import math
 import random
-import time
 
 import pytest
 
-from fusionkit import cli
-
-from conftest import strict_loads
+from conftest import run_cli
 
 SEED = 20261020
 ARGV_DRAWS = 700
 CONFIG_DRAWS = 300
-TIME_BOUND_S = 10.0
 
 F2 = {"family": "group_dual", "factors": [{"type": "Z", "name": "s"}, {"type": "Z", "name": "t"}]}
 ZZ3 = {"family": "group_dual",
@@ -291,33 +288,6 @@ class Draw:
         return cfg
 
 
-def check_envelope(argv, out, code, elapsed):
-    docs = out.strip()
-    assert docs, f"{argv}: no output"
-    env = strict_loads(docs)  # one document: trailing text would not parse
-    assert isinstance(env, dict), argv
-    assert code in (0, 1, 2), (argv, code)
-    outputs = env["outputs"]
-    kind = outputs.get("kind") if isinstance(outputs, dict) else None
-    assert kind != "internal", (argv, outputs)
-    assert kind == {0: None, 1: "computation", 2: "config"}[code], (argv, code, outputs)
-    inputs = env["inputs"]
-    assert isinstance(inputs, dict) and inputs, (argv, env)
-    if "argv" in inputs:
-        assert inputs["argv"] == argv and code == 2, (argv, env)
-    else:
-        assert inputs["family"] == argv[argv.index("--family") + 1], (argv, env)
-    assert elapsed < TIME_BOUND_S, (argv, elapsed)
-
-
-def run_one(capsys, argv):
-    started = time.perf_counter()
-    code = cli.run(argv)
-    elapsed = time.perf_counter() - started
-    check_envelope(argv, capsys.readouterr().out, code, elapsed)
-    return code
-
-
 @pytest.fixture
 def fuzz_rng():
     return random.Random(SEED)
@@ -329,7 +299,7 @@ def test_fuzzed_argv_end_in_one_envelope(capsys, tmp_path, fuzz_rng):
     codes = []
     for _ in range(ARGV_DRAWS):
         family, command = draw.family_and_command()
-        codes.append(run_one(capsys, draw.argv(paths[family], family, command)))
+        codes.append(run_cli(capsys, draw.argv(paths[family], family, command))[0])
     # the draw reaches all three outcomes, success in more than a third of the inputs
     assert {0, 1, 2} <= set(codes) and codes.count(0) > len(codes) // 3
 
@@ -340,5 +310,5 @@ def test_fuzzed_configs_end_in_one_envelope(capsys, tmp_path, fuzz_rng):
     for _ in range(CONFIG_DRAWS):
         family, command = draw.family_and_command()
         path = draw.write(draw.mutated_config(family))
-        codes.append(run_one(capsys, draw.argv(path, family, command)))
+        codes.append(run_cli(capsys, draw.argv(path, family, command))[0])
     assert {0, 1, 2} <= set(codes) and codes.count(2) > len(codes) // 3

@@ -1,5 +1,6 @@
 import random
 import threading
+import time
 from itertools import repeat
 from math import comb
 
@@ -13,6 +14,7 @@ from conftest import (
     REDUCED_SYSTEMS,
     label_pool,
     mc_recursion_reference,
+    moments_by_full_powers,
     random_element,
     reduced_support,
     tensor_power,
@@ -172,16 +174,6 @@ def test_element_hash_and_contains(ao2):
 
 # -- unit multiplicities at half depth, against the full-power expansion
 
-def moments_by_full_powers(sys, x, N):
-    """Oracle: form every power x^j, j = 0..N, and read the unit off each."""
-    acc = sys.unit_element()
-    out = [acc.mult(sys.unit)]
-    for _ in range(N):
-        acc = sys.tensor(acc, x)
-        out.append(acc.mult(sys.unit))
-    return out
-
-
 def _kernel_cases():
     ao3, aut5, au2 = fk.AoSystem(3), fk.AutSystem(5), fk.AuSystem(2)
     zz3 = fk.GroupDualSystem([None, 3], names=["g", "h"])
@@ -340,13 +332,21 @@ def test_chain_moments_match_the_level_walk(d, rng):
             c0, chains, N)
 
 
-def test_chain_moments_at_depth_are_catalan_numbers():
+def test_chain_moments_at_depth_are_catalan_numbers(monkeypatch):
     # the fundamentals: r_2 of a_o, with r_k (x) r_2 = r_{k-1} + r_{k+1}, and
     # s_0 + s_1 of aut, with s_k (x) s_1 = s_{k-1} + s_k + s_{k+1}
     catalan = [comb(2 * n, n) // (n + 1) for n in range(301)]
     assert _chain_moments(0, ((1, 1, 1, 0),), 600)[::2] == catalan
     assert _chain_moments(1, ((1, 1, 1, 1),), 300) == catalan
     assert _chain_moments(3, ((1, 1, 1, 0),), 0) == [1]
+    # the families declare those chains: the count to N = 4000 calls no fusion rule
+    started = time.perf_counter()
+    ao3, aut5 = fk.AoSystem(3), fk.AutSystem(5)
+    for sys in (ao3, aut5):
+        monkeypatch.setattr(sys, "_tensor_irr", lambda a, b: pytest.fail("a fusion rule ran"))
+    assert [sys.unit_moments(sys.fundamental(), 4000)[4000] for sys in (ao3, aut5)] == [
+        comb(4000, 2000) // 2001, comb(8000, 4000) // 4001]
+    assert time.perf_counter() - started < 10.0
 
 
 def test_inexact_division_raises():
@@ -542,6 +542,10 @@ def test_unit_moments_join_free_parts(name, factors, names, text, monkeypatch):
 
     monkeypatch.setattr(sys, "_tensor_irr", capped)
     assert sys.unit_moments(x, 40) == expected
+    if name == "Z*Z/3":  # past the oracle's reach: the join alone, to N = 80 within 10 s
+        started = time.perf_counter()
+        assert sys.unit_moments(x, 80)[-1] == 1244459838319806283344728407362860329048644134446995
+        assert time.perf_counter() - started < 10.0
 
 
 def test_free_parts_only_for_single_syllables_of_two_factors(f2, zmod3, zd2, ao3, aut4, au2):

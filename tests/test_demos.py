@@ -1,13 +1,18 @@
-"""Smoke test of the documentation: every demo runs, the README example prints
-what its comments say."""
+"""Smoke test of the documentation and the entry point: every demo runs, the
+README example prints what its comments say, ``python -m fusionkit`` prints
+one envelope."""
 
+import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
+
+from conftest import assert_one_envelope
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -35,3 +40,16 @@ def test_readme_quick_start():
     proc = run_python("-c", block)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == expected
+
+
+def test_entry_point_prints_one_envelope(tmp_path):
+    # the whole process: interpreter start-up, imports, __main__ and the exit code
+    family = tmp_path / "ao3.json"
+    family.write_text(json.dumps({"family": "a_o", "n": 3}))
+    argv = ["decompose", "--family", str(family), "--x", "r2 + r3", "--y", "r4 + r5"]
+    started = time.perf_counter()
+    proc = run_python("-m", "fusionkit", *argv)
+    elapsed = time.perf_counter() - started
+    env = assert_one_envelope(argv, proc.returncode, proc.stdout, proc.stderr, elapsed, 20.0)
+    assert proc.returncode == 0
+    assert env["outputs"] == {"r2": "1", "r3": "2", "r4": "2", "r5": "2", "r6": "2", "r7": "1"}

@@ -1,35 +1,12 @@
-from fractions import Fraction
-
 import pytest
 
 import fusionkit as fk
 from fusionkit import FusionElement
 
-from conftest import with_stack_margin
+from conftest import au_split_oracle, closed_form_dim, with_stack_margin
 
 
-# -- oracle: closed-form dimensions through the quadratic field Q(sqrt(n^2-4))
-
-def closed_form_dim(n, k):
-    """(x^k - y^k)/(x - y) for the roots of X^2 - nX + 1, exactly."""
-    # x = (n + sqrt(D))/2 as the pair (n, 1)/2 in a + b*sqrt(D)
-    D = n * n - 4
-
-    def mul(p, q):
-        a, b = p
-        c, d = q
-        return (a * c + b * d * D, a * d + b * c)
-
-    x = (Fraction(n, 2), Fraction(1, 2))
-    y = (Fraction(n, 2), Fraction(-1, 2))
-    xk, yk = (Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))
-    for _ in range(k):
-        xk, yk = mul(xk, x), mul(yk, y)
-    diff_b = xk[1] - yk[1]  # x^k - y^k = diff_b * sqrt(D)
-    value = diff_b  # divided by x - y = sqrt(D)
-    assert value.denominator == 1
-    return int(value)
-
+# -- dimensions against the closed form in the quadratic field Q(sqrt(n^2-4))
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ao_dims_match_closed_form(n):
@@ -73,21 +50,6 @@ def test_au_bar():
     assert fk.au_bar("aab") == "abb"
 
 
-# -- oracle: exhaustive suffix/prefix split with an independent bar
-
-def _bar(w):
-    return "".join("a" if c == "b" else "b" for c in reversed(w))
-
-
-def au_tensor_oracle(sys, x, y):
-    terms = {}
-    for k in range(min(len(x), len(y)) + 1):
-        if _bar(x[len(x) - k:]) == y[:k]:
-            lab = sys.word(x[: len(x) - k] + y[k:])
-            terms[lab] = terms.get(lab, 0) + 1
-    return FusionElement(terms)
-
-
 def test_au_tensor_examples(au2):
     w = au2.word
     unit = au2.unit_element()
@@ -104,7 +66,7 @@ def test_au_tensor_against_split_oracle(au2, rng):
     words = sorted(set(words))
     for _ in range(200):
         x, y = rng.choice(words), rng.choice(words)
-        assert au2.tensor_pair(au2.word(x), au2.word(y)) == au_tensor_oracle(au2, x, y)
+        assert au2.tensor_pair(au2.word(x), au2.word(y)) == au_split_oracle(au2, x, y)
 
 
 def test_au_unit_multiplicity_all_words_up_to_6(au2):

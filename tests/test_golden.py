@@ -3,7 +3,8 @@
 Each case runs ``fusionkit.cli.run`` in a fresh working directory that
 holds the family configs, so ``--family`` paths (which the envelope echoes)
 are relative and stable.  ``elapsed_ms`` is the only masked field.  Files a
-command writes (``--csv``, ``--dot``) are compared as well.
+command writes (``--csv``, ``--dot``) are compared as well, and every run
+also meets the console contract of ``conftest.assert_one_envelope``.
 
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -15,11 +16,14 @@ import json
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from fusionkit.cli import run
+
+from conftest import assert_one_envelope
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -104,17 +108,22 @@ _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]+')
 
 
 def replay(argv, workdir: Path) -> tuple[int, str, dict[str, str]]:
-    """Run one command in ``workdir``; return (exit code, masked stdout, new files)."""
+    """Run one command in ``workdir`` under the console contract; return
+    (exit code, masked stdout, new files)."""
+    argv = list(argv)
     for name, content in FILES.items():
         (workdir / name).write_text(json.dumps(content), encoding="utf-8")
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out):
-            code = run(list(argv))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            started = time.perf_counter()
+            code = run(argv)
+            elapsed = time.perf_counter() - started
     finally:
         os.chdir(cwd)
+    assert_one_envelope(argv, code, out.getvalue(), err.getvalue(), elapsed)
     written = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(workdir.iterdir()) if p.name not in FILES}
     return code, _ELAPSED.sub('"elapsed_ms": "masked"', out.getvalue()), written
