@@ -1,25 +1,34 @@
 """Positive-parameter lists, quantum dimension and the modular spectrum.
 
-A parameter is an exact monomial ``prod base^exponent`` in positive
-generators with rational exponents.  Bases are either named formal
-generators (assumed multiplicatively independent) or prime numbers:
-positive rational constants are factored into primes on construction (by
-trial division up to ``TRIAL_DIVISION_LIMIT``), so statements like
-``2 in 4^Z`` are decided exactly.  Floats never enter the
-algebra; numeric evaluation is a separate explicit step.
+A parameter is an exact monomial ``prod base^exponent`` with rational
+exponents.  Bases are named formal generators (assumed multiplicatively
+independent) or primes: positive rational constants are factored by trial
+division up to ``TRIAL_DIVISION_LIMIT``, so ``2 in 4^Z`` is decided exactly.
+Floats never enter the algebra; numeric evaluation is a separate step.
 
-Lists are finite multisets of parameters.  They add by multiset union,
-multiply by pairwise products and dualize by entrywise inversion, which
-makes the assignment ``class -> list`` a semiring morphism; lists for
-irreducibles are derived from the fundamental list by peeling known
-components off tensor products (multiset subtraction).
+A list is a finite multiset of parameters held as a Laurent polynomial with
+non-negative integer coefficients.  Its frame is ``(bases, denom)``: the
+bases its entries use, sorted by ``_base_key``, and the lcm of their
+exponent denominators; the entry ``prod b_i^(k_i/denom)`` is the integer
+key ``k``, mapped to its multiplicity.  Lists add by adding counts,
+multiply by adding keys and dualize by negating keys, so ``class -> list``
+is a semiring morphism; lists of irreducibles are derived from the
+fundamental list by subtracting known components' counts from products.
+
+Each list is kept in its least frame, so equal lists have equal fields.  An
+operation on two frames first widens both to their join: the union of the
+bases, sorted by ``_base_key``, and the lcm of the denominators.  Widening
+pads each key with zeros and scales it by ``lcm // denom``; narrowing to the
+least frame drops zero columns and divides by a common factor.  Each of
+these maps is one-to-one on keys, so keys stay distinct and in their order:
+a list iterates its entries in order of first insertion, as it would with
+``Param`` keys, and ``qdim`` sums in that order whatever frames it met.
 
 The modular spectrum of a list is the subgroup of the positive reals
-generated by all products ``p^2 q^2``; it is represented as an integer
-lattice of exponent vectors over a common denominator, in the canonical
-Hermite normal form (entries above each pivot reduced top-down into
-``[0, pivot)``), so equal lattices have equal forms and membership is a test
-of whether adding the member changes the form.
+generated by all products ``p^2 q^2``: an integer lattice of keys in the
+canonical Hermite normal form (entries above each pivot reduced top-down
+into ``[0, pivot)``), so equal lattices have equal forms and membership is
+a test of whether adding the member changes the form.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping
 
 from .core import BudgetExceededError, FusionElement, FusionError, FusionSystem, IrrLabel
@@ -55,8 +66,7 @@ def _factor_positive_rational(q: Fraction) -> dict[int, Fraction]:
         raise FusionError(f"parameters must be positive, got {q}")
     out: dict[int, Fraction] = {}
     for value, sign in ((q.numerator, 1), (q.denominator, -1)):
-        n = value
-        p = 2
+        n, p = value, 2
         while p * p <= n:
             if p > TRIAL_DIVISION_LIMIT:
                 raise BudgetExceededError(
@@ -110,8 +120,6 @@ class Param:
         text = text.strip()
         if not text:
             raise FusionError("empty parameter")
-        if text == "1":
-            return cls.one()
         acc = cls.one()
         for chunk in text.split("*"):
             chunk = chunk.strip()
@@ -173,42 +181,61 @@ class Param:
         return out
 
     def __str__(self) -> str:
-        if not self.exponents:
-            return "1"
-        bits = []
-        for b, e in self.exponents:
-            head = str(b)
-            bits.append(head if e == 1 else f"{head}^{e}")
-        return "*".join(bits)
+        return "*".join(str(b) if e == 1 else f"{b}^{e}" for b, e in self.exponents) or "1"
+
+
+def _join(f: tuple, g: tuple) -> tuple:
+    """The least frame holding frames ``f`` and ``g`` (the widening rule)."""
+    if f == g:
+        return f
+    return tuple(sorted({*f[0], *g[0]}, key=_base_key)), math.lcm(f[1], g[1])
+
+
+def _param(frame: tuple, key: tuple) -> Param:
+    return Param(tuple((b, Fraction(e, frame[1])) for b, e in zip(frame[0], key) if e))
 
 
 class ParamList:
-    """A finite multiset of parameters."""
+    """A finite multiset of parameters: ``_counts`` maps integer keys over
+    the least frame ``_frame`` to multiplicities, in order of first insertion."""
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_frame", "_counts")
 
-    def __init__(self, entries: Iterable[Param] = ()):
-        counts: Counter[Param] = Counter()
+    def __new__(cls, entries: Iterable[Param] = ()):
+        entries = list(entries)
         for p in entries:
             if not isinstance(p, Param):
                 raise FusionError(f"not a Param: {p!r}")
-            counts[p] += 1
-        object.__setattr__(self, "_counts", counts)
+        bases = tuple(sorted({b for p in entries for b, _ in p.exponents}, key=_base_key))
+        denom = math.lcm(*(e.denominator for p in entries for _, e in p.exponents))
+        return cls._of((bases, denom), dict(Counter(
+            tuple(int(p.exponent_map().get(b, 0) * denom) for b in bases) for p in entries)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamList is immutable")
 
     @classmethod
-    def from_counts(cls, counts: Mapping[Param, int]) -> "ParamList":
-        acc: Counter[Param] = Counter()
-        for p, m in counts.items():
-            if m < 0:
-                raise FusionError("negative multiplicity in list")
-            if m:
-                acc[p] = m
-        out = cls()
-        out._counts.update(acc)
+    def _of(cls, frame: tuple, counts: dict) -> "ParamList":
+        """The list with positive ``counts`` over ``frame``, narrowed to its least frame."""
+        bases, denom = frame
+        keep = [i for i in range(len(bases)) if any(k[i] for k in counts)]
+        g = math.gcd(denom, *(e for k in counts for e in k)) if denom > 1 else 1
+        if g > 1 or len(keep) < len(bases):
+            frame = tuple(bases[i] for i in keep), denom // g
+            counts = {tuple(k[i] // g for i in keep): m for k, m in counts.items()}
+        out = object.__new__(cls)
+        object.__setattr__(out, "_frame", frame)
+        object.__setattr__(out, "_counts", counts)
         return out
+
+    def _rekey(self, frame: tuple) -> dict:
+        """``_counts`` widened to ``frame``, a ``_join`` of this list's frame."""
+        if frame == self._frame:
+            return self._counts
+        own, scale = self._frame[0], frame[1] // self._frame[1]
+        cols = [own.index(b) if b in own else None for b in frame[0]]
+        return {tuple(0 if i is None else k[i] * scale for i in cols): m
+                for k, m in self._counts.items()}
 
     @classmethod
     def kac(cls, n: int) -> "ParamList":
@@ -219,51 +246,50 @@ class ParamList:
         return cls(Param.parse(t) for t in texts)
 
     def counts(self) -> Counter:
-        return Counter(self._counts)
+        return Counter({_param(self._frame, k): m for k, m in self._counts.items()})
 
     def entries(self) -> list[Param]:
-        out: list[Param] = []
-        for p, m in sorted(self._counts.items(), key=lambda it: str(it[0])):
-            out.extend([p] * m)
-        return out
+        return sorted((p for p, m in self.counts().items() for _ in range(m)), key=str)
 
     def __len__(self) -> int:
         return sum(self._counts.values())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ParamList):
-            return self._counts == other._counts
+            return self._frame == other._frame and self._counts == other._counts
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._counts.items()))
+        return hash((self._frame, frozenset(self._counts.items())))
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.entries()) + "}"
 
     def union(self, other: "ParamList") -> "ParamList":
-        return ParamList.from_counts(self._counts + other._counts)
+        frame = _join(self._frame, other._frame)
+        return ParamList._of(frame, Counter(self._rekey(frame)) + Counter(other._rekey(frame)))
 
     def product(self, other: "ParamList") -> "ParamList":
-        out: Counter[Param] = Counter()
-        for p, mp in self._counts.items():
-            for q, mq in other._counts.items():
-                out[p * q] += mp * mq
-        return ParamList.from_counts(out)
+        frame = _join(self._frame, other._frame)
+        right = other._rekey(frame).items()
+        out: dict[tuple[int, ...], int] = {}
+        for p, mp in self._rekey(frame).items():
+            for q, mq in right:
+                k = tuple(map(add, p, q))
+                out[k] = out.get(k, 0) + mp * mq
+        return ParamList._of(frame, out)
 
     def inverse(self) -> "ParamList":
-        return ParamList.from_counts(Counter({p.inv(): m for p, m in self._counts.items()}))
+        return ParamList._of(self._frame, {tuple(-e for e in k): m for k, m in self._counts.items()})
 
     def is_balanced_formal(self) -> bool:
         """Whether ``sum q^2 = sum q^-2`` holds identically (as formal monomials)."""
-        sq = Counter({p ** 2: m for p, m in self._counts.items()})
-        inv_sq = Counter({(p.inv()) ** 2: m for p, m in self._counts.items()})
-        return sq == inv_sq
+        return self == self.inverse()
 
 
 def is_kac(l: ParamList) -> bool:
     """True iff every entry is the trivial parameter (``there are no q's``)."""
-    return all(p.is_one() for p in l.counts())
+    return not l._frame[0]
 
 
 def _float_power(p: Param, values: Mapping[str, float | Fraction] | None, k: int) -> float:
@@ -300,24 +326,15 @@ def trig_eval(l: ParamList, t: float,
 # derivation of irreducible lists
 # ---------------------------------------------------------------------------
 
-def _subtract(total: Counter, part: Counter, what: str) -> Counter:
-    out = Counter(total)
-    for p, m in part.items():
-        if out.get(p, 0) < m:
-            raise InconsistentListError(f"{what}: multiset subtraction not contained at {p}")
-        out[p] -= m
-    return out + Counter()
-
-
-def _divide(counts: Counter, k: int, what: str) -> Counter:
-    if k == 1:
-        return counts
-    out: Counter = Counter()
-    for p, m in counts.items():
-        if m % k:
-            raise InconsistentListError(f"{what}: multiplicity of {p} not divisible by {k}")
-        out[p] = m // k
-    return out
+def _subtract(total: dict, part: dict, m: int, frame: tuple, what: str) -> None:
+    """Take ``m`` copies of ``part`` out of ``total`` in place; both are keyed over ``frame``."""
+    for k, c in part.items():
+        if total.get(k, 0) < c * m:
+            raise InconsistentListError(
+                f"{what}: multiset subtraction not contained at {_param(frame, k)}")
+        total[k] -= c * m
+        if not total[k]:
+            del total[k]
 
 
 def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
@@ -337,7 +354,7 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
         raise FusionError(
             f"fundamental list has size {len(fund_list)} but dim = {sys.dim(fund)}")
 
-    known: dict[IrrLabel, ParamList] = {sys.unit: ParamList([Param.one()])}
+    known: dict[IrrLabel, ParamList] = {sys.unit: ParamList._of(((), 1), {(): 1})}
     drivers = [(fund, fund_list), (sys.conj_element(fund), fund_list.inverse())]
 
     def settle(x: FusionElement, x_list: ParamList, what: str) -> list[IrrLabel]:
@@ -346,23 +363,26 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
         unknown = [(lab, m) for lab, m in x.items() if lab not in known]
         if not unknown:
             return []
-        remainder = x_list.counts()
+        frame = reduce(_join, (known[lab]._frame for lab, _ in x.items() if lab in known),
+                       x_list._frame)
+        remainder = dict(x_list._rekey(frame))
         for lab, m in x.items():
             if lab in known:
-                part = Counter({p: c * m for p, c in known[lab].counts().items()})
-                remainder = _subtract(remainder, part, what)
+                _subtract(remainder, known[lab]._rekey(frame), m, frame, what)
         if len(unknown) == 1:
             lab, m = unknown[0]
-            known[lab] = ParamList.from_counts(_divide(remainder, m, what))
+            for k, c in remainder.items():
+                if c % m:
+                    raise InconsistentListError(
+                        f"{what}: multiplicity of {_param(frame, k)} not divisible by {m}")
+            known[lab] = ParamList._of(frame, {k: c // m for k, c in remainder.items()})
             return [lab]
         # several unknown components: only an all-equal remainder splits evenly
-        distinct = set(remainder)
-        total = sum(remainder.values())
-        dims = sum(m * sys.dim_irr(lab) for lab, m in unknown)
-        if len(distinct) == 1 and total == dims:
-            p = next(iter(distinct))
+        if len(remainder) == 1 and sum(remainder.values()) == sum(
+                m * sys.dim_irr(lab) for lab, m in unknown):
+            [p] = remainder
             for lab, _ in unknown:
-                known[lab] = ParamList([p] * sys.dim_irr(lab))
+                known[lab] = ParamList._of(frame, {p: sys.dim_irr(lab)})
             return [lab for lab, _ in unknown]
         raise InconsistentListError(
             f"{what}: cannot split a non-constant remainder over several unknowns")
@@ -409,7 +429,6 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
         pivot_rows = [r for r in work if r[col] != 0]
         rest = [r for r in work if r[col] == 0]
         if not pivot_rows:
-            work = rest
             continue
         piv = pivot_rows[0]
         for r in pivot_rows[1:]:
@@ -437,10 +456,9 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
 class ExponentLattice:
     """A finitely generated subgroup of the positive reals.
 
-    Stored as exponent vectors over an ordered base tuple (primes then
-    named generators), scaled by the least common denominator, with rows in
-    the canonical Hermite normal form (entries above each pivot in
-    ``[0, pivot)``), so the fields decide equality and hashing.
+    Stored as the least frame of its generators (primes, then named
+    generators) and the rows of their keys' canonical Hermite normal form,
+    so the fields decide equality and hashing.
     """
 
     bases: tuple = ()
@@ -448,35 +466,18 @@ class ExponentLattice:
     rows: tuple = ()
 
     @classmethod
-    def from_params(cls, params: Iterable[Param]) -> "ExponentLattice":
-        params = list(params)
-        bases = sorted({b for p in params for b, _ in p.exponents}, key=_base_key)
-        # the lcm of the generators' denominators is the least one that makes
-        # the lattice integral, so the rows share no factor with it
-        denom = 1
-        for p in params:
-            for _, e in p.exponents:
-                denom = math.lcm(denom, e.denominator)
-        rows = []
-        for p in params:
-            exps = p.exponent_map()
-            rows.append([int(exps.get(b, Fraction(0)) * denom) for b in bases])
-        hnf = hermite_normal_form(rows)
-        if not hnf:
-            return cls()
-        keep = [i for i in range(len(bases)) if any(r[i] for r in hnf)]
-        return cls(tuple(bases[i] for i in keep), denom,
-                   tuple(tuple(r[i] for i in keep) for r in hnf))
+    def from_params(cls, params: Iterable[Param] | ParamList) -> "ExponentLattice":
+        """The lattice the parameters generate; a list's keys are the rows, over its frame."""
+        gens = params if isinstance(params, ParamList) else ParamList(params)
+        hnf = hermite_normal_form([list(k) for k in gens._counts])
+        return cls(*gens._frame, tuple(map(tuple, hnf))) if hnf else cls()
 
     def contains(self, p: Param) -> bool:
         """Whether ``p`` is in the lattice: adding it leaves the canonical form unchanged."""
-        exps = p.exponent_map()
-        if any(b not in self.bases for b in exps):
+        frame, member = (self.bases, self.denominator), ParamList([p])
+        if _join(frame, member._frame) != frame:  # a base or a denominator the lattice lacks
             return False
-        target = [exps.get(b, Fraction(0)) * self.denominator for b in self.bases]
-        if any(u.denominator != 1 for u in target):
-            return False
-        hnf = hermite_normal_form([*self.rows, [int(u) for u in target]])
+        hnf = hermite_normal_form([*self.rows, next(iter(member._rekey(frame)))])
         return tuple(map(tuple, hnf)) == self.rows
 
     def __repr__(self) -> str:
@@ -486,11 +487,8 @@ class ExponentLattice:
                 f"rows={self.rows})")
 
     def describe(self) -> dict:
-        return {
-            "bases": [str(b) for b in self.bases],
-            "denominator": self.denominator,
-            "hnf_rows": [list(r) for r in self.rows],
-        }
+        return {"bases": [str(b) for b in self.bases], "denominator": self.denominator,
+                "hnf_rows": [list(r) for r in self.rows]}
 
 
 def modular_spectrum(l: ParamList) -> ExponentLattice:
@@ -500,6 +498,6 @@ def modular_spectrum(l: ParamList) -> ExponentLattice:
     (p_1 p_j)^2 / (p_1 p_1)^2``; every generating set has the group's least common
     denominator and the Hermite normal form is canonical, so the form is unchanged.
     """
-    entries = list(l.counts())
-    gens = [(entries[0] * q) ** 2 for q in entries]
-    return ExponentLattice.from_params(gens)
+    keys = list(l._counts)
+    gens = {tuple(2 * (a + b) for a, b in zip(keys[0], k)): 1 for k in keys}
+    return ExponentLattice.from_params(ParamList._of(l._frame, gens))

@@ -7,7 +7,8 @@ the unit.  Level ``k+1`` is ``sum_a m_a (a (x) letter)``; the product
 ``a (x) letter`` is the sparse inclusion row of ``a``, the one form the
 inclusions take.  A label's row is formed once per letter, on its first
 visit under that letter, and every level where that label meets that
-letter again shares it (rows are immutable, so sharing is safe).  The
+letter again shares it (rows are immutable, so sharing is safe), and its
+``sort_key``, which orders the levels, is computed once per tower.  The
 squared multiplicities at level ``k`` sum to the endomorphism dimension of
 the word.
 
@@ -68,6 +69,7 @@ def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:
     # each letter with its row table; one table when u is self-conjugate
     u_rows: dict[IrrLabel, FusionElement] = {}
     letters = ((u, u_rows), (ubar, u_rows if ubar == u else {}))
+    keys: dict[IrrLabel, object] = {}  # each label's sort_key, computed once
     for k in range(depth):
         letter, table = letters[k % 2]
         rows = []
@@ -78,9 +80,11 @@ def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:
             rows.append(row)
         word: dict[IrrLabel, int] = {}
         for (_, m), row in zip(levels[-1], rows):
-            for c, mc in row.items():
+            for c, mc in row._terms.items():
                 word[c] = word.get(c, 0) + m * mc
-        levels.append(sys.sorted_items(FusionElement._adopt(word)))
+        for c in word.keys() - keys.keys():
+            keys[c] = sys.sort_key(c)
+        levels.append([(c, word[c]) for c in sorted(word, key=keys.__getitem__)])
         inclusions.append(rows)
     return BratteliDiagram(system=sys, u=u, levels=levels, inclusions=inclusions)
 

@@ -99,6 +99,36 @@ def random_element(sys, rng, pool=None, max_terms=2, max_mult=2):
     return fk.FusionElement(terms)
 
 
+def dual(**factors):
+    """A group-dual config: each named factor is Z (``None``) or Z/m."""
+    return {"family": "group_dual",
+            "factors": [{"type": "Z", "name": name} if m is None else
+                        {"type": "Zmod", "m": m, "name": name} for name, m in factors.items()]}
+
+
+AO2Q_PARAMS = {"generators": ["q"], "fundamental_list": ["q", "q^-1"]}
+# the family configs of the console tests, by name: the CLI tests, the
+# fuzzer and the goldens (which write each to ``<name>.json`` and echo
+# that file name) all read them from here
+CONFIGS = {
+    "ao2": {"family": "a_o", "n": 2},
+    "ao2q": {"family": "a_o", "n": 2, "params": {**AO2Q_PARAMS, "values": {"q": 1.2}}},
+    "ao2q-at-1": {"family": "a_o", "n": 2, "params": {**AO2Q_PARAMS, "values": {"q": 1.0}}},
+    "ao2q-bare": {"family": "a_o", "n": 2, "params": {"fundamental_list": ["q", "q^-1"]}},
+    "ao3": {"family": "a_o", "n": 3},
+    "aut4": {"family": "aut", "n": 4},
+    "au2": {"family": "a_u", "n": 2},
+    "f2": dual(s=None, t=None),
+    "zz3": dual(s=None, t=3),
+    "zz3-gh": dual(g=None, h=3),
+    "z": {"family": "group_dual", "factors": [{"type": "Z"}]},
+    "z2": {"family": "group_dual", "factors": [{"type": "Zd", "d": 2}]},
+    "z3": {"family": "group_dual", "factors": [{"type": "Zmod", "m": 3}]},
+    "z2*z2": dual(a=2, b=2),
+    "bad": {"family": "a_o", "n": 3, "mystery": 1},
+}
+
+
 # group duals on which ``reduced_support`` draws supports: gcd > 1 and missing factors
 REDUCED_SYSTEMS = {
     "F2": lambda: fk.GroupDualSystem([None, None]),

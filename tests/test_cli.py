@@ -11,38 +11,21 @@ import fusionkit as fk
 from fusionkit import cli
 from fusionkit.cli import DiskCache, run
 
-from conftest import lazy_walk_counts, run_cli, strict_loads
+from conftest import CONFIGS, dual, lazy_walk_counts, run_cli, strict_loads
 
 
 @pytest.fixture
 def configs(tmp_path):
+    """Every config of ``conftest.CONFIGS`` in a file: name -> path."""
     paths = {}
-    specs = {
-        "ao2": {"family": "a_o", "n": 2,
-                "params": {"generators": ["q"],
-                           "fundamental_list": ["q", "q^-1"],
-                           "values": {"q": 1.0}}},
-        "ao3": AO3,
-        "f2": F2,
-        "au2": {"family": "a_u", "n": 2},
-        "bad": {**AO3, "mystery": 1},
-    }
-    for name, spec in specs.items():
+    for name, spec in CONFIGS.items():
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(spec))
         paths[name] = str(p)
     return paths
 
 
-def dual(**factors):
-    """A group-dual config: each named factor is Z (``None``) or Z/m."""
-    return {"family": "group_dual",
-            "factors": [{"type": "Z", "name": name} if m is None else
-                        {"type": "Zmod", "m": m, "name": name} for name, m in factors.items()]}
-
-
-AO3 = {"family": "a_o", "n": 3}
-F2, ZZ3 = dual(s=None, t=None), dual(g=None, h=3)
+AO3, F2, ZZ3, AO2Q = (CONFIGS[name] for name in ("ao3", "f2", "zz3-gh", "ao2q-bare"))
 F2_V, ZZ3_V = "e + s + s^-1 + t + t^-1", "e + g + g^-1 + h + h^2"
 
 
@@ -63,7 +46,7 @@ def test_decompose_unit(configs, capsys):
 
 
 def test_moments_even(configs, capsys):
-    code, env = run_cli(capsys, ["moments", "--family", configs["ao2"],
+    code, env = run_cli(capsys, ["moments", "--family", configs["ao2q-at-1"],
                                  "--u", "r2", "--even", "--k", "4"])
     assert code == 0
     assert [rep["value"] for rep in env["outputs"]] == ["1", "2", "5", "14"]
@@ -71,7 +54,7 @@ def test_moments_even(configs, capsys):
 
 def test_moments_word_jsonl(configs, capsys):
     # the contract checks that each JSON line equals its outputs entry
-    code, env = run_cli(capsys, ["moments", "--family", configs["ao2"], "--u", "r2",
+    code, env = run_cli(capsys, ["moments", "--family", configs["ao2q-at-1"], "--u", "r2",
                                  "--word", "XX*XX*", "--jsonl"])
     assert code == 0
     assert env["outputs"] == [{"word": "XX*XX*", "value": "2"}]
@@ -133,14 +116,14 @@ def test_amenable_au_at_the_default_depth(configs, capsys):
 
 
 def test_list_invariant(configs, capsys):
-    code, env = run_cli(capsys, ["list-invariant", "--family", configs["ao2"],
+    code, env = run_cli(capsys, ["list-invariant", "--family", configs["ao2q-at-1"],
                                  "--depth", "4"])
     assert code == 0
     assert env["outputs"]["r3"] == ["1", "q^-2", "q^2"]
 
 
 def test_modular_spectrum(configs, capsys):
-    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2"],
+    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2q-at-1"],
                                  "--list", "2^1/2,2^-1/2", "--member", "16,2,1"])
     assert code == 0
     out = env["outputs"]
@@ -151,7 +134,7 @@ def test_modular_spectrum(configs, capsys):
 def test_modular_spectrum_ignores_list_order(configs, capsys):
     rows = []
     for text in ("b,a^-2,b^-2*c^3", "b^-2*c^3,a^-2,b"):
-        code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2"],
+        code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2q-at-1"],
                                      "--list", text])
         assert code == 0
         rows.append(env["outputs"]["hnf_rows"])
@@ -160,7 +143,7 @@ def test_modular_spectrum_ignores_list_order(configs, capsys):
 
 def test_modular_spectrum_large_prime_is_a_config_error(configs, capsys):
     big = "1000000000000000003"
-    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2"],
+    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2q-at-1"],
                                  "--list", f"{big}^1/2,{big}^-1/2"])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
@@ -169,7 +152,7 @@ def test_modular_spectrum_large_prime_is_a_config_error(configs, capsys):
 
 def test_graph(configs, capsys, tmp_path):
     dot = tmp_path / "g.dot"
-    code, env = run_cli(capsys, ["graph", "--family", configs["ao2"],
+    code, env = run_cli(capsys, ["graph", "--family", configs["ao2q-at-1"],
                                  "--u", "r2", "--depth", "10", "--dot", str(dot)])
     assert code == 0
     assert len(env["outputs"]["vertices"]) == 11
@@ -318,7 +301,7 @@ def test_empty_label_is_a_computation_error(configs, capsys):
         "word-bad-character", "list-depth-negative"])
 def test_flag_errors_are_config_errors(configs, capsys, command, flags):
     group = command in ("distance", "powers-search", "ball", "growth")
-    family = configs["f2" if group else "ao2" if command == "list-invariant" else "ao3"]
+    family = configs["f2" if group else "ao2q-at-1" if command == "list-invariant" else "ao3"]
     code, env = run_cli(capsys, [command, "--family", family, *flags])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
@@ -356,7 +339,7 @@ def test_cache_transparency(configs, capsys, tmp_path):
 
 def test_cache_holds_one_file_per_family(configs, capsys, tmp_path):
     cache_dir = tmp_path / "cache"
-    for family, x, y in [("ao3", "r3", "r5"), ("ao2", "r2", "r4"), ("f2", "s t", "t^-1"),
+    for family, x, y in [("ao3", "r3", "r5"), ("ao2q-at-1", "r2", "r4"), ("f2", "s t", "t^-1"),
                          ("ao3", "r2", "r7")]:
         code, _ = run_cli(capsys, ["decompose", "--family", configs[family],
                                    "--x", x, "--y", y, "--cache-dir", str(cache_dir)])
@@ -638,7 +621,7 @@ def test_group_dual_witness_says_its_radius_went_unused(configs, capsys, tmp_pat
 
 
 def test_empty_parameter_entries_are_config_errors(configs, capsys, tmp_path):
-    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2"],
+    code, env = run_cli(capsys, ["modular-spectrum", "--family", configs["ao2q-at-1"],
                                  "--list", "2^1/2,2^-1/2,", "--member", "2"])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
@@ -701,14 +684,13 @@ def test_unwritable_csv_is_config_error(configs, capsys, tmp_path):
 
 def test_unwritable_dot_is_config_error(configs, capsys, tmp_path):
     dot = str(tmp_path / "missing" / "g.dot")
-    code, env = run_cli(capsys, ["graph", "--family", configs["ao2"], "--u", "r2",
+    code, env = run_cli(capsys, ["graph", "--family", configs["ao2q-at-1"], "--u", "r2",
                                  "--depth", "3", "--dot", dot])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
-    assert env["inputs"] == {"family": configs["ao2"], "u": "r2", "depth": 3}
+    assert env["inputs"] == {"family": configs["ao2q-at-1"], "u": "r2", "depth": 3}
 
 
-AO2Q = {"family": "a_o", "n": 2, "params": {"fundamental_list": ["q", "q^-1"]}}
 AO3_WITNESS = {"F": ["r2"], "D": ["r1"], "E": ["r2"], "r": ["r1", "r2", "r3"]}
 DECOMPOSE = ("decompose", "--x", "e", "--y", "e")
 CHECK = ("powers-check",)

@@ -23,33 +23,24 @@ import random
 
 import pytest
 
-from conftest import run_cli
+from conftest import CONFIGS, run_cli
 
 SEED = 20261020
 ARGV_DRAWS = 700
 CONFIG_DRAWS = 300
 
-F2 = {"family": "group_dual", "factors": [{"type": "Z", "name": "s"}, {"type": "Z", "name": "t"}]}
-ZZ3 = {"family": "group_dual",
-       "factors": [{"type": "Z", "name": "g"}, {"type": "Zmod", "m": 3, "name": "h"}]}
-Z2Z2 = {"family": "group_dual",
-        "factors": [{"type": "Zmod", "m": 2, "name": "a"}, {"type": "Zmod", "m": 2, "name": "b"}]}
-AO2Q = {"family": "a_o", "n": 2,
-        "params": {"generators": ["q"], "fundamental_list": ["q", "q^-1"],
-                   "values": {"q": 1.2}}}
 # name: (family config, unit label, other valid labels)
 FAMILIES = {
-    "ao3": ({"family": "a_o", "n": 3}, "r1", ["r2", "r3", "r4"]),
-    "ao2q": (AO2Q, "r1", ["r2", "r3", "r4"]),
-    "aut4": ({"family": "aut", "n": 4}, "s0", ["s1", "s2", "s3"]),
-    "au2": ({"family": "a_u", "n": 2}, "e", ["a", "b", "ab", "ba"]),
-    "f2": (F2, "e", ["s", "s^-1", "t", "t^-1", "s t^-1", "s^2"]),
-    "zz3": (ZZ3, "e", ["g", "g^-1", "h", "h^2", "g h", "h g^-1"]),
-    "z3": ({"family": "group_dual", "factors": [{"type": "Zmod", "m": 3}]}, "e", ["g1", "g1^2"]),
-    "z": ({"family": "group_dual", "factors": [{"type": "Z"}]}, "e", ["g1", "g1^-1", "g1^2"]),
-    "z^2": ({"family": "group_dual", "factors": [{"type": "Zd", "d": 2}]}, "e",
-            ["g1", "g2^-1", "g1 g2", "g1^2"]),
-    "z2*z2": (Z2Z2, "e", ["a", "b", "a b", "b a"]),
+    "ao3": (CONFIGS["ao3"], "r1", ["r2", "r3", "r4"]),
+    "ao2q": (CONFIGS["ao2q"], "r1", ["r2", "r3", "r4"]),
+    "aut4": (CONFIGS["aut4"], "s0", ["s1", "s2", "s3"]),
+    "au2": (CONFIGS["au2"], "e", ["a", "b", "ab", "ba"]),
+    "f2": (CONFIGS["f2"], "e", ["s", "s^-1", "t", "t^-1", "s t^-1", "s^2"]),
+    "zz3": (CONFIGS["zz3-gh"], "e", ["g", "g^-1", "h", "h^2", "g h", "h g^-1"]),
+    "z3": (CONFIGS["z3"], "e", ["g1", "g1^2"]),
+    "z": (CONFIGS["z"], "e", ["g1", "g1^-1", "g1^2"]),
+    "z^2": (CONFIGS["z2"], "e", ["g1", "g2^-1", "g1 g2", "g1^2"]),
+    "z2*z2": (CONFIGS["z2*z2"], "e", ["a", "b", "a b", "b a"]),
 }
 BAD_LABELS = ["", " ", "0", "1", "r0", "s-1", "x", "e e", "g1^", "^2", "s^0", "r99",
               "s t s^-1 t^-1", "aa", "g1^100", "a^3", "h^3", "2*r2"]

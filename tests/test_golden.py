@@ -23,26 +23,16 @@ import pytest
 
 from fusionkit.cli import run
 
-from conftest import assert_one_envelope
+from conftest import CONFIGS, assert_one_envelope
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 F2_V = "e + s + s^-1 + t + t^-1"
 
+# the recorded envelopes echo these file names
 FILES = {
-    "ao2.json": {"family": "a_o", "n": 2},
-    "ao2q.json": {"family": "a_o", "n": 2,
-                  "params": {"generators": ["q"], "fundamental_list": ["q", "q^-1"],
-                             "values": {"q": 1.2}}},
-    "ao3.json": {"family": "a_o", "n": 3},
-    "aut4.json": {"family": "aut", "n": 4},
-    "au2.json": {"family": "a_u", "n": 2},
-    "f2.json": {"family": "group_dual",
-                "factors": [{"type": "Z", "name": "s"}, {"type": "Z", "name": "t"}]},
-    "z2.json": {"family": "group_dual", "factors": [{"type": "Zd", "d": 2}]},
-    "zz3.json": {"family": "group_dual",
-                 "factors": [{"type": "Z", "name": "s"}, {"type": "Zmod", "m": 3, "name": "t"}]},
-    "bad.json": {"family": "a_o", "n": 3, "mystery": 1},
+    **{f"{name}.json": CONFIGS[name]
+       for name in ("ao2", "ao2q", "ao3", "aut4", "au2", "f2", "z2", "zz3", "bad")},
     "witness.json": {"F": ["s", "s^-1"], "D": {"type": "cylinder", "prefixes": ["t^-1"]},
                      "E": {"type": "cylinder", "prefixes": ["s", "s^-1", "t"],
                            "include": ["e"]},

@@ -333,3 +333,209 @@ def test_lattice_is_immutable():
     with pytest.raises(AttributeError):  # a dataclass's FrozenInstanceError
         lat.rows = ()
     assert hash(lat) == hash(ExponentLattice.from_params([Param.from_rational(4)]))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Param-keyed list calculus that integer keys replaced
+# ---------------------------------------------------------------------------
+
+def product_reference(a, b):
+    """Oracle: the list product as a Counter of ``Param`` products, pair by pair."""
+    out = Counter()
+    for p, mp in a.items():
+        for q, mq in b.items():
+            out[p * q] += mp * mq
+    return out
+
+
+def inverse_reference(a):
+    return Counter({p.inv(): m for p, m in a.items()})
+
+
+def union_reference(a, b):
+    return a + b
+
+
+def lattice_reference(params):
+    """Oracle: ``ExponentLattice.from_params`` by ``Fraction`` arithmetic on each parameter."""
+    params = list(params)
+    bases = sorted({b for p in params for b, _ in p.exponents},
+                   key=lambda b: (0, b) if isinstance(b, int) else (1, b))
+    denom = math.lcm(1, *(e.denominator for p in params for _, e in p.exponents))
+    rows = [[int(p.exponent_map().get(b, Fraction(0)) * denom) for b in bases] for p in params]
+    hnf = hermite_normal_form(rows)
+    if not hnf:
+        return ExponentLattice()
+    keep = [i for i in range(len(bases)) if any(r[i] for r in hnf)]
+    return ExponentLattice(tuple(bases[i] for i in keep), denom,
+                           tuple(tuple(r[i] for i in keep) for r in hnf))
+
+
+def derive_reference(sys, fund, depth):
+    """Oracle: the derivation over Counters of ``Param``s, subtracting and dividing counts."""
+    def subtract(total, part, what):
+        out = Counter(total)
+        for p, m in part.items():
+            if out.get(p, 0) < m:
+                raise fk.InconsistentListError(
+                    f"{what}: multiset subtraction not contained at {p}")
+            out[p] -= m
+        return out + Counter()
+
+    known = {sys.unit: Counter([Param.one()])}
+    drivers = [(sys.fundamental(), fund), (sys.conj_element(sys.fundamental()),
+                                           inverse_reference(fund))]
+
+    def settle(x, x_list, what):
+        unknown = [(lab, m) for lab, m in x.items() if lab not in known]
+        if not unknown:
+            return []
+        remainder = x_list
+        for lab, m in x.items():
+            if lab in known:
+                remainder = subtract(remainder, Counter({p: c * m for p, c in known[lab].items()}),
+                                     what)
+        if len(unknown) == 1:
+            lab, m = unknown[0]
+            for p, c in remainder.items():
+                if c % m:
+                    raise fk.InconsistentListError(
+                        f"{what}: multiplicity of {p} not divisible by {m}")
+            known[lab] = Counter({p: c // m for p, c in remainder.items()})
+            return [lab]
+        dims = sum(m * sys.dim_irr(lab) for lab, m in unknown)
+        if len(remainder) == 1 and sum(remainder.values()) == dims:
+            for lab, _ in unknown:
+                known[lab] = Counter({next(iter(remainder)): sys.dim_irr(lab)})
+            return [lab for lab, _ in unknown]
+        raise fk.InconsistentListError(
+            f"{what}: cannot split a non-constant remainder over several unknowns")
+
+    frontier = [sys.unit]
+    for _ in range(depth):
+        reached = []
+        for lab in frontier:
+            for drv, drv_list in drivers:
+                prod = sys.tensor(fk.FusionElement.from_label(lab), drv)
+                reached += settle(prod, product_reference(known[lab], drv_list),
+                                  f"{lab.payload!r} (x) fund")
+        if not reached:
+            break
+        frontier = sorted(set(reached), key=sys.sort_key)
+    return known
+
+
+def in_order(lst):
+    """A list's entries with their multiplicities, in its iteration order."""
+    return list(lst.counts().items())
+
+
+SEEDED_BASES = [Param.generator("q"), Param.generator("r"), Param.from_rational(2),
+                Param.from_rational(3)]
+
+
+def seeded_entries(rng):
+    """Up to five parameters over named and prime bases, exponents over 1, 2 and 3."""
+    entries = []
+    for _ in range(rng.randint(0, 5)):
+        p = Param.one()
+        for base in rng.sample(SEEDED_BASES, rng.randint(0, 3)):
+            p = p * base ** Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        entries.append(p)
+    return entries
+
+
+LIST_CASES = {
+    "named-and-prime": (["q^1/2*2", "3^-1*r", "q^-1/2*2^-1"], ["2^1/3*r^-1", "q*3^1/2"]),
+    "mixed-denominators": (["q^1/2", "q^-1/2"], ["q^1/3", "q^-1/3", "1"]),
+    "base-in-one-operand": (["q", "q^-1"], ["2^1/2", "1", "2^-1/2"]),
+    "cancelling-base": (["q^3/2"], ["q^-3/2", "q^-1/2"]),
+    "empty-left": ([], ["q", "2"]),
+    "empty-right": (["q^1/2", "3"], []),
+    "empty-both": ([], []),
+    "unit": (["1"], ["q^2*3^-1/2", "r"]),
+}
+
+
+@pytest.mark.parametrize("left, right", LIST_CASES.values(), ids=LIST_CASES.keys())
+def test_list_calculus_matches_the_param_keyed_oracle(left, right):
+    a, b = (Counter(Param.parse(t) for t in side) for side in (left, right))
+    la, lb = ParamList.parse(left), ParamList.parse(right)
+    assert in_order(la) == list(a.items()) and in_order(lb) == list(b.items())
+    assert in_order(la.product(lb)) == list(product_reference(a, b).items())
+    assert in_order(lb.product(la)) == list(product_reference(b, a).items())
+    assert in_order(la.union(lb)) == list(union_reference(a, b).items())
+    assert in_order(la.inverse()) == list(inverse_reference(a).items())
+    assert ExponentLattice.from_params(la.product(lb).counts()) == lattice_reference(
+        product_reference(a, b))
+    assert fk.modular_spectrum(la.union(lb)) == lattice_reference(
+        [(next(iter(a + b)) * p) ** 2 for p in a + b])
+
+
+def test_seeded_list_calculus_matches_the_param_keyed_oracle(rng):
+    for _ in range(300):
+        entries = [seeded_entries(rng) for _ in range(3)]
+        olds = [Counter(e) for e in entries]
+        news = [ParamList(e) for e in entries]
+        for old, new in zip(olds, news):
+            assert in_order(new) == list(old.items())
+        # a product of three widens its intermediate frame again
+        want = product_reference(product_reference(olds[0], olds[1]), olds[2])
+        got = news[0].product(news[1]).product(news[2])
+        assert in_order(got) == list(want.items()), entries
+        assert got == ParamList([p for p, m in want.items() for _ in range(m)])
+        assert in_order(news[0].union(news[1]).inverse()) == list(
+            inverse_reference(union_reference(olds[0], olds[1])).items())
+        assert ExponentLattice.from_params(entries[0]) == lattice_reference(entries[0])
+        assert ExponentLattice.from_params(got) == lattice_reference(want)
+        assert news[0].is_balanced_formal() == (
+            Counter({p ** 2: m for p, m in olds[0].items()})
+            == Counter({p.inv() ** 2: m for p, m in olds[0].items()}))
+        assert fk.is_kac(news[0]) == all(p.is_one() for p in olds[0])
+
+
+@pytest.mark.parametrize("make, fund, depth", [
+    (lambda: fk.AoSystem(2), ["q^2", "q^-2"], 12),
+    (lambda: fk.AoSystem(2), ["q^1/2*2^1/3", "q^-1/2*2^-1/3"], 8),
+    (lambda: fk.AuSystem(2), ["q", "q^-1"], 7),
+    (lambda: fk.AuSystem(2), ["q^1/3*r", "q^-1/2"], 6),
+], ids=["ao2-q2", "ao2-mixed", "au2", "au2-unbalanced"])
+def test_derived_lists_match_the_param_keyed_derivation(make, fund, depth):
+    sys = make()
+    got = fk.derive_irreducible_lists(sys, ParamList.parse(fund), depth)
+    want = derive_reference(sys, Counter(Param.parse(t) for t in fund), depth)
+    assert list(got) == list(want)
+    for lab, lst in got.items():
+        assert in_order(lst) == list(want[lab].items()), lab
+
+
+@pytest.mark.parametrize("make, fund", [
+    (lambda: fk.AoSystem(2), ["q", "q"]),
+    (lambda: fk.AoSystem(2), ["q^1/2", "2"]),
+    (lambda: fk.GroupDualSystem([None, None]), ["1", "q", "q^-1", "q", "q^-1"]),
+], ids=["ao2-not-contained", "ao2-two-bases", "f2-non-constant"])
+def test_derivation_errors_match_the_param_keyed_derivation(make, fund):
+    sys = make()
+    with pytest.raises(fk.InconsistentListError) as want:
+        derive_reference(sys, Counter(Param.parse(t) for t in fund), 4)
+    with pytest.raises(fk.InconsistentListError) as got:
+        fk.derive_irreducible_lists(sys, ParamList.parse(fund), 4)
+    assert str(got.value) == str(want.value)
+
+
+def test_derivation_makes_no_param_arithmetic(au2, monkeypatch):
+    # the hot path adds integer keys: no Param product, no Param built from
+    # exponents and not one Fraction
+    fund = ParamList.parse(["q", "q^-1"])
+    want = fk.derive_irreducible_lists(au2, fund, depth=10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Param or Fraction arithmetic in the list derivation")
+
+    monkeypatch.setattr(Param, "__mul__", refuse)
+    monkeypatch.setattr(Param, "_make", staticmethod(refuse))
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    got = fk.derive_irreducible_lists(fk.AuSystem(2), fund, depth=10)
+    monkeypatch.undo()
+    assert len(got) == 2 ** 11 - 1  # the words of at most ten letters
+    assert got == want
