@@ -84,6 +84,8 @@ CASES = [
     ("graph_ao2q", 0, ["graph", "--family", "ao2q.json", "--u", "r2", "--depth", "5"]),
     ("graph_aut4", 0, ["graph", "--family", "aut4.json", "--u", "s0 + s1", "--depth", "6"]),
     ("graph_au2", 0, ["graph", "--family", "au2.json", "--u", "a", "--depth", "6"]),
+    ("graph_zz3", 0, ["graph", "--family", "zz3.json", "--u", "e + s + s^-1 + t",
+                      "--depth", "4"]),
     ("distance_zz3", 0, ["distance", "--family", "zz3.json", "--v", "e + s + s^-1 + t + t^2",
                          "--a", "e", "--b", "s t s^-1 t^2"]),
     # error envelopes
