@@ -8,7 +8,8 @@ exact (arbitrary precision) non-negative integer multiplicities; the empty
 map is the zero element.
 
 All values are immutable.  Tensor products of irreducible pairs are
-memoized per system.
+memoized per system; ``tensor_row``, one label times an element, is the
+product towers and list derivation form, and a family may state it directly.
 """
 
 from __future__ import annotations
@@ -330,6 +331,15 @@ class FusionSystem(ABC):
             # idempotent insert: concurrent writers compute identical values
             hit = self._pair_cache[key] = self._tensor_irr(a, b)
         return hit
+
+    def tensor_row(self, a: IrrLabel, y: FusionElement) -> FusionElement:
+        """The row ``a (x) y`` of one label, summed from ``tensor_pair``: the value
+        of ``tensor(FusionElement.from_label(a), y)``, operands taken as checked."""
+        acc: dict[IrrLabel, int] = {}
+        for b, mb in y._terms.items():
+            for c, mc in self.tensor_pair(a, b)._terms.items():
+                acc[c] = acc.get(c, 0) + mb * mc
+        return FusionElement._adopt(acc)
 
     # -- semiring operations -------------------------------------------------
 

@@ -3,7 +3,8 @@
 Four families are provided:
 
 * duals of discrete groups (free products of ``Z`` and ``Z/m`` factors, or
-  ``Z^d``): fusion is the group product, stated once in ``GroupDualBase``;
+  ``Z^d``): fusion is the group product, stated once in ``GroupDualBase``,
+  where a row ``a (x) y`` is the left translate of ``y``;
 * interval-rule families (``IntervalSystem``, parameterised by label
   prefix, first index, step, dimension recursion and fundamental):
   ``AoSystem`` (free orthogonal type) has integer labels ``r_k`` with the
@@ -93,6 +94,12 @@ class GroupDualBase(FusionSystem):
 
     def _tensor_irr(self, a: IrrLabel, b: IrrLabel) -> FusionElement:
         return FusionElement._adopt({IrrLabel(self.family_id, self._mul(a.payload, b.payload)): 1})
+
+    def tensor_row(self, a: IrrLabel, y: FusionElement) -> FusionElement:
+        """The left translate ``{a b: m_b}``: left multiplication by ``a`` is
+        injective, so no two terms meet, and no pair memo or rule is needed."""
+        fid, mul, p = self.family_id, self._mul, a.payload
+        return FusionElement._adopt({IrrLabel(fid, mul(p, b.payload)): m for b, m in y._terms.items()})
 
     def conj_irr(self, a: IrrLabel) -> IrrLabel:
         return IrrLabel(self.family_id, self._inv(a.payload))

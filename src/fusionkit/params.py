@@ -392,7 +392,7 @@ def derive_irreducible_lists(sys: FusionSystem, fund_list: ParamList,
         next_frontier: list[IrrLabel] = []
         for lab in frontier:
             for drv, drv_list in drivers:
-                prod = sys.tensor(FusionElement.from_label(lab), drv)
+                prod = sys.tensor_row(lab, drv)
                 next_frontier += settle(prod, known[lab].product(drv_list),
                                         f"{lab.payload!r} (x) fund")
         if not next_frontier:

@@ -4,13 +4,13 @@ The tower of a class ``u`` is built from the alternating words
 ``u, u (x) u^, u (x) u^ (x) u, ...`` (``u^`` the conjugate): level ``k``
 records the irreducible decomposition of the k-letter word, level 0 being
 the unit.  Level ``k+1`` is ``sum_a m_a (a (x) letter)``; the product
-``a (x) letter`` is the sparse inclusion row of ``a``, the one form the
-inclusions take.  A label's row is formed once per letter, on its first
-visit under that letter, and every level where that label meets that
-letter again shares it (rows are immutable, so sharing is safe), and its
-``sort_key``, which orders the levels, is computed once per tower.  The
-squared multiplicities at level ``k`` sum to the endomorphism dimension of
-the word.
+``a (x) letter`` (``tensor_row``, a translate on group duals) is the sparse
+inclusion row of ``a``, formed once per letter and shared by every level
+where ``a`` meets that letter again (rows are immutable).  Each label met
+gets an integer index and its ``sort_key`` once; a row keeps its
+``(index, mult)`` pairs, a level is summed into an index-keyed list, and
+only the touched indices are sorted.  The squared multiplicities at level
+``k`` sum to the endomorphism dimension of the word.
 
 The principal graph keeps each irreducible at its level of first
 appearance and joins new vertices of consecutive levels with the
@@ -64,27 +64,38 @@ def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:
         raise FusionError(f"depth must be >= 1, got {depth}")
     sys.check_element(u)
     ubar = sys.conj_element(u)
+    # each label met has an index into labels, keys (its sort_key) and acc,
+    # its summed multiplicity; rows are positive, so a 0 slot is untouched
+    labels, keys, acc, index = [sys.unit], [sys.sort_key(sys.unit)], [0], {sys.unit: 0}
     levels: list[list[tuple[IrrLabel, int]]] = [[(sys.unit, 1)]]
     inclusions: list[list[FusionElement]] = []
-    # each letter with its row table; one table when u is self-conjugate
-    u_rows: dict[IrrLabel, FusionElement] = {}
+    # each letter with its row table, index -> (row, its (index, mult) pairs);
+    # one table when u is self-conjugate
+    u_rows: dict[int, tuple[FusionElement, list[tuple[int, int]]]] = {}
     letters = ((u, u_rows), (ubar, u_rows if ubar == u else {}))
-    keys: dict[IrrLabel, object] = {}  # each label's sort_key, computed once
+    level = [(0, 1)]  # the last level as (index, mult)
     for k in range(depth):
         letter, table = letters[k % 2]
-        rows = []
-        for a, _ in levels[-1]:
-            row = table.get(a)
-            if row is None:
-                row = table[a] = sys.tensor(FusionElement.from_label(a), letter)
-            rows.append(row)
-        word: dict[IrrLabel, int] = {}
-        for (_, m), row in zip(levels[-1], rows):
-            for c, mc in row._terms.items():
-                word[c] = word.get(c, 0) + m * mc
-        for c in word.keys() - keys.keys():
-            keys[c] = sys.sort_key(c)
-        levels.append([(c, word[c]) for c in sorted(word, key=keys.__getitem__)])
+        rows, touched = [], []
+        for i, m in level:
+            if (entry := table.get(i)) is None:
+                row = sys.tensor_row(labels[i], letter)
+                for c in [c for c in row._terms if c not in index]:
+                    index[c] = len(labels)
+                    labels.append(c)
+                    keys.append(sys.sort_key(c))
+                    acc.append(0)
+                entry = table[i] = (row, [(index[c], mc) for c, mc in row._terms.items()])
+            rows.append(entry[0])
+            for j, mc in entry[1]:
+                if not acc[j]:
+                    touched.append(j)
+                acc[j] += m * mc
+        touched.sort(key=keys.__getitem__)
+        level = [(j, acc[j]) for j in touched]
+        for j in touched:
+            acc[j] = 0
+        levels.append([(labels[j], m) for j, m in level])
         inclusions.append(rows)
     return BratteliDiagram(system=sys, u=u, levels=levels, inclusions=inclusions)
 
@@ -92,17 +103,16 @@ def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:
 def principal_graph(d: BratteliDiagram) -> WeightedGraph:
     """First-appearance reduction of a tower diagram."""
     sys = d.system
-    first: dict[IrrLabel, int] = {}
+    first: dict[IrrLabel, int] = {}  # levels are sorted: in (level, sort_key) order
     for k, level in enumerate(d.levels):
         for lab, _ in level:
             first.setdefault(lab, k)
-    vertices = sorted(first.items(), key=lambda it: (it[1], sys.sort_key(it[0])))
     edges: list[tuple[IrrLabel, IrrLabel, int]] = []
     for k, rows in enumerate(d.inclusions):
         for (a, _), row in zip(d.levels[k], rows):
             if first[a] == k:
                 edges += [(a, c, m) for c, m in sys.sorted_items(row) if first[c] == k + 1]
-    return WeightedGraph(system=sys, vertices=vertices, edges=edges)
+    return WeightedGraph(system=sys, vertices=list(first.items()), edges=edges)
 
 
 def attach_qdim_weights(g: WeightedGraph, lists, values=None) -> WeightedGraph:

@@ -164,6 +164,57 @@ def test_pair_cache_idempotent_and_thread_safe(ao3):
     assert results[0] == tensor_power(ao3, u, 12)
 
 
+ROW_FAMILIES = ["ao3", "aut4", "au2", "f2", "zmod3", "zd2"]
+
+
+def row_cases(sys, rng, n):
+    pool = label_pool(sys)
+    return [(rng.choice(pool), random_element(sys, rng, pool, max_terms=4, max_mult=3))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
+def test_tensor_row_matches_tensor(family, rng, request):
+    sys = request.getfixturevalue(family)
+    for a, y in row_cases(sys, rng, 80):
+        assert sys.tensor_row(a, y) == sys.tensor(FusionElement.from_label(a), y)
+    assert sys.tensor_row(sys.unit, FusionElement()) == FusionElement()
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
+def test_tensor_row_pair_memo(family, rng, request):
+    # a group dual translates, so its rows leave the pair memo empty; the
+    # default sum fills it with the same entries, in the same order, as tensor
+    sys = request.getfixturevalue(family)
+    cases = row_cases(sys, rng, 30)
+    sys._pair_cache.clear()
+    for a, y in cases:
+        sys.tensor_row(a, y)
+    by_rows = list(sys._pair_cache.items())
+    sys._pair_cache.clear()
+    for a, y in cases:
+        sys.tensor(FusionElement.from_label(a), y)
+    if isinstance(sys, fk.GroupDualBase):
+        assert by_rows == [] and sys._pair_cache
+    else:
+        assert by_rows == list(sys._pair_cache.items()) != []
+
+
+def test_tensor_row_cancels_and_wraps(f2):
+    # F2 cancels s^-1 s; in Z*Z/3, t^2 t = e.  Both translate on the left:
+    # s^-1 (s t) is t, where s t s^-1 would be a right translate
+    zz3 = fk.GroupDualSystem([None, 3], names=["s", "t"])
+    for sys, a, y, want in ((f2, "s^-1", "s t + e", "t + s^-1"),
+                            (f2, "s t", "2*s^-1 + t^-1 s", "2*s t s^-1 + s^2"),
+                            (zz3, "t^2", "t + e", "e + t^2"),
+                            (zz3, "t s", "s^-1 t + t^2", "t^2 + t s t^2")):
+        a, y = sys.parse_label(a), fk.parse_element(sys, y)
+        sys._pair_cache.clear()
+        assert sys.tensor_row(a, y) == fk.parse_element(sys, want)
+        assert sys._pair_cache == {}
+        assert sys.tensor(FusionElement.from_label(a), y) == fk.parse_element(sys, want)
+
+
 def test_element_hash_and_contains(ao2):
     x = FusionElement({ao2.r(1): 1, ao2.r(3): 2})
     y = FusionElement({ao2.r(3): 2, ao2.r(1): 1})

@@ -155,26 +155,26 @@ def test_tower_matches_reference_on_random_generators(request, fixture, pool, de
     assert self_conjugate == ({True, False} if any(sys.conj_irr(a) != a for a in pool) else {True})
 
 
-def counting_tensor(monkeypatch, sys):
-    """Count the ``sys.tensor`` calls made from here on."""
+def counting_rows(monkeypatch, sys):
+    """Count the ``sys.tensor_row`` calls made from here on."""
     calls = []
-    tensor = sys.tensor
+    tensor_row = sys.tensor_row
 
-    def counted(x, y):
-        calls.append((x, y))
-        return tensor(x, y)
+    def counted(a, y):
+        calls.append((a, y))
+        return tensor_row(a, y)
 
-    monkeypatch.setattr(sys, "tensor", counted)
+    monkeypatch.setattr(sys, "tensor_row", counted)
     return calls
 
 
 def test_tower_forms_each_row_once_per_letter(monkeypatch, zd2, au2):
     # Z^2's fundamental is self-conjugate: one table, one row per label
-    calls = counting_tensor(monkeypatch, zd2)
+    calls = counting_rows(monkeypatch, zd2)
     d = fk.tower(zd2, fk.fundamental(zd2), 12)
     assert len(calls) == len({a for level in d.levels[:12] for a, _ in level})
     # a_u(2)'s is not: one table per letter, one row per label and letter
-    calls = counting_tensor(monkeypatch, au2)
+    calls = counting_rows(monkeypatch, au2)
     d = fk.tower(au2, fk.fundamental(au2), 12)
     assert len(calls) == len({(a, k % 2) for k, level in enumerate(d.levels[:12]) for a, _ in level})
     # a label met again under the same letter reuses its row
@@ -182,6 +182,15 @@ def test_tower_forms_each_row_once_per_letter(monkeypatch, zd2, au2):
     for k, level in enumerate(d.levels[:12]):
         for (a, _), row in zip(level, d.inclusions[k]):
             assert rows.setdefault((a, k % 2), row) is row
+
+
+def test_z2_tower_at_depth_16_translates_481_rows(monkeypatch, zd2):
+    # the largest Z^2 tower of the benchmark: one row per label, each a
+    # translate, so the pair memo stays empty
+    calls = counting_rows(monkeypatch, zd2)
+    d = fk.tower(zd2, fk.fundamental(zd2), 16)
+    assert len(calls) == len({a for level in d.levels[:16] for a, _ in level}) == 481
+    assert zd2._pair_cache == {}
 
 
 def test_tower_depth_one(ao3):
