@@ -31,7 +31,7 @@ cross-checked against direct expansion in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 # the moment-cumulant recursions are re-exported from core
 from .core import (
@@ -143,8 +143,7 @@ def root_sequence_is_monotone(counts: list[int]) -> bool:
     return True
 
 
-@dataclass(slots=True)
-class KestenReport:
+class KestenReport(NamedTuple):
     """Outcome of the amenability estimate for one generator."""
 
     family: str
@@ -159,11 +158,11 @@ class KestenReport:
     cross_estimate: float
     cross_verdict: str
     agree: bool
-    notes: str = field(default=_NOTE)
+    notes: str = _NOTE
 
     def to_json(self) -> dict:
         """Every field, with the counts as decimal strings."""
-        data = asdict(self)
+        data = self._asdict()
         for key in ("counts", "cross_counts"):
             data[key] = [str(c) for c in data[key]]
         return data

@@ -20,20 +20,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .core import FusionElement, FusionError, FusionSystem
+from .core import FusionElement, FusionError, FusionSystem, Record
 
 
-@dataclass(frozen=True, slots=True)
-class StarWord:
+class StarWord(Record):
     """A finite word in the letters ``X`` and ``X*``.
 
     ``stars[i]`` is True where the i-th letter is starred.  The empty word
     stands for the constant monomial 1.
     """
 
-    stars: tuple[bool, ...] = ()
+    __slots__ = ("stars",)
+
+    def __init__(self, stars: tuple[bool, ...] = ()):
+        self._set(stars)
 
     @classmethod
     def from_string(cls, text: str) -> "StarWord":

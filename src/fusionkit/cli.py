@@ -12,17 +12,15 @@ products.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys as _sys
-import tempfile
 import time
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .core import FusionElement, FusionError, FusionSystem, IrrLabel
@@ -81,6 +79,7 @@ class DiskCache:
         self.degraded.append(reason)
 
     def _path(self, sys: FusionSystem) -> str:
+        import hashlib  # imported here, so that only --cache-dir runs load OpenSSL
         key = json.dumps([__version__, sys.family_id])
         return os.path.join(self.directory, hashlib.sha256(key.encode()).hexdigest() + ".json")
 
@@ -109,6 +108,7 @@ class DiskCache:
             return
         rows = [[sys.format_label(a), sys.format_label(b), element_to_json(sys, value)]
                 for (a, b), value in table.items()]
+        import tempfile  # likewise, only --cache-dir runs write
         try:
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -123,8 +123,7 @@ class DiskCache:
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class FamilyConfig:
+class FamilyConfig(NamedTuple):
     system: FusionSystem
     fundamental_list: params.ParamList | None  # from the optional params block
     values: dict[str, float]
@@ -327,7 +326,7 @@ def _parse_params(text: str, flag: str) -> list[params.Param]:
 
 
 def _cmd_modular_spectrum(args, cfg: FamilyConfig):
-    if args.list:
+    if args.list is not None:
         plist = params.ParamList(_parse_params(args.list, "--list"))
     else:
         if cfg.fundamental_list is None:
@@ -335,7 +334,7 @@ def _cmd_modular_spectrum(args, cfg: FamilyConfig):
         plist = cfg.fundamental_list
     lattice = params.modular_spectrum(plist)
     outputs = lattice.describe()
-    if args.member:
+    if args.member is not None:
         members = _parse_params(args.member, "--member")
         outputs["membership"] = {
             text: lattice.contains(p)

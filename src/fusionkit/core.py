@@ -55,6 +55,43 @@ class IrrLabel(NamedTuple):
         return f"IrrLabel({self.family!r}, {self.payload!r})"
 
 
+class Record:
+    """A frozen record whose fields are its ``__slots__``, set once by ``__init__``.
+
+    Like a frozen dataclass, and unlike a NamedTuple it is no tuple: equality
+    (within one class), hashing and ``repr`` go by the fields in order.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
 class FusionElement:
     """A finite non-negative integer combination of irreducible classes.
 

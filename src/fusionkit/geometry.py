@@ -30,9 +30,8 @@ re-reduction of the whole word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -174,15 +173,15 @@ def growth_table(sys: FusionSystem, v: FusionElement, center: IrrLabel,
     return list(enumerate(accumulate(sizes)))
 
 
-@dataclass(slots=True)
-class QuasiIsometryReport:
+class QuasiIsometryReport(NamedTuple):
     """Result of checking ``d_v <= K * d_{v+w}`` on sampled pairs."""
 
     K: int
     holds: bool
     pairs_checked: int
     max_ratio: float
-    failures: list[tuple[IrrLabel, IrrLabel, int, int]] = field(default_factory=list)
+    # a tuple default, as a list would be shared by every report
+    failures: Sequence[tuple[IrrLabel, IrrLabel, int, int]] = ()
 
 
 def containment_index(sys: FusionSystem, v: FusionElement, w: FusionElement,

@@ -37,13 +37,12 @@ import cmath
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .core import BudgetExceededError, FusionElement, FusionError, FusionSystem, IrrLabel
+from .core import BudgetExceededError, FusionElement, FusionError, FusionSystem, IrrLabel, Record
 
 
 class InconsistentListError(FusionError):
@@ -84,11 +83,13 @@ def _base_key(base) -> tuple[int, object]:
     return (0, base) if isinstance(base, int) else (1, base)
 
 
-@dataclass(frozen=True, slots=True)
-class Param:
+class Param(Record):
     """An exact positive monomial; the empty product is 1."""
 
-    exponents: tuple[tuple[int | str, Fraction], ...] = ()
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple[tuple[int | str, Fraction], ...] = ()):
+        self._set(exponents)
 
     @staticmethod
     def _make(exps: Mapping) -> "Param":
@@ -452,8 +453,7 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-@dataclass(frozen=True, slots=True)
-class ExponentLattice:
+class ExponentLattice(NamedTuple):
     """A finitely generated subgroup of the positive reals.
 
     Stored as the least frame of its generators (primes, then named

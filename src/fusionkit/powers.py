@@ -48,10 +48,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .core import FamilyMismatchError, FusionError, FusionSystem, IrrLabel
+from .core import FamilyMismatchError, FusionError, FusionSystem, IrrLabel, Record
 from .families import GroupDualSystem, Word
 
 
@@ -68,17 +67,16 @@ def _same(A, B) -> None:
         raise FamilyMismatchError(f"set operands disagree: {A!r} vs {B!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteIrrSet:
+class FiniteIrrSet(Record):
     """An explicit finite set of irreducibles of a family without a word
     tree; a group dual's finite sets are ``WordSet.finite``."""
 
-    system: FusionSystem
-    labels: frozenset[IrrLabel]
+    __slots__ = ("system", "labels")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.system, GroupDualSystem):
+    def __init__(self, system: FusionSystem, labels: frozenset[IrrLabel]):
+        if isinstance(system, GroupDualSystem):
             raise FusionError("finite sets of a group dual are WordSets; use WordSet.finite")
+        self._set(system, labels)
 
     def member(self, a: IrrLabel) -> bool:
         return a in self.labels
@@ -307,8 +305,7 @@ class WordSet:
         return f"WordSet({body})"
 
 
-@dataclass(frozen=True, slots=True)
-class ConjugatedSet:
+class ConjugatedSet(Record):
     """Lazy elementwise conjugate of an infinite word set.
 
     Prefix cylinders conjugate to suffix-described sets, which fall outside
@@ -316,7 +313,10 @@ class ConjugatedSet:
     wrapper, but products with it are unsupported.
     """
 
-    base: WordSet
+    __slots__ = ("base",)
+
+    def __init__(self, base: WordSet):
+        self._set(base)
 
     def member(self, a: IrrLabel) -> bool:
         sys = self.base.system
@@ -502,8 +502,7 @@ def set_conj(sys: FusionSystem, S):
 # witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class PowersWitness:
+class PowersWitness(NamedTuple):
     """A finite F avoiding the unit, a partition D | E of the irreducibles,
     and three irreducibles whose E-translates should be pairwise disjoint."""
 
@@ -519,8 +518,7 @@ class PowersWitness:
         return (self.r1, self.r2, self.r3)
 
 
-@dataclass(slots=True)
-class WitnessCheck:
+class WitnessCheck(NamedTuple):
     holds: bool
     exact: bool
     detail: str = ""

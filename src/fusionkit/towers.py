@@ -21,13 +21,12 @@ reduction can always be audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import FusionElement, FusionError, FusionSystem, IrrLabel
+from .core import FusionElement, FusionError, FusionSystem, IrrLabel, Record
 
 
-@dataclass(slots=True)
-class BratteliDiagram:
+class BratteliDiagram(NamedTuple):
     """Levels and inclusion rows of an alternating-word tower.
 
     ``levels[k]`` lists ``(label, multiplicity)`` for the k-letter word in
@@ -48,14 +47,19 @@ class BratteliDiagram:
         return [sum(m * m for _, m in level) for level in self.levels]
 
 
-@dataclass(slots=True)
-class WeightedGraph:
-    """A principal graph: vertices with first-appearance levels, weighted edges."""
+class WeightedGraph(Record):
+    """A principal graph: vertices with first-appearance levels, weighted edges.
 
-    system: FusionSystem
-    vertices: list[tuple[IrrLabel, int]]
-    edges: list[tuple[IrrLabel, IrrLabel, int]]
-    weights: dict[IrrLabel, object] = field(default_factory=dict)
+    Unlike other records its fields can be reassigned, and it is unhashable.
+    """
+
+    __slots__ = ("system", "vertices", "edges", "weights")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, system: FusionSystem, vertices: list[tuple[IrrLabel, int]],
+                 edges: list[tuple[IrrLabel, IrrLabel, int]],
+                 weights: dict[IrrLabel, object] | None = None):
+        self._set(system, vertices, edges, {} if weights is None else weights)
 
 
 def tower(sys: FusionSystem, u: FusionElement, depth: int) -> BratteliDiagram:

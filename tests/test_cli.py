@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -286,6 +287,8 @@ def test_empty_label_is_a_computation_error(configs, capsys):
     ("modular-spectrum", ["--list", "q^x"]),
     ("modular-spectrum", ["--list", "q^1/0"]),
     ("modular-spectrum", ["--list", "q,q^-1", "--member", "q,q^x"]),
+    ("modular-spectrum", ["--list", ""]),
+    ("modular-spectrum", ["--member", ""]),
     ("distance", ["--v", "e + s + s^-1 + t + t^-1", "--a", "e", "--b", "s",
                   "--budget", "-1"]),
     ("powers-search", ["--f", "s,s^-1", "--budget", "-1"]),
@@ -296,12 +299,16 @@ def test_empty_label_is_a_computation_error(configs, capsys):
     ("moments", ["--u", "r2", "--word", "XY"]),
     ("list-invariant", ["--depth", "-1"]),
 ], ids=["depth-2", "depth-0", "tol-negative", "tol-nan", "tol-inf", "list-syntax",
-        "list-zero-denominator", "member-syntax", "budget-negative", "search-budget-negative",
-        "ball-r-negative", "growth-rmax-negative", "graph-depth-0", "word-double-star",
-        "word-bad-character", "list-depth-negative"])
+        "list-zero-denominator", "member-syntax", "list-empty", "member-empty",
+        "budget-negative", "search-budget-negative", "ball-r-negative",
+        "growth-rmax-negative", "graph-depth-0", "word-double-star", "word-bad-character",
+        "list-depth-negative"])
 def test_flag_errors_are_config_errors(configs, capsys, command, flags):
     group = command in ("distance", "powers-search", "ball", "growth")
-    family = configs["f2" if group else "ao2q-at-1" if command == "list-invariant" else "ao3"]
+    # the list commands run on a config with a fundamental list, which an
+    # explicit empty --list must not fall back to
+    listed = command in ("list-invariant", "modular-spectrum")
+    family = configs["f2" if group else "ao2q-at-1" if listed else "ao3"]
     code, env = run_cli(capsys, [command, "--family", family, *flags])
     assert code == 2
     assert env["outputs"]["kind"] == "config"
@@ -469,6 +476,9 @@ def test_disk_cache_api(tmp_path):
     cache.store(sys_, table)
     assert cache.lookup(sys_) == table
     assert os.listdir(tmp_path / "c") == [os.path.basename(cache._path(sys_))]
+    # the file name is the contract with existing cache directories
+    key = json.dumps([fk.__version__, sys_.family_id]).encode()
+    assert os.listdir(tmp_path / "c") == [hashlib.sha256(key).hexdigest() + ".json"]
 
 
 def test_disk_cache_key_includes_engine_version(tmp_path, monkeypatch):

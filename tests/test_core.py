@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 import threading
 import time
+from fractions import Fraction
 from itertools import repeat
 from math import comb
 
@@ -61,6 +64,43 @@ def test_label_identity_and_repr(ao2, ao3, f2):
     assert a.payload == b.payload
     assert a != b and hash(a) != hash(b) and len({a, b}) == 2
     assert a == ("a_o(n=2)", 3) and tuple(a) == (a.family, a.payload)
+
+
+def test_slot_records_compare_hash_and_print_by_fields(ao3, f2):
+    # the records that cannot be NamedTuples (core.Record) keep a frozen
+    # dataclass's field-wise equality, hashing and repr, and are no tuples
+    cyl = fk.WordSet.make(f2, cylinders=[f2.parse_label("s").payload])
+    two = frozenset([ao3.r(2)])
+    records = [
+        (fk.Param(((2, Fraction(1, 2)),)), fk.Param.parse("2^1/2"),
+         "Param(exponents=((2, Fraction(1, 2)),))"),
+        (fk.StarWord(stars=(False, True)), fk.StarWord.from_string("XX*"),
+         "StarWord(stars=(False, True))"),
+        (fk.FiniteIrrSet(ao3, two), fk.FiniteIrrSet(labels=two, system=ao3),
+         f"FiniteIrrSet(system={ao3!r}, labels=frozenset({{{ao3.r(2)!r}}}))"),
+        (fk.ConjugatedSet(cyl), fk.set_conj(f2, cyl), "ConjugatedSet(base=WordSet(Cyl(s)))"),
+    ]
+    for a, b, text in records:
+        fields = type(a).__slots__
+        assert a == b and repr(a) == text and copy.copy(a) == a
+        assert a != tuple(getattr(a, name) for name in fields)
+        with pytest.raises(AttributeError):
+            setattr(a, fields[0], getattr(b, fields[0]))
+        with pytest.raises(AttributeError):
+            delattr(a, fields[0])
+    for a, b, _ in records[:3]:  # a WordSet, and so a ConjugatedSet, is unhashable
+        assert hash(a) == hash(b)
+    for a, _, _ in records[:2]:  # the two that hold no fusion system
+        assert pickle.loads(pickle.dumps(a)) == a
+    assert fk.Param() == fk.Param(()) != fk.StarWord(()) == fk.StarWord()
+    # a principal graph stays mutable and unhashable, with a fresh weights dict each
+    g = fk.WeightedGraph(ao3, [], [])
+    g.weights[ao3.r(1)] = 1.0
+    g.edges = [(ao3.r(1), ao3.r(1), 1)]
+    assert fk.WeightedGraph(ao3, [], []).weights == {}
+    assert g == fk.WeightedGraph(ao3, [], [(ao3.r(1), ao3.r(1), 1)], {ao3.r(1): 1.0})
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 def test_sum_is_pointwise(ao2):

@@ -53,3 +53,18 @@ def test_entry_point_prints_one_envelope(tmp_path):
     env = assert_one_envelope(argv, proc.returncode, proc.stdout, proc.stderr, elapsed, 20.0)
     assert proc.returncode == 0
     assert env["outputs"] == {"r2": "1", "r3": "2", "r4": "2", "r5": "2", "r6": "2", "r7": "1"}
+
+
+def test_cli_import_loads_only_what_every_run_uses():
+    # measured against a bare interpreter of the same environment, since
+    # ``site`` may load some of these modules itself (e.g. through a .pth file)
+    listing = "import sys; print(' '.join(sys.modules))"
+    bare = set(run_python("-c", listing).stdout.split())
+    proc = run_python("-c", "import fusionkit.cli; " + listing)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split()) - bare
+    # the dataclass machinery, and OpenSSL and temp files, which only --cache-dir uses
+    assert not added & {"dataclasses", "inspect", "hashlib", "tempfile"}
+    submodules = {"amenability", "characters", "cli", "core", "families", "geometry",
+                  "params", "powers", "towers"}
+    assert {f"fusionkit.{name}" for name in submodules} <= added

@@ -330,7 +330,7 @@ def test_hnf_is_canonical_under_shuffling_and_padding(rng):
 
 def test_lattice_is_immutable():
     lat = fk.modular_spectrum(ParamList.parse(["2^1/2", "2^-1/2"]))
-    with pytest.raises(AttributeError):  # a dataclass's FrozenInstanceError
+    with pytest.raises(AttributeError):  # a NamedTuple field has no setter
         lat.rows = ()
     assert hash(lat) == hash(ExponentLattice.from_params([Param.from_rational(4)]))
 

@@ -599,6 +599,23 @@ def test_set_conj(f2, ao3):
     assert fk.set_conj(ao3, ao_set) == ao_set
 
 
+def test_set_records_are_not_label_lists(f2, ao3):
+    # _as_set reads any tuple as a list of labels; a set record must not be one
+    s = f2.parse_label("s")
+    conj = fk.set_conj(f2, WordSet.make(f2, cylinders=[s.payload]))
+    assert isinstance(conj, powers.ConjugatedSet)
+    message = "not an irreducible set: ConjugatedSet(base=WordSet(Cyl(s)))"
+    with pytest.raises(fk.FusionError) as raised:
+        powers._as_set(f2, conj)
+    assert type(raised.value) is fk.FusionError and str(raised.value) == message
+    witness = fk.PowersWitness(F=[], D=conj, E=conj, r1=s, r2=s, r3=s)
+    with pytest.raises(fk.FusionError) as raised:
+        fk.check_witness(f2, witness)
+    assert type(raised.value) is fk.FusionError and str(raised.value) == message
+    ao_set = FiniteIrrSet(ao3, frozenset([ao3.r(2), ao3.r(4)]))
+    assert powers._as_set(ao3, ao_set) is ao_set
+
+
 # -- witnesses ----------------------------------------------------------------
 
 def test_check_witness_dual_of_z_fails(zdual):
